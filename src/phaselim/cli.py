@@ -460,6 +460,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         config.targets = [float(t) for t in str(args.targets).split(",") if t]
     else:
         config.targets = []
+    targets = config.targets
+    if not all(math.isfinite(t) and t > 0.0 for t in targets):
+        raise ValueError(f"target means must be finite and positive, got {targets}")
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"target means must be distinct, got {targets}")
     return config
 
 

@@ -8,9 +8,10 @@ Three matrix representations are supported:
 * ``DenseSymmetric`` -- explicit entries, solved by Lanczos on a mat-vec.
 * ``ToeplitzPlusDiagonal`` -- symmetric Toeplitz part applied via FFT
   circulant embedding plus an arbitrary diagonal; the smallest eigenpair is
-  found by inverse iteration where each inverse apply is a conjugate-gradient
-  solve, optionally preconditioned by a banded surrogate supplied by the
-  caller.  This is what lets the dense quadratic-cost problems reach
+  found by locally optimal preconditioned conjugate gradients (LOPCG,
+  Knyazev 2001), preconditioned by the banded Cholesky factor of a
+  spectrally equivalent surrogate supplied by the caller.  One FFT mat-vec
+  per iteration is what lets the dense quadratic-cost problems reach
   dimension ~3e4 without O(d^3) factorizations.
 
 Only one extremal pair is ever needed, so no full-spectrum path exists.
@@ -22,7 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
+from scipy.linalg import (
+    cho_solve_banded,
+    cholesky_banded,
+    eigh_tridiagonal,
+    solve_triangular,
+)
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 __all__ = [
@@ -190,52 +196,15 @@ def _default_start(n: int) -> np.ndarray:
 
 def _finish(matrix: Matrix, value: float, vector: np.ndarray) -> EigenPair:
     vector = vector / np.linalg.norm(vector)
-    value = float(vector @ matrix.matvec(vector))  # Rayleigh quotient polish
-    residual = float(np.linalg.norm(matrix.matvec(vector) - value * vector))
+    image = matrix.matvec(vector)
+    value = float(vector @ image)  # Rayleigh quotient polish
+    residual = float(np.linalg.norm(image - value * vector))
     bound = _RESIDUAL_FACTOR * max(matrix.norm_bound(), 1e-300)
     if residual > bound:
         raise EigsolveError(
             f"residual {residual:.3e} exceeds tolerance {bound:.3e}"
         )
     return EigenPair(value=value, vector=_canonical_sign(vector), residual=residual)
-
-
-def _pcg_solve(
-    matrix: Matrix,
-    apply_prec,
-    b: np.ndarray,
-    tol: float = 1e-13,
-    maxiter: int = 400,
-) -> np.ndarray:
-    """Preconditioned conjugate gradients for positive definite systems."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = apply_prec(r)
-    p = z.copy()
-    rz = float(r @ z)
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return x
-    for _ in range(maxiter):
-        ap = matrix.matvec(p)
-        curvature = float(p @ ap)
-        if curvature <= 0.0:
-            raise EigsolveError(
-                "matrix is not positive definite; inverse iteration invalid"
-            )
-        step = rz / curvature
-        x += step * p
-        r -= step * ap
-        if np.linalg.norm(r) <= tol * b_norm:
-            return x
-        z = apply_prec(r)
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    raise EigsolveError(
-        f"conjugate gradients stalled after {maxiter} iterations; "
-        "supply a spectrally equivalent preconditioner"
-    )
 
 
 def _banded_cholesky_apply(banded: BandedSymmetric):
@@ -251,7 +220,7 @@ def _arpack(
     tol: float = 0.0,
 ) -> tuple[float, np.ndarray]:
     n = op.shape[0]
-    ncv = min(n, max(20, 40))
+    ncv = min(n, 40)
     try:
         vals, vecs = eigsh(
             op, k=1, which=which, v0=v0, maxiter=maxiter, ncv=ncv, tol=tol
@@ -286,10 +255,56 @@ def _inverse_operator_extremal(
     maxiter: int,
 ) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of a positive definite matrix via A^{-1} Lanczos."""
-    n = matrix.dimension if hasattr(matrix, "dimension") else v0.size
+    n = matrix.dimension
     op = LinearOperator((n, n), matvec=apply_inverse, dtype=float)
     _, vec = _arpack(op, "LA", v0, maxiter, tol=1e-13)
     return float(vec @ matrix.matvec(vec)), vec
+
+
+def _lopcg_smallest(
+    matrix: ToeplitzPlusDiagonal,
+    apply_prec,
+    x: np.ndarray,
+    maxiter: int,
+) -> tuple[float, np.ndarray]:
+    """Smallest eigenpair by single-vector LOPCG.
+
+    Each step is a Rayleigh-Ritz projection onto span{x, M r, p}, where
+    r = A x - (x'Ax) x, M is the preconditioner and p is the previous
+    update direction.  The basis is orthonormalized first (QR) and p is kept
+    as the component of the step orthogonal to the old x, so the projected
+    3x3 problem stays well conditioned as r shrinks.  A p that has become
+    numerically dependent on the other two directions is dropped.
+    """
+    tol = 1e-2 * _RESIDUAL_FACTOR * matrix.norm_bound()
+    x = x / np.linalg.norm(x)
+    ax = matrix.matvec(x)
+    p = ap = None
+    for _ in range(maxiter):
+        value = float(x @ ax)
+        r = ax - value * x
+        if np.linalg.norm(r) <= tol:
+            return value, x
+        w = apply_prec(r)
+        w = w / np.linalg.norm(w)
+        basis, images = [x, w], [ax, matrix.matvec(w)]
+        if p is not None:
+            scale = 1.0 / np.linalg.norm(p)
+            basis.append(scale * p)
+            images.append(scale * ap)
+        q, tri = np.linalg.qr(np.column_stack(basis))
+        if len(basis) == 3 and abs(tri[2, 2]) < 1e-8:
+            q, tri = q[:, :2], tri[:2, :2]
+            images.pop()
+        aq = solve_triangular(tri, np.column_stack(images).T, trans="T").T
+        projected = q.T @ aq
+        _, coeffs = np.linalg.eigh(0.5 * (projected + projected.T))
+        c = coeffs[:, 0]
+        p, ap = q[:, 1:] @ c[1:], aq[:, 1:] @ c[1:]
+        x, ax = q @ c, aq @ c
+    raise EigsolveError(
+        f"LOPCG did not reach residual {tol:.3e} in {maxiter} iterations"
+    )
 
 
 def extremal_eigenpair(
@@ -302,12 +317,16 @@ def extremal_eigenpair(
 
     ``which`` is ``smallest`` or ``largest``.  ``start_vector`` warm-starts
     the iterative paths (ignored by direct ones).  ``preconditioner`` is an
-    optional banded matrix, spectrally equivalent to ``matrix``, used to
-    accelerate the conjugate-gradient inverse applies on the
-    ``ToeplitzPlusDiagonal`` path.
+    optional positive definite banded matrix, spectrally equivalent to
+    ``matrix``, used on the ``ToeplitzPlusDiagonal`` smallest path: its
+    banded Cholesky solve preconditions the LOPCG iteration, and without a
+    start vector the iteration starts from the preconditioner's own smallest
+    tridiagonal eigenvector.  Without one, a Jacobi preconditioner and the
+    default start vector are used.
 
     Deterministic for fixed inputs; raises ``EigsolveError`` on
-    non-convergence after one restart with a perturbed start vector.
+    non-convergence (the ARPACK paths after one restart with a perturbed
+    start vector).
     """
     if which not in ("smallest", "largest"):
         raise ValueError(f"which must be 'smallest' or 'largest', got {which!r}")
@@ -335,11 +354,12 @@ def extremal_eigenpair(
         if isinstance(matrix, ToeplitzPlusDiagonal):
             if preconditioner is not None:
                 prec = _banded_cholesky_apply(preconditioner)
+                if start_vector is None:
+                    v0 = _tridiagonal_extremal(preconditioner, "smallest")[1]
             else:
                 diag = np.maximum(matrix.first_column[0] + matrix.diagonal, 1e-300)
                 prec = lambda b: b / diag  # Jacobi fallback
-            apply_inv = lambda b: _pcg_solve(matrix, prec, np.asarray(b, float).ravel())
-            value, vec = _inverse_operator_extremal(matrix, apply_inv, v0, maxiter)
+            value, vec = _lopcg_smallest(matrix, prec, v0, maxiter)
             return _finish(matrix, value, vec)
 
     op = LinearOperator((n, n), matvec=matrix.matvec, dtype=float)

@@ -22,12 +22,10 @@ from scipy.optimize import brentq
 
 __all__ = [
     "AiryZeros",
-    "BesselEval",
     "BracketError",
     "airy_ai",
     "airy_ai_prime",
     "airy_first_zeros",
-    "bessel_eval",
     "bessel_j",
     "bessel_j_dorder",
     "bessel_product_sums",
@@ -59,16 +57,6 @@ class AiryZeros:
             raise ValueError(
                 f"z_a_prime out of the expected interval: {self.z_a_prime}"
             )
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """One Bessel evaluation J_order(argument), optionally with dJ/d(order)."""
-
-    order: float
-    argument: float
-    value: float
-    order_derivative: float | None = None
 
 
 def airy_ai(t):
@@ -166,13 +154,6 @@ def bessel_j_dorder(order: float, z: float) -> float:
     r1 = (4.0 * d2 - d1) / 3.0
     r2 = (4.0 * d4 - d2) / 3.0
     return (16.0 * r2 - r1) / 15.0
-
-
-def bessel_eval(order: float, z: float, with_order_derivative: bool = False) -> BesselEval:
-    """Evaluate J_order(z), optionally with the order derivative."""
-    value = float(bessel_j(order, z))
-    deriv = float(bessel_j_dorder(order, z)) if with_order_derivative else None
-    return BesselEval(order=order, argument=z, value=value, order_derivative=deriv)
 
 
 def order_zero_seed(z: float) -> float:

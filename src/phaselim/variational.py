@@ -37,7 +37,6 @@ import numpy as np
 from . import canonical
 from .eigensolve import (
     BandedSymmetric,
-    DenseSymmetric,
     EigenPair,
     ToeplitzPlusDiagonal,
     extremal_eigenpair,
@@ -57,7 +56,6 @@ __all__ = [
     "default_cutoff",
 ]
 
-_DENSE_LIMIT = 1024  # build_matrix returns explicit entries up to this dimension
 _MAX_CUTOFF_DOUBLINGS = 8
 _MEAN_RTOL = 1e-6
 _BETA_RTOL = 1e-8
@@ -93,11 +91,8 @@ class CostFunction:
         """<f> = a_0 + sum_m a_m Re<e^{im Theta}>."""
         c = np.real(np.asarray(moms))
         a = self.cosine_coeffs
-        take = min(a.size, c.size)
-        value = float(a[:take] @ c[:take])
-        if a.size > take:  # moments beyond the support width vanish
-            value += 0.0
-        return value
+        take = min(a.size, c.size)  # moments beyond the support width vanish
+        return float(a[:take] @ c[:take])
 
 
 def _theta_sq_coeffs(m_max: int) -> np.ndarray:
@@ -193,14 +188,14 @@ def _fourier_column(cost: CostFunction, dimension: int) -> np.ndarray:
 
 def build_matrix(
     cost: CostFunction, spectrum: Spectrum, beta: float
-) -> BandedSymmetric | DenseSymmetric | ToeplitzPlusDiagonal:
+) -> BandedSymmetric | ToeplitzPlusDiagonal:
     """Matrix of the constrained problem: objective minus beta * diag(weight).
 
     For f1/f2 the objective is the +cos coupling of the maximized part
     (off-diagonal 1/2 for f1, i.e. <cos t> itself); for theta_sq/f3 it is
-    the Fourier matrix Z of the cost itself.  theta_sq matrices above
-    dimension 1024 are returned in Toeplitz-plus-diagonal form and applied
-    via FFT.
+    the Fourier matrix Z of the cost itself.  f3, and theta_sq up to
+    dimension 3, are banded; larger theta_sq matrices are returned in
+    Toeplitz-plus-diagonal form and applied via FFT.
     """
     cost = _cost_for_spectrum(cost, spectrum)
     weights = spectrum.weights()
@@ -218,17 +213,11 @@ def build_matrix(
             diagonals.append(np.full(dim - m, 0.5 * part[m]))
         return BandedSymmetric(diagonals)
     column = _fourier_column(cost, dim)
-    if cost.name == "f3" or dim <= _DENSE_LIMIT and cost.cosine_coeffs.size <= 3:
+    if cost.cosine_coeffs.size <= 3:
         diagonals = [column[0] - beta * weights]
         for m in range(1, min(cost.cosine_coeffs.size, dim)):
             diagonals.append(np.full(dim - m, column[m]))
         return BandedSymmetric(diagonals)
-    if dim <= _DENSE_LIMIT:
-        matrix = np.zeros((dim, dim))
-        idx = np.abs(np.arange(dim)[:, None] - np.arange(dim)[None, :])
-        matrix = column[idx]
-        matrix[np.diag_indices(dim)] -= beta * weights
-        return DenseSymmetric(matrix)
     return ToeplitzPlusDiagonal(first_column=column, diagonal=-beta * weights)
 
 
@@ -237,8 +226,9 @@ def _f1_preconditioner(spectrum: Spectrum, penalty: float) -> BandedSymmetric:
 
     Pointwise f1 <= theta^2 <= (pi^2/4) f1 on [-pi, pi] makes this
     spectrally equivalent to the theta_sq matrix with condition number
-    <= pi^2/4, so conjugate gradients preconditioned with it converge in a
-    few tens of iterations regardless of dimension.
+    <= pi^2/4.  Its banded Cholesky solve preconditions the LOPCG
+    eigensolve, and its smallest eigenvector is the cold start, so the
+    solve takes a few tens of mat-vecs regardless of dimension.
     """
     weights = spectrum.weights()
     return BandedSymmetric(
@@ -283,11 +273,6 @@ def _solve_eigen(
         return 2.5 - pair.value, pair
     # Minimization form: smallest eigenvalue of Z - beta W (beta <= 0).
     matrix = build_matrix(cost, spectrum, beta)
-    if isinstance(matrix, DenseSymmetric):
-        column = _fourier_column(cost, spectrum.dimension)
-        matrix = ToeplitzPlusDiagonal(
-            first_column=column, diagonal=-beta * spectrum.weights()
-        )
     preconditioner = None
     if cost.name == "theta_sq":
         preconditioner = _f1_preconditioner(spectrum, -beta)

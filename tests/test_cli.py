@@ -97,9 +97,11 @@ class TestExitCodes:
         assert cli.main(["series", "--targets", "5,1000"]) == 2
         assert ">= 10" in capsys.readouterr().err
 
-    def test_nonpositive_curve_target_is_solver_failure(self, capsys):
-        assert cli.main(["curve", "--targets=-1"]) == 3
-        assert "solver failure" in capsys.readouterr().err
+    @pytest.mark.parametrize("targets", ["-1", "nan", "inf", "5,5"])
+    def test_invalid_targets_exit_2(self, capsys, targets):
+        assert cli.main(["curve", f"--targets={targets}"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: target means must be" in err
 
     def test_help_exits_0(self, capsys):
         assert cli.main(["--help"]) == 0

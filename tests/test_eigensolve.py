@@ -12,6 +12,8 @@ from phaselim.eigensolve import (
     ToeplitzPlusDiagonal,
     extremal_eigenpair,
 )
+from phaselim.states import Spectrum
+from phaselim.variational import build_matrix, cost_function
 
 
 def banded_to_dense(matrix: BandedSymmetric) -> np.ndarray:
@@ -102,6 +104,41 @@ class TestDenseReference:
         reference = np.linalg.eigvalsh(toeplitz_to_dense(matrix))[0]
         pair = extremal_eigenpair(matrix, "smallest")
         assert pair.value == pytest.approx(reference, rel=1e-11)
+
+
+class TestPreconditionedToeplitz:
+    """theta^2 matrices with the f1 surrogate 2 - 2cos(t) + penalty*weight
+    as preconditioner, at dimensions small enough for dense eigh."""
+
+    @pytest.mark.parametrize(
+        "kind, cutoff, beta", [("nonneg", 500, -3e-5), ("symmetric", 300, -1e-4)]
+    )
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_theta_sq_vs_dense(self, kind, cutoff, beta, warm):
+        spectrum = Spectrum(kind=kind, cutoff=cutoff)
+        matrix = build_matrix(cost_function("theta_sq", m_max=1), spectrum, beta)
+        assert isinstance(matrix, ToeplitzPlusDiagonal)
+        values, vectors = np.linalg.eigh(toeplitz_to_dense(matrix))
+        n = matrix.dimension
+        surrogate = BandedSymmetric(
+            [2.0 - beta * spectrum.weights(), -np.ones(n - 1)]
+        )
+        start = None
+        if warm:
+            rng = np.random.default_rng(cutoff)
+            start = vectors[:, 0] + 1e-2 * rng.standard_normal(n) / math.sqrt(n)
+        runs = [
+            extremal_eigenpair(
+                matrix, "smallest", start_vector=start, preconditioner=surrogate
+            )
+            for _ in range(2)
+        ]
+        pair = runs[0]
+        assert pair.value == pytest.approx(values[0], rel=1e-11)
+        assert pair.residual <= 1e-10 * matrix.norm_bound()
+        assert abs(pair.vector @ vectors[:, 0]) == pytest.approx(1.0, abs=1e-12)
+        assert runs[1].value == pair.value
+        assert np.array_equal(runs[1].vector, pair.vector)
 
 
 class TestMatvecAndBounds:

@@ -181,7 +181,7 @@ class TestBuildMatrix:
         small = build_matrix(cost, Spectrum(kind="nonneg", cutoff=2), 0.0)
         assert isinstance(small, BandedSymmetric)
         mid = build_matrix(cost, Spectrum(kind="nonneg", cutoff=500), 0.0)
-        assert isinstance(mid, DenseSymmetric)
+        assert isinstance(mid, ToeplitzPlusDiagonal)
         large = build_matrix(cost, Spectrum(kind="nonneg", cutoff=1030), 0.0)
         assert isinstance(large, ToeplitzPlusDiagonal)
 
