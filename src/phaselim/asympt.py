@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
+from . import canonical, specfun
 from .states import ProbeState, Spectrum
 
 __all__ = [
@@ -71,7 +71,7 @@ def constants() -> Constants:
     a = abs(zeros.z_a)
     ap = abs(zeros.z_a_prime)
     return Constants(
-        k_A=math.sqrt(2.0 * math.pi / math.e**3),
+        k_A=canonical.K_A,
         k_C=2.0 * (a / 3.0) ** 1.5,
         k_C_prime=4.0 * (ap / 3.0) ** 1.5,
         gamma=a / 2.0 ** (1.0 / 3.0),

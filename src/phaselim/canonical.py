@@ -214,19 +214,12 @@ def moments(state: ProbeState, m_max: int) -> np.ndarray:
 def all_moments(state: ProbeState) -> np.ndarray:
     """Every nonvanishing moment: m = 0 .. dimension - 1.
 
-    Large states use the FFT autocorrelation (the moments are the lag
-    products of psi); the first three lags are recomputed as exact dot
-    products since the low-order moments set the headline metrics.
+    The moments are the lag products of psi, computed as an FFT
+    autocorrelation; the first three lags are recomputed as compensated
+    sums since the low-order moments set the headline metrics.
     """
     psi = state.amplitudes
     n = psi.size
-    if n <= 4096:
-        out = np.empty(n, dtype=complex)
-        for m in range(n):
-            out[m] = float(psi[m:] @ psi[: n - m])
-        for m in range(min(3, n)):
-            out[m] = math.fsum(psi[m:] * psi[: n - m])
-        return out
     size = 1 << (2 * n - 1).bit_length()
     spectrum_power = np.abs(rfft(psi, size)) ** 2
     lags = irfft(spectrum_power, size)[:n]

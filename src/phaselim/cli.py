@@ -333,8 +333,7 @@ def _verify_mzi(config: RunConfig) -> list[tuple[str, float, float]]:
         )
     amse_gap = abs(curves["scalars"]["amse"] - quadrature / math.pi)
     misleading = table["crb_uncorrected"] - table["exact_rmse"]
-    k_a = math.sqrt(2.0 * math.pi / math.e**3)
-    floor_margin = curves["scalars"]["amse"] - (k_a / 1.5) ** 2
+    floor_margin = curves["scalars"]["amse"] - (canonical.K_A / 1.5) ** 2
     return [
         ("biased_crb_equals_mse", 1e-12 - bound_gap, _MARGIN_TOL),
         ("uncorrected_equals_error_prop", 1e-12 - prop_gap, _MARGIN_TOL),
@@ -465,6 +464,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"target means must be finite and positive, got {targets}")
     if len(set(targets)) != len(targets):
         raise ValueError(f"target means must be distinct, got {targets}")
+    if not 0.0 < config.visibility <= 1.0:
+        raise ValueError(f"visibility must be in (0, 1], got {config.visibility}")
+    for name in ("instances", "states"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
     return config
 
 

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _RESIDUAL_FACTOR = 1e-10  # residual invariant: ||Av - av|| <= factor * ||A||
+_VECTOR_TOL = 1e-9  # LOPCG stop on the preconditioned residual ||M r||
 
 
 class EigsolveError(RuntimeError):
@@ -219,8 +220,10 @@ def _arpack(
     maxiter: int,
     tol: float = 0.0,
 ) -> tuple[float, np.ndarray]:
+    """One eigenpair by ARPACK.  ncv is small: ARPACK fills the whole basis
+    before its first convergence test, so a warm start still pays ncv applies."""
     n = op.shape[0]
-    ncv = min(n, 40)
+    ncv = min(n, 6)
     try:
         vals, vecs = eigsh(
             op, k=1, which=which, v0=v0, maxiter=maxiter, ncv=ncv, tol=tol
@@ -273,8 +276,10 @@ def _lopcg_smallest(
     r = A x - (x'Ax) x, M is the preconditioner and p is the previous
     update direction.  The basis is orthonormalized first (QR) and p is kept
     as the component of the step orthogonal to the old x, so the projected
-    3x3 problem stays well conditioned as r shrinks.  A p that has become
-    numerically dependent on the other two directions is dropped.
+    3x3 problem stays well conditioned as r shrinks.  A p that is zero or
+    has become numerically dependent on the other two directions is dropped.
+    It stops at ||r|| <= 1e-12 ||A|| and ||M r|| <= _VECTOR_TOL: as M ~ A^-1,
+    ||M r|| tracks the eigenvector error, which ||r|| alone leaves loose.
     """
     tol = 1e-2 * _RESIDUAL_FACTOR * matrix.norm_bound()
     x = x / np.linalg.norm(x)
@@ -283,13 +288,14 @@ def _lopcg_smallest(
     for _ in range(maxiter):
         value = float(x @ ax)
         r = ax - value * x
-        if np.linalg.norm(r) <= tol:
-            return value, x
         w = apply_prec(r)
-        w = w / np.linalg.norm(w)
+        w_norm = np.linalg.norm(w)
+        if np.linalg.norm(r) <= tol and w_norm <= _VECTOR_TOL:
+            return value, x
+        w = w / w_norm
         basis, images = [x, w], [ax, matrix.matvec(w)]
         if p is not None:
-            scale = 1.0 / np.linalg.norm(p)
+            scale = 1.0 / max(np.linalg.norm(p), 1e-300)  # p = 0 is dropped below
             basis.append(scale * p)
             images.append(scale * ap)
         q, tri = np.linalg.qr(np.column_stack(basis))
@@ -303,7 +309,8 @@ def _lopcg_smallest(
         p, ap = q[:, 1:] @ c[1:], aq[:, 1:] @ c[1:]
         x, ax = q @ c, aq @ c
     raise EigsolveError(
-        f"LOPCG did not reach residual {tol:.3e} in {maxiter} iterations"
+        f"LOPCG did not reach residual {tol:.3e} and preconditioned residual "
+        f"{_VECTOR_TOL:.0e} in {maxiter} iterations"
     )
 
 
@@ -322,7 +329,8 @@ def extremal_eigenpair(
     banded Cholesky solve preconditions the LOPCG iteration, and without a
     start vector the iteration starts from the preconditioner's own smallest
     tridiagonal eigenvector.  Without one, a Jacobi preconditioner and the
-    default start vector are used.
+    default start vector are used.  LOPCG also requires the preconditioned
+    residual <= 1e-9, so a warm start is refined until its vector is accurate.
 
     Deterministic for fixed inputs; raises ``EigsolveError`` on
     non-convergence (the ARPACK paths after one restart with a perturbed

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import asympt
+from . import asympt, canonical
 
 __all__ = [
     "BiasFunction",
@@ -38,8 +38,6 @@ __all__ = [
     "probe_scaling_uncertainty",
     "reference_curves",
 ]
-
-_K_A = math.sqrt(2.0 * math.pi / math.e**3)
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,7 @@ def reference_curves(nbar_grid: np.ndarray, nu_exponent: float = 0.5) -> dict:
         "anisimov": 1.0 / np.sqrt(nbar * (nbar + 2.0)),
         "rivas_luis": nu / (2.0 * nbar),
         "inverse_mean": 1.0 / (nbar + 1.0),
-        "heis_k_a": _K_A / (nbar + 1.0),
+        "heis_k_a": canonical.K_A / (nbar + 1.0),
         "heis_k_c": k_c / (nbar + 1.0),
     }
 
@@ -266,7 +264,7 @@ def probe_scaling_uncertainty(
     if plan.regime == "small-mu":
         p_fail = math.exp(-((plan.m * plan.mu) ** (plan.delta_exp / (1.0 + plan.delta_exp))))
         squared += p_fail * math.pi**2 / 3.0
-    floor_constant = _K_A if k is None else float(k)
+    floor_constant = canonical.K_A if k is None else float(k)
     return {
         "upper_bound": math.sqrt(squared),
         "heis_floor": floor_constant / (plan.m * plan.mu + 1.0),

@@ -59,6 +59,8 @@ __all__ = [
 _MAX_CUTOFF_DOUBLINGS = 8
 _MEAN_RTOL = 1e-6
 _BETA_RTOL = 1e-8
+_MAX_LOG_STEP = math.log(8.0)  # largest root-finder step in log(penalty)
+_LARGE_MEAN_SLOPE = -1.0 / 3.0  # d log mean / d log penalty as mean -> inf
 
 # Maximization-form costs take the largest eigenvalue of (C - beta W) with
 # beta > 0; minimization-form costs take the smallest eigenvalue of
@@ -362,68 +364,49 @@ def _root_find_mean(
     spectrum: Spectrum,
     target: float,
     seed_penalty: float,
+    slope: float,
 ) -> OptimalPoint:
-    """Bracketed secant on log(penalty) for mean_constraint = target.
+    """Safeguarded secant on f(t) = log(mean / target), t = log(penalty).
 
-    The mean is monotone decreasing in the penalty (the basis of the
-    root-finding); brackets are grown geometrically from the seed.
+    f decreases in t (the mean falls as the penalty grows).  The first step
+    is Newton with the caller's ``slope`` estimate of df/dt, later ones the
+    secant through the two latest iterates (kept only while decreasing);
+    steps are capped at log 8, and a step leaving the bracket, once both
+    signs are seen, is replaced by bisection.  One eigensolve per trial.
     """
-    cache_vec: np.ndarray | None = None
-
-    def mean_at(t: float) -> tuple[float, float, EigenPair]:
-        nonlocal cache_vec
-        penalty = math.exp(t)
-        beta = _sweep_signed_beta(cost, penalty)
-        alpha, pair = _solve_eigen(cost, spectrum, beta, cache_vec)
-        cache_vec = pair.vector
-        weights = spectrum.weights()
-        return float(weights @ pair.vector**2), alpha, pair
-
+    weights = spectrum.weights()
+    start: np.ndarray | None = None
+    above = below = None  # latest t with the mean above / below the target
+    previous: tuple[float, float] | None = None
     t = math.log(seed_penalty)
-    mean, alpha, pair = mean_at(t)
-    lo = hi = t  # bracket in t: mean(lo) >= target >= mean(hi)
-    mean_lo = mean_hi = mean
-    step = math.log(8.0)
     for _ in range(80):
-        if mean_lo < target:
-            lo -= step
-            mean_lo = mean_at(lo)[0]
-        elif mean_hi > target:
-            hi += step
-            mean_hi = mean_at(hi)[0]
-        else:
-            break
-    else:
-        raise RuntimeError(f"failed to bracket mean target {target}")
-
-    t_lo, t_hi = lo, hi
-    f_lo = math.log(mean_lo / target)
-    f_hi = math.log(mean_hi / target)
-    best: tuple[float, float, float, EigenPair] | None = None
-    for _ in range(80):
-        if f_lo == f_hi:
-            t = 0.5 * (t_lo + t_hi)
-        else:
-            t = t_lo - f_lo * (t_hi - t_lo) / (f_hi - f_lo)  # secant
-            margin = 0.01 * (t_hi - t_lo)
-            t = min(max(t, t_lo + margin), t_hi - margin)
-        mean, alpha, pair = mean_at(t)
-        best = (t, mean, alpha, pair)
+        alpha, pair = _solve_eigen(
+            cost, spectrum, _sweep_signed_beta(cost, math.exp(t)), start
+        )
+        start = pair.vector
+        mean = float(weights @ pair.vector**2)
         if abs(mean - target) <= _MEAN_RTOL * target:
             break
-        f_t = math.log(mean / target)
-        if f_t > 0.0:
-            t_lo, f_lo = t, f_t
+        f = math.log(mean / target)
+        if f > 0.0:
+            above = t
         else:
-            t_hi, f_hi = t, f_t
-        if t_hi - t_lo <= _BETA_RTOL:
+            below = t
+        bracketed = above is not None and below is not None
+        if bracketed and abs(below - above) <= _BETA_RTOL:
             break
-    assert best is not None
-    t, mean, alpha, pair = best
-    if abs(mean - target) > _MEAN_RTOL * target and (t_hi - t_lo) > _BETA_RTOL:
-        raise RuntimeError(
-            f"mean {mean} missed target {target} beyond tolerance"
-        )
+        if previous is not None and t != previous[0]:
+            secant = (f - previous[1]) / (t - previous[0])
+            if secant < 0.0:
+                slope = secant
+        previous = (t, f)
+        step = min(max(-f / slope, -_MAX_LOG_STEP), _MAX_LOG_STEP)
+        lo, hi = sorted((above, below)) if bracketed else (-math.inf, math.inf)
+        t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
+    else:
+        if above is None or below is None:
+            raise RuntimeError(f"failed to bracket mean target {target}")
+        raise RuntimeError(f"mean {mean} missed target {target} beyond tolerance")
     beta = _sweep_signed_beta(cost, math.exp(t))
     point = _assemble_point(cost, spectrum, beta, alpha, pair)
     if abs(point.mean_constraint - target) > _MEAN_RTOL * target:
@@ -444,7 +427,11 @@ def sweep_curve(
 
     ``spectrum_kind`` is 'nonneg' or 'symmetric' (or a Spectrum whose kind
     is used); the cutoff per target follows max(floor, ceil(factor*target)).
-    Targets must be positive and sorted ascending.
+    Targets must be positive and sorted ascending; each mean lands within
+    relative 1e-6 of its target.  Later targets are seeded from the last
+    point as penalty ~ target^(1/s), s = d log mean / d log penalty between
+    the last two points (-1/3, the large-mean asymptote, before two exist);
+    s is also the root finder's first Newton slope.
     """
     kind = (
         spectrum_kind.kind if isinstance(spectrum_kind, Spectrum) else spectrum_kind
@@ -456,20 +443,23 @@ def sweep_curve(
         raise ValueError("targets must be sorted ascending")
 
     points: list[OptimalPoint] = []
-    previous_penalty: float | None = None
-    previous_target: float | None = None
+    slope = _LARGE_MEAN_SLOPE
     for target in targets:
         spectrum = Spectrum(
             kind=kind, cutoff=default_cutoff(target, cutoff_factor, cutoff_floor)
         )
-        seed = _seed_penalty(cost, target)
-        if previous_penalty is not None and previous_target is not None:
-            # warm scaling: penalty ~ target^-3 along the curve
-            seed = previous_penalty * (previous_target / target) ** 3
-        point = _root_find_mean(cost, spectrum, target, seed)
-        points.append(point)
-        previous_penalty = abs(point.beta)
-        previous_target = target
+        if points:
+            last = points[-1]
+            seed = abs(last.beta) * (target / last.mean_constraint) ** (1.0 / slope)
+        else:
+            seed = _seed_penalty(cost, target)
+        points.append(_root_find_mean(cost, spectrum, target, seed, slope))
+        if len(points) >= 2:
+            a, b = points[-2], points[-1]
+            rise = math.log(b.mean_constraint / a.mean_constraint)
+            run = math.log(abs(b.beta) / abs(a.beta))
+            if run < 0.0 < rise:
+                slope = rise / run
 
     penalties = [abs(p.beta) for p in points]
     if any(b2 >= b1 for b1, b2 in zip(penalties, penalties[1:])):

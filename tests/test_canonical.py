@@ -120,13 +120,15 @@ class TestMoments:
         with pytest.raises(ValueError):
             moments(state, 4)
 
-    def test_all_moments_fft_path_matches_direct(self):
+    @pytest.mark.parametrize("n", [2, 3, 50, 4097, 5000])
+    def test_all_moments_fft_path_matches_direct(self, n):
         rng = np.random.default_rng(24)
-        psi = rng.standard_normal(5000)  # above the FFT crossover
-        state = make_state("nonneg", psi)
+        state = make_state("nonneg", rng.standard_normal(n))
+        psi = state.amplitudes
         fast = all_moments(state)
-        for m in [0, 1, 2, 3, 17, 512, 2049, 4999]:
-            direct = float(state.amplitudes[m:] @ state.amplitudes[: 5000 - m])
+        assert fast.shape == (n,)
+        for m in range(n):
+            direct = float(psi[m:] @ psi[: n - m])
             assert fast[m].real == pytest.approx(direct, abs=1e-12)
             assert fast[m].imag == 0.0
 

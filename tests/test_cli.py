@@ -103,6 +103,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error: target means must be" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["mzi", "--visibility", "0"], "visibility must be in (0, 1]"),
+            (["povm", "--instances", "0"], "instances must be >= 1"),
+            (["bounds", "--states", "0"], "states must be >= 1"),
+        ],
+        ids=["visibility", "instances", "states"],
+    )
+    def test_invalid_verify_option_exits_2(self, capsys, argv, message):
+        assert cli.main(["verify", *argv]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+
     def test_help_exits_0(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "curve" in capsys.readouterr().out

@@ -13,7 +13,7 @@ from phaselim.eigensolve import (
     extremal_eigenpair,
 )
 from phaselim.states import Spectrum
-from phaselim.variational import build_matrix, cost_function
+from phaselim.variational import _f1_preconditioner, build_matrix, cost_function
 
 
 def banded_to_dense(matrix: BandedSymmetric) -> np.ndarray:
@@ -139,6 +139,26 @@ class TestPreconditionedToeplitz:
         assert abs(pair.vector @ vectors[:, 0]) == pytest.approx(1.0, abs=1e-12)
         assert runs[1].value == pair.value
         assert np.array_equal(runs[1].vector, pair.vector)
+
+    def test_warm_start_refines_eigenvector(self):
+        # theta^2 near mean 3e3: the beta_a eigenvector already meets the
+        # residual test at beta_b, yet its mean is off by ~2e-6 relative
+        spectrum = Spectrum(kind="nonneg", cutoff=30000)
+        cost = cost_function("theta_sq", m_max=1)
+        weights = spectrum.weights()
+
+        def solve(beta, start=None):
+            return extremal_eigenpair(
+                build_matrix(cost, spectrum, beta),
+                "smallest",
+                start_vector=start,
+                preconditioner=_f1_preconditioner(spectrum, -beta),
+            ).vector
+
+        beta_a, beta_b = -1.4014455219e-10, -1.4014373970e-10
+        warm = solve(beta_b, start=solve(beta_a))
+        cold = solve(beta_b)
+        assert weights @ warm**2 == pytest.approx(weights @ cold**2, rel=1e-9)
 
 
 class TestMatvecAndBounds:
