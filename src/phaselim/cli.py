@@ -133,7 +133,7 @@ def cmd_curve(config: RunConfig) -> int:
             "spectrum": config.spectrum,
             "cutoff_factor": config.cutoff_factor,
             "cutoff_floor": config.cutoff_floor,
-            "mean_rtol": 1e-6,
+            "mean_rtol": variational._MEAN_RTOL,
             "targets": len(config.targets),
         }
     )
@@ -489,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
         if config.command == "series":
             return cmd_series(config)
         return cmd_verify(config)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return _EXIT_SOLVER
 

@@ -2,17 +2,24 @@
 
 For a figure-of-merit integrand f(theta) = a_0 + sum_m a_m cos(m theta) and
 a probe state psi over the generator spectrum, <f> is the quadratic form of
-the symmetric matrix with entries z_|m-n|, z_0 = a_0, z_m = a_m / 2.
-Minimizing <f> at fixed mean generator value (<N> or <|J|>) is a Lagrangian
-eigenproblem: the optimal state is the extremal eigenvector of
+the Fourier (Toeplitz) matrix Z(f) with entries z_|m-n|, z_0 = a_0,
+z_m = a_m / 2.  Minimizing <f> at a fixed mean weight <W> (<N> or <|J|>) is
+a Lagrangian eigenproblem, the same for every cost: the optimal state is
+the smallest eigenvector of
 
-    ObjectiveMatrix(f) - beta * diag(weight),
+    Z(f) + p * diag(W),    penalty p >= 0,
 
-where the objective matrix is the +cos coupling (maximized, beta > 0) for
-the f1/f2 surrogates and the Fourier matrix of f itself (minimized,
-beta < 0) for theta^2 and f3.  Sweeping beta traces the lower convex
-envelope of the (mean, metric) trade-off; ``sweep_curve`` root-finds beta
-for requested mean values.
+and its eigenvalue is <f> + p <W>.  The mean falls as p grows, so sweeping
+p traces the lower convex envelope of the (mean, metric) trade-off;
+``sweep_curve`` root-finds p for requested mean values.
+
+The public multiplier ``beta`` keeps the scale and sign of the objective
+each cost was first posed with, beta = c * p:
+
+    f1        c = 1/2   maximize <cos t> - beta <W>      (beta >= 0)
+    f2        c = 1     maximize 5/2 - <f2> - beta <W>   (beta >= 0)
+    theta_sq  c = -1    minimize <f> - beta <W>          (beta <= 0)
+    f3        c = -1    minimize <f> - beta <W>          (beta <= 0)
 
 Cost functions:
 
@@ -61,12 +68,7 @@ _MEAN_RTOL = 1e-6
 _BETA_RTOL = 1e-8
 _MAX_LOG_STEP = math.log(8.0)  # largest root-finder step in log(penalty)
 _LARGE_MEAN_SLOPE = -1.0 / 3.0  # d log mean / d log penalty as mean -> inf
-
-# Maximization-form costs take the largest eigenvalue of (C - beta W) with
-# beta > 0; minimization-form costs take the smallest eigenvalue of
-# (Z - beta W) with beta < 0.
-_MAX_FORM = ("f1", "f2")
-_MIN_FORM = ("theta_sq", "f3")
+_BETA_PER_PENALTY = {"f1": 0.5, "f2": 1.0, "theta_sq": -1.0, "f3": -1.0}
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,12 @@ def cost_function(name: str, m_max: int | None = None) -> CostFunction:
 
 @dataclass(frozen=True)
 class OptimalPoint:
-    """One solved variational point with all error metrics."""
+    """One solved variational point with all error metrics.
+
+    ``beta`` is the public multiplier c * p (module docstring), ``alpha``
+    the smallest eigenvalue <f> + p <W> of Z(f) + p diag(W), and
+    ``residual`` the norm ||A v - alpha v|| for that matrix A.
+    """
 
     cost: str
     beta: float
@@ -160,12 +167,21 @@ class OptimalPoint:
         return 2.0 * self.mean_constraint + 1.0
 
 
-def _orientation(cost: CostFunction) -> str:
-    if cost.name in _MAX_FORM:
-        return "max"
-    if cost.name in _MIN_FORM:
-        return "min"
-    raise ValueError(f"no solve orientation for cost {cost.name!r}")
+def _beta_per_penalty(cost: CostFunction) -> float:
+    """The factor c of beta = c * p for the cost (module docstring)."""
+    if cost.name not in _BETA_PER_PENALTY:
+        raise ValueError(f"no beta convention for cost {cost.name!r}")
+    return _BETA_PER_PENALTY[cost.name]
+
+
+def _penalty(cost: CostFunction, beta: float) -> float:
+    """Penalty p >= 0 of the public multiplier beta."""
+    factor = _beta_per_penalty(cost)
+    penalty = beta / factor
+    if penalty < 0.0:
+        bound = ">=" if factor > 0.0 else "<="
+        raise ValueError(f"{cost.name} requires beta {bound} 0, got {beta}")
+    return penalty
 
 
 def _cost_for_spectrum(cost: CostFunction, spectrum: Spectrum) -> CostFunction:
@@ -178,110 +194,58 @@ def _cost_for_spectrum(cost: CostFunction, spectrum: Spectrum) -> CostFunction:
     return cost_function("theta_sq", m_max=m_max)
 
 
-def _fourier_column(cost: CostFunction, dimension: int) -> np.ndarray:
-    """First column of the Fourier matrix Z: z_0 = a_0, z_m = a_m / 2."""
-    a = cost.cosine_coeffs
-    col = np.zeros(dimension)
-    take = min(a.size, dimension)
-    col[:take] = a[:take]
-    col[1:take] *= 0.5
-    return col
+def _matrix(
+    cost: CostFunction, spectrum: Spectrum, penalty: float
+) -> BandedSymmetric | ToeplitzPlusDiagonal:
+    """Z(f) + penalty * diag(weight) with z_0 = a_0, z_m = a_m / 2: banded up
+    to three coefficients, otherwise Toeplitz plus diagonal (FFT-applied)."""
+    a = _cost_for_spectrum(cost, spectrum).cosine_coeffs
+    dim = spectrum.dimension
+    take = min(a.size, dim)
+    column = np.zeros(dim)
+    column[:take] = a[:take]
+    column[1:take] *= 0.5
+    diagonal = penalty * spectrum.weights()
+    if a.size <= 3:
+        bands = [np.full(dim - m, column[m]) for m in range(1, take)]
+        return BandedSymmetric([column[0] + diagonal, *bands])
+    return ToeplitzPlusDiagonal(first_column=column, diagonal=diagonal)
 
 
 def build_matrix(
     cost: CostFunction, spectrum: Spectrum, beta: float
 ) -> BandedSymmetric | ToeplitzPlusDiagonal:
-    """Matrix of the constrained problem: objective minus beta * diag(weight).
+    """Matrix Z(f) + p * diag(weight) of the constrained problem at ``beta``.
 
-    For f1/f2 the objective is the +cos coupling of the maximized part
-    (off-diagonal 1/2 for f1, i.e. <cos t> itself); for theta_sq/f3 it is
-    the Fourier matrix Z of the cost itself.  f3, and theta_sq up to
-    dimension 3, are banded; larger theta_sq matrices are returned in
-    Toeplitz-plus-diagonal form and applied via FFT.
+    Z(f) is the Fourier matrix of the cost and p = beta / c the penalty of
+    the public multiplier (module docstring), so psi' A psi = <f> + p <W>
+    for every cost; a beta of the wrong sign raises ValueError.  f1, f2,
+    f3, and theta_sq up to dimension 3, are banded; larger theta_sq
+    matrices are returned in Toeplitz-plus-diagonal form.
     """
-    cost = _cost_for_spectrum(cost, spectrum)
-    weights = spectrum.weights()
-    dim = spectrum.dimension
-    if _orientation(cost) == "max":
-        # Maximized objective: <cos t> itself for f1 (off-diagonal 1/2; the
-        # Holevo variance and delta_1 are both monotone in <cos t>), the
-        # negated cosine part (8/3) cos t - (1/6) cos 2t for f2.
-        if cost.name == "f1":
-            part = np.array([0.0, 1.0])
-        else:
-            part = -cost.cosine_coeffs
-        diagonals = [-beta * weights]
-        for m in range(1, part.size):
-            diagonals.append(np.full(dim - m, 0.5 * part[m]))
-        return BandedSymmetric(diagonals)
-    column = _fourier_column(cost, dim)
-    if cost.cosine_coeffs.size <= 3:
-        diagonals = [column[0] - beta * weights]
-        for m in range(1, min(cost.cosine_coeffs.size, dim)):
-            diagonals.append(np.full(dim - m, column[m]))
-        return BandedSymmetric(diagonals)
-    return ToeplitzPlusDiagonal(first_column=column, diagonal=-beta * weights)
-
-
-def _f1_preconditioner(spectrum: Spectrum, penalty: float) -> BandedSymmetric:
-    """Tridiagonal surrogate 2 - 2cos(t) + penalty * weight.
-
-    Pointwise f1 <= theta^2 <= (pi^2/4) f1 on [-pi, pi] makes this
-    spectrally equivalent to the theta_sq matrix with condition number
-    <= pi^2/4.  Its banded Cholesky solve preconditions the LOPCG
-    eigensolve, and its smallest eigenvector is the cold start, so the
-    solve takes a few tens of mat-vecs regardless of dimension.
-    """
-    weights = spectrum.weights()
-    return BandedSymmetric(
-        [2.0 + penalty * weights, -np.ones(spectrum.dimension - 1)]
-    )
+    return _matrix(cost, spectrum, _penalty(cost, beta))
 
 
 def _solve_eigen(
     cost: CostFunction,
     spectrum: Spectrum,
-    beta: float,
+    penalty: float,
     start_vector: np.ndarray | None,
-) -> tuple[float, EigenPair]:
-    """Extremal eigenpair of the built matrix; returns (alpha, pair).
+) -> EigenPair:
+    """Smallest eigenpair of Z(f) + penalty * diag(weight).
 
-    f2 is solved through the positive definite complement (5/2) I - matrix,
-    whose smallest eigenpair the banded Cholesky path finds quickly; the
-    eigenvector is unchanged and alpha = 5/2 - value.
+    A Toeplitz (theta_sq) matrix is preconditioned by the f1 matrix at the
+    same penalty: pointwise f1 <= theta^2 <= (pi^2/4) f1 on [-pi, pi] makes
+    the two spectrally equivalent with condition number <= pi^2/4, so the
+    LOPCG eigensolve takes a few tens of mat-vecs regardless of dimension.
     """
-    cost = _cost_for_spectrum(cost, spectrum)
-    orientation = _orientation(cost)
-    if orientation == "max" and beta < 0.0:
-        raise ValueError(f"{cost.name} requires beta >= 0, got {beta}")
-    if orientation == "min" and beta > 0.0:
-        raise ValueError(f"{cost.name} requires beta <= 0, got {beta}")
-
-    if cost.name == "f1":
-        matrix = build_matrix(cost, spectrum, beta)
-        pair = extremal_eigenpair(matrix, "largest", start_vector=start_vector)
-        return pair.value, pair
-    if cost.name == "f2":
-        weights = spectrum.weights()
-        dim = spectrum.dimension
-        shifted = BandedSymmetric(
-            [
-                2.5 + beta * weights,
-                np.full(dim - 1, -4.0 / 3.0),
-                np.full(dim - 2, 1.0 / 12.0),
-            ]
-        )
-        pair = extremal_eigenpair(shifted, "smallest", start_vector=start_vector)
-        return 2.5 - pair.value, pair
-    # Minimization form: smallest eigenvalue of Z - beta W (beta <= 0).
-    matrix = build_matrix(cost, spectrum, beta)
+    matrix = _matrix(cost, spectrum, penalty)
     preconditioner = None
-    if cost.name == "theta_sq":
-        preconditioner = _f1_preconditioner(spectrum, -beta)
-    pair = extremal_eigenpair(
+    if isinstance(matrix, ToeplitzPlusDiagonal):
+        preconditioner = _matrix(cost_function("f1"), spectrum, penalty)
+    return extremal_eigenpair(
         matrix, "smallest", start_vector=start_vector, preconditioner=preconditioner
     )
-    return pair.value, pair
 
 
 def _tail_mass(spectrum: Spectrum, psi: np.ndarray) -> float:
@@ -294,16 +258,15 @@ def _tail_mass(spectrum: Spectrum, psi: np.ndarray) -> float:
 def _assemble_point(
     cost: CostFunction,
     spectrum: Spectrum,
-    beta: float,
-    alpha: float,
+    penalty: float,
     pair: EigenPair,
 ) -> OptimalPoint:
     state = ProbeState(spectrum=spectrum, amplitudes=pair.vector)
     metrics = canonical.state_metrics(state)
     return OptimalPoint(
         cost=cost.name,
-        beta=beta,
-        alpha=alpha,
+        beta=_beta_per_penalty(cost) * penalty,
+        alpha=pair.value,
         mean_constraint=state.mean_weight(),
         delta=math.sqrt(metrics["amse"]),
         delta_H=math.sqrt(metrics["holevo"])
@@ -324,17 +287,21 @@ def solve_point(
     beta: float,
     start_vector: np.ndarray | None = None,
 ) -> OptimalPoint:
-    """Solve one Lagrangian point at fixed beta.
+    """Solve one Lagrangian point at fixed public multiplier ``beta``.
 
-    For penalized solves (beta != 0) the truncation is accepted when the top
-    1% of |eigenvalue| indices carry at most 1e-12 probability; otherwise the
-    cutoff is doubled and the solve repeated.  At beta = 0 the cutoff itself
+    The state is the smallest eigenvector of Z(f) + p diag(weight), p the
+    penalty of ``beta`` (module docstring; a beta of the wrong sign raises
+    ValueError), and ``alpha`` its eigenvalue <f> + p <W>.  For penalized
+    solves (p > 0) the truncation is accepted when the top 1% of
+    |eigenvalue| indices carry at most 1e-12 probability; otherwise the
+    cutoff is doubled and the solve repeated.  At p = 0 the cutoff itself
     is the constraint (hard-box optimum), so no doubling applies.
     """
+    penalty = _penalty(cost, beta)
     for _ in range(_MAX_CUTOFF_DOUBLINGS):
-        alpha, pair = _solve_eigen(cost, spectrum, beta, start_vector)
-        if beta == 0.0 or _tail_mass(spectrum, pair.vector) <= 1e-12:
-            return _assemble_point(cost, spectrum, beta, alpha, pair)
+        pair = _solve_eigen(cost, spectrum, penalty, start_vector)
+        if penalty == 0.0 or _tail_mass(spectrum, pair.vector) <= 1e-12:
+            return _assemble_point(cost, spectrum, penalty, pair)
         spectrum = spectrum.with_cutoff(2 * spectrum.cutoff)
         start_vector = None
     raise RuntimeError(
@@ -347,16 +314,10 @@ def default_cutoff(target: float, factor: float = 10.0, floor: int = 100) -> int
     return max(int(floor), math.ceil(factor * target))
 
 
-def _sweep_signed_beta(cost: CostFunction, penalty: float) -> float:
-    return penalty if cost.name in _MAX_FORM else -penalty
-
-
 def _seed_penalty(cost: CostFunction, target: float) -> float:
-    """Asymptotic Lagrange-multiplier scale for a requested mean."""
-    length = target + 1.0
-    if cost.name == "f1":
-        return 1.8936 / length**3  # beta -> k_C^2 / <N+1>^3 on the curve
-    return 3.8 / length**3  # ~ 2 k_C^2, right order for f2 and theta_sq
+    """Asymptotic penalty for a requested mean: p -> 2 k_C^2 / <N+1>^3 on
+    the f1 curve; 3.8 / <N+1>^3 is the right order for f2 and theta_sq."""
+    return (3.7872 if cost.name == "f1" else 3.8) / (target + 1.0) ** 3
 
 
 def _root_find_mean(
@@ -380,9 +341,7 @@ def _root_find_mean(
     previous: tuple[float, float] | None = None
     t = math.log(seed_penalty)
     for _ in range(80):
-        alpha, pair = _solve_eigen(
-            cost, spectrum, _sweep_signed_beta(cost, math.exp(t)), start
-        )
+        pair = _solve_eigen(cost, spectrum, math.exp(t), start)
         start = pair.vector
         mean = float(weights @ pair.vector**2)
         if abs(mean - target) <= _MEAN_RTOL * target:
@@ -407,8 +366,7 @@ def _root_find_mean(
         if above is None or below is None:
             raise RuntimeError(f"failed to bracket mean target {target}")
         raise RuntimeError(f"mean {mean} missed target {target} beyond tolerance")
-    beta = _sweep_signed_beta(cost, math.exp(t))
-    point = _assemble_point(cost, spectrum, beta, alpha, pair)
+    point = _assemble_point(cost, spectrum, math.exp(t), pair)
     if abs(point.mean_constraint - target) > _MEAN_RTOL * target:
         raise RuntimeError(
             f"assembled mean {point.mean_constraint} missed target {target}"
@@ -443,25 +401,25 @@ def sweep_curve(
         raise ValueError("targets must be sorted ascending")
 
     points: list[OptimalPoint] = []
+    penalties: list[float] = []
     slope = _LARGE_MEAN_SLOPE
     for target in targets:
         spectrum = Spectrum(
             kind=kind, cutoff=default_cutoff(target, cutoff_factor, cutoff_floor)
         )
         if points:
-            last = points[-1]
-            seed = abs(last.beta) * (target / last.mean_constraint) ** (1.0 / slope)
+            ratio = target / points[-1].mean_constraint
+            seed = penalties[-1] * ratio ** (1.0 / slope)
         else:
             seed = _seed_penalty(cost, target)
         points.append(_root_find_mean(cost, spectrum, target, seed, slope))
+        penalties.append(_penalty(cost, points[-1].beta))
         if len(points) >= 2:
-            a, b = points[-2], points[-1]
-            rise = math.log(b.mean_constraint / a.mean_constraint)
-            run = math.log(abs(b.beta) / abs(a.beta))
+            rise = math.log(points[-1].mean_constraint / points[-2].mean_constraint)
+            run = math.log(penalties[-1] / penalties[-2])
             if run < 0.0 < rise:
                 slope = rise / run
 
-    penalties = [abs(p.beta) for p in points]
     if any(b2 >= b1 for b1, b2 in zip(penalties, penalties[1:])):
         raise RuntimeError("penalty failed to decrease along the sweep")
     return points

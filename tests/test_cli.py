@@ -116,6 +116,16 @@ class TestExitCodes:
         assert cli.main(["verify", *argv]) == 2
         assert f"configuration error: {message}" in capsys.readouterr().err
 
+    def test_out_of_memory_is_solver_failure(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(variational, "sweep_curve", exhausted)
+        assert cli.main(["curve", "--targets", "1e9"]) == 3
+        err = capsys.readouterr().err
+        assert "solver failure: Unable to allocate 74.5 GiB" in err
+        assert "Traceback" not in err
+
     def test_help_exits_0(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "curve" in capsys.readouterr().out

@@ -13,7 +13,7 @@ from phaselim.eigensolve import (
     extremal_eigenpair,
 )
 from phaselim.states import Spectrum
-from phaselim.variational import _f1_preconditioner, build_matrix, cost_function
+from phaselim.variational import build_matrix, cost_function
 
 
 def banded_to_dense(matrix: BandedSymmetric) -> np.ndarray:
@@ -148,11 +148,14 @@ class TestPreconditionedToeplitz:
         weights = spectrum.weights()
 
         def solve(beta, start=None):
+            surrogate = BandedSymmetric(
+                [2.0 - beta * weights, -np.ones(spectrum.dimension - 1)]
+            )
             return extremal_eigenpair(
                 build_matrix(cost, spectrum, beta),
                 "smallest",
                 start_vector=start,
-                preconditioner=_f1_preconditioner(spectrum, -beta),
+                preconditioner=surrogate,
             ).vector
 
         beta_a, beta_b = -1.4014455219e-10, -1.4014373970e-10

@@ -189,6 +189,40 @@ class TestLemma2Reduction:
             original = float(np.real(np.trace(rho0.entries[np.ix_(idx, idx)])))
             assert generator_reduced[n] == pytest.approx(original, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "values, degeneracies",
+        [([-1, 0, 2], [1, 2, 1]), ([-2, 1], [2, 2]), ([-3, -1, 0, 1], [1, 1, 2, 1])],
+        ids=["-1,0,2", "-2,1", "-3,-1,0,1"],
+    )
+    def test_symmetric_embedding_of_negative_values(self, values, degeneracies):
+        rng = np.random.default_rng(11)
+        system = povm.DegenerateSystem.from_degeneracies(values, degeneracies)
+        cutoff = max(abs(v) for v in values)
+        grid = 8 * cutoff + 4  # exact phase sums over the embedded span 2c
+        rho0 = povm.random_density(rng, system.dimension)
+        covariant = povm.covariant_average(
+            povm.random_povm(rng, system.dimension, grid), system
+        )
+        covariant_masses = povm.error_density(covariant, rho0, system)
+        reduced = povm.lemma2_reduction(covariant, rho0, system)
+        rho_s, spectrum = reduced["rho_s"], reduced["spectrum"]
+        assert spectrum.kind == "symmetric" and spectrum.cutoff == cutoff
+
+        flat = povm.DegenerateSystem.from_degeneracies(
+            list(range(-cutoff, cutoff + 1)), [1] * spectrum.dimension
+        )
+        reduced_masses = povm.error_density(
+            povm.canonical_povm(flat, grid), rho_s, flat
+        )
+        assert np.max(np.abs(reduced_masses - covariant_masses)) <= 1e-10
+
+        original = np.zeros(spectrum.dimension)  # missing values carry nothing
+        for n in values:
+            idx = system.indices_of(n)
+            original[n + cutoff] = np.real(np.trace(rho0.entries[np.ix_(idx, idx)]))
+        generator_reduced = np.real(np.diag(rho_s.entries))
+        assert np.max(np.abs(generator_reduced - original)) <= 1e-12
+
     def test_reduced_state_is_valid_density(self):
         for seed in range(20):
             report = povm.verify_random_instance(seed)

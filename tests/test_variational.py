@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselim import canonical
 from phaselim.eigensolve import (
@@ -49,12 +51,10 @@ def densify(matrix):
     return out
 
 
-def reference_eigenpair(matrix, which):
+def reference_eigenpair(matrix):
+    """Smallest eigenpair by dense eigh, sign fixed like the solver's."""
     values, vectors = np.linalg.eigh(densify(matrix))
-    if which == "largest":
-        value, vector = values[-1], vectors[:, -1]
-    else:
-        value, vector = values[0], vectors[:, 0]
+    value, vector = values[0], vectors[:, 0]
     lead = vector[np.argmax(np.abs(vector) > 1e-12)]
     if lead < 0:
         vector = -vector
@@ -136,23 +136,22 @@ class TestBuildMatrix:
             cost_function("f1"), Spectrum(kind="nonneg", cutoff=4), 0.0
         )
         assert isinstance(matrix, BandedSymmetric)
-        assert matrix.diagonals[0] == pytest.approx(np.zeros(5), abs=0.0)
-        assert matrix.diagonals[1] == pytest.approx(np.full(4, 0.5), abs=0.0)
+        assert matrix.diagonals[0] == pytest.approx(np.full(5, 2.0), abs=0.0)
+        assert matrix.diagonals[1] == pytest.approx(np.full(4, -1.0), abs=0.0)
 
     def test_f1_penalty_on_diagonal(self):
         matrix = build_matrix(
             cost_function("f1"), Spectrum(kind="nonneg", cutoff=3), 0.25
         )
-        assert matrix.diagonals[0] == pytest.approx(
-            [-0.0, -0.25, -0.5, -0.75], abs=0.0
-        )
+        # f1 maximizes <cos t> - beta <n>: penalty p = 2 beta on Z(f1)
+        assert matrix.diagonals[0] == pytest.approx([2.0, 2.5, 3.0, 3.5], abs=0.0)
 
     def test_f2_coupling(self):
         matrix = build_matrix(
             cost_function("f2"), Spectrum(kind="nonneg", cutoff=5), 0.0
         )
-        assert matrix.diagonals[1] == pytest.approx(np.full(5, 4.0 / 3.0))
-        assert matrix.diagonals[2] == pytest.approx(np.full(4, -1.0 / 12.0))
+        assert matrix.diagonals[1] == pytest.approx(np.full(5, -4.0 / 3.0))
+        assert matrix.diagonals[2] == pytest.approx(np.full(4, 1.0 / 12.0))
 
     def test_theta_sq_three_by_three(self):
         matrix = build_matrix(
@@ -172,7 +171,7 @@ class TestBuildMatrix:
             cost_function("f1"), Spectrum(kind="symmetric", cutoff=2), 0.5
         )
         assert matrix.diagonals[0] == pytest.approx(
-            [-1.0, -0.5, -0.0, -0.5, -1.0], abs=0.0
+            [4.0, 3.0, 2.0, 3.0, 4.0], abs=0.0
         )
         assert matrix.dimension == 5
 
@@ -186,8 +185,8 @@ class TestBuildMatrix:
         assert isinstance(large, ToeplitzPlusDiagonal)
 
     def test_quadratic_form_reproduces_moment_values(self):
-        # For min-form costs, psi' M psi = <f> - beta <n>; for f1 the
-        # objective is <cos t> so the form equals c_1 - beta <n>.
+        # Every cost gives psi' M psi = <f> + p <n>, with penalty p = 2 beta
+        # for f1 and p = -beta for theta_sq.
         rng = np.random.default_rng(7)
         spectrum = Spectrum(kind="nonneg", cutoff=12)
         psi = rng.normal(size=13)
@@ -199,7 +198,10 @@ class TestBuildMatrix:
         form = psi @ densify(
             build_matrix(cost_function("f1"), spectrum, beta)
         ) @ psi
-        assert form == pytest.approx(moms[1] - beta * mean, abs=1e-12)
+        assert form == pytest.approx(
+            cost_function("f1").value_from_moments(moms) + 2.0 * beta * mean,
+            abs=1e-12,
+        )
         cost = cost_function("theta_sq", m_max=12)
         form = psi @ densify(build_matrix(cost, spectrum, -beta)) @ psi
         assert form == pytest.approx(
@@ -221,10 +223,7 @@ class TestSolvePoint:
         spectrum = Spectrum(kind="nonneg", cutoff=cutoff)
         kwargs = {"m_max": 1} if name == "theta_sq" else {}
         cost = cost_function(name, **kwargs)
-        which = "largest" if name in ("f1", "f2") else "smallest"
-        ref_value, ref_vector = reference_eigenpair(
-            build_matrix(cost, spectrum, beta), which
-        )
+        ref_value, ref_vector = reference_eigenpair(build_matrix(cost, spectrum, beta))
         point = solve_point(cost, spectrum, beta)
         assert point.cutoff == cutoff  # no doubling for these settings
         assert point.alpha == pytest.approx(ref_value, abs=1e-11)
@@ -303,6 +302,54 @@ class TestSolvePoint:
             for b in (0.2, 0.5, 1.0, 2.0)
         ]
         assert all(a > b for a, b in zip(sq_means, sq_means[1:]))
+
+
+# Penalty p of the public beta for each cost, from the objectives each cost
+# was first posed with (f1: <cos t> - beta <W> maximized, so p = 2 beta).
+PENALTY_PER_BETA = {"f1": 2.0, "f2": 1.0, "f3": -1.0, "theta_sq": -1.0}
+
+
+@st.composite
+def posed_problems(draw):
+    """A cost, a spectrum with cutoff 1-30, a beta of the allowed sign."""
+    name = draw(st.sampled_from(sorted(PENALTY_PER_BETA)))
+    spectrum = Spectrum(
+        kind=draw(st.sampled_from(["nonneg", "symmetric"])),
+        cutoff=draw(st.integers(1, 30)),
+    )
+    size = draw(st.one_of(st.just(0.0), st.floats(1e-2, 5.0)))
+    beta = size / PENALTY_PER_BETA[name]
+    m_max = spectrum.dimension - 1 if name == "theta_sq" else None
+    return cost_function(name, m_max=m_max), spectrum, beta
+
+
+class TestSinglePosing:
+    """Every cost is the smallest eigenpair of Z(f) + p diag(W), p >= 0."""
+
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(problem=posed_problems(), seed=st.integers(0, 2**32 - 1))
+    def test_quadratic_form_is_cost_plus_penalty(self, problem, seed):
+        cost, spectrum, beta = problem
+        psi = np.random.default_rng(seed).normal(size=spectrum.dimension)
+        psi /= np.linalg.norm(psi)
+        state = ProbeState(spectrum=spectrum, amplitudes=psi)
+        expected = cost.value_from_moments(
+            canonical.all_moments(state)
+        ) + PENALTY_PER_BETA[cost.name] * beta * state.mean_weight()
+        form = psi @ densify(build_matrix(cost, spectrum, beta)) @ psi
+        assert form == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(problem=posed_problems())
+    def test_alpha_is_smallest_dense_eigenvalue(self, problem):
+        cost, spectrum, beta = problem
+        point = solve_point(cost, spectrum, beta)
+        matrix = build_matrix(cost, point.state.spectrum, beta)
+        assert point.beta == beta
+        assert point.alpha == pytest.approx(
+            np.linalg.eigvalsh(densify(matrix))[0], abs=1e-11
+        )
+        assert point.residual <= 1e-10 * matrix.norm_bound()
 
 
 class TestOptimalPoint:
