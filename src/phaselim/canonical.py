@@ -215,20 +215,14 @@ def all_moments(state: ProbeState) -> np.ndarray:
     """Every nonvanishing moment: m = 0 .. dimension - 1.
 
     The moments are the lag products of psi, computed as an FFT
-    autocorrelation; the first three lags are recomputed as compensated
-    sums since the low-order moments set the headline metrics.
+    autocorrelation, each to an absolute error of a few eps.  Metrics that
+    are small differences of moments near 1 need more than that:
+    ``state_metrics`` takes the low-order ones from ``moment_deficits``.
     """
     psi = state.amplitudes
-    n = psi.size
-    size = 1 << (2 * n - 1).bit_length()
+    size = 1 << (2 * psi.size - 1).bit_length()
     spectrum_power = np.abs(rfft(psi, size)) ** 2
-    lags = irfft(spectrum_power, size)[:n]
-    out = lags.astype(complex)
-    for m in range(min(3, n)):
-        # compensated sum: 1 - c_1 can be ~1e-7 while c_1 is ~1, so the
-        # low-order lags need better than plain-dot rounding
-        out[m] = math.fsum(psi[m:] * psi[: n - m])
-    return out
+    return irfft(spectrum_power, size)[: psi.size].astype(complex)
 
 
 def moment_deficits(state: ProbeState, m_max: int = 2) -> np.ndarray:
@@ -238,39 +232,50 @@ def moment_deficits(state: ProbeState, m_max: int = 2) -> np.ndarray:
 
         2 q_m * sum_i psi_i^2 = sum_i (psi_{i+m} - psi_i)^2 + boundary squares
 
-    whose terms are all nonnegative, so q_m keeps full relative precision.
-    Forming 1 - c_m from a rounded c_m ~ 1 would cap the accuracy at
-    ~1e-16 / q_m relative, which for broad states (q_1 ~ 1e-7) is far worse
-    than the metrics derived from the deficits need.
+    whose terms are all nonnegative, so their pairwise sums keep full
+    relative precision (error ~ log2(d) eps).  Forming 1 - c_m from a
+    rounded c_m ~ 1 would cap the accuracy at ~1e-16 / q_m relative, which
+    for broad states (q_1 ~ 1e-7) is far worse than the metrics derived
+    from the deficits need.
     """
     psi = state.amplitudes
     n = psi.size
-    norm_sq = math.fsum(psi * psi)
+    norm_sq = np.sum(psi * psi)
     out = np.empty(m_max, dtype=float)
     for m in range(1, m_max + 1):
         if m >= n:
             out[m - 1] = 1.0  # the moment vanishes beyond the support
             continue
         diffs = psi[m:] - psi[:-m]
-        terms = np.concatenate((diffs * diffs, psi[:m] ** 2, psi[-m:] ** 2))
-        out[m - 1] = 0.5 * math.fsum(terms) / norm_sq
+        boundary = np.sum(psi[:m] ** 2) + np.sum(psi[-m:] ** 2)
+        out[m - 1] = 0.5 * (np.sum(diffs * diffs) + boundary) / norm_sq
     return out
 
 
 def state_metrics(state: ProbeState) -> dict[str, float]:
-    """Canonical-measurement metrics of a state, at full relative precision.
+    """Canonical-measurement metrics of a state.
 
-    Same keys as ``metrics_from_moments``; ``amse`` comes from the moment
-    series, while the metrics that vanish on the point distribution are
-    rebuilt from the deficits q_m = 1 - c_m (see ``moment_deficits``):
+    Same keys as ``metrics_from_moments``.  The metrics that vanish on the
+    point distribution are rebuilt from the deficits q_m = 1 - c_m (see
+    ``moment_deficits``) at full relative precision:
 
         holevo^2  = q1 (2 - q1) / (1 - q1)^2
         delta1^2  = 2 q1
         delta2^2  = (8/3) q1 - q2 / 6
         delta3^2  = -F3_A1 q1 - F3_A2 q2
+
+    ``amse`` comes from the moment series, with c_1 and c_2 taken as
+    c_0 (1 - q_m) so that every lag shares the FFT's normalization.  It is
+    still limited by cancellation: the O(1) series sums down to
+    amse ~ 1/L^2 (L = <N+1> or <2|J|+1>), so its relative error grows like
+    eps L^2 (about 5e-10 at mean 1e3).
     """
-    metrics = metrics_from_moments(all_moments(state))
-    q1, q2 = (float(q) for q in moment_deficits(state, 2))
+    deficits = moment_deficits(state, 2)
+    moms = all_moments(state)
+    low = min(moms.size, 3)
+    moms[1:low] = moms[0].real * (1.0 - deficits[: low - 1])
+    metrics = metrics_from_moments(moms)
+    q1, q2 = (float(q) for q in deficits)
     if q1 < 1.0:
         metrics["holevo"] = q1 * (2.0 - q1) / (1.0 - q1) ** 2
     metrics["delta1"] = math.sqrt(max(2.0 * q1, 0.0))

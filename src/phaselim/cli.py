@@ -53,7 +53,6 @@ class RunConfig:
     max_dimension: int = 200
     seed: int = 20240901
     visibility: float = 0.99
-    nu_exponent: float = 0.5
     suite: str = "inequalities"
     output: str = "-"
 
@@ -187,15 +186,15 @@ def _converge_point(point, nonneg: bool):
     comparison resolves gaps at the 1e-9 level, so the numeric side is
     converged until a doubling moves it by <= 2e-9 relative (at most four
     doublings).  The Lagrange point at fixed beta is cutoff-independent
-    once the truncation tail is negligible.
+    once the truncation tail is negligible.  Each re-solve starts from the
+    previous point's vector, zero-padded to the doubled cutoff.
     """
     cost = variational.cost_function("f1")
     value = point.delta_H**2 if nonneg else point.delta_1**2
     for _ in range(4):
+        start = point.state.with_cutoff(2 * point.cutoff)
         wider = variational.solve_point(
-            cost,
-            point.state.spectrum.with_cutoff(2 * point.cutoff),
-            point.beta,
+            cost, start.spectrum, point.beta, start_vector=start.amplitudes
         )
         new_value = wider.delta_H**2 if nonneg else wider.delta_1**2
         stable = abs(new_value - value) <= 2e-9 * abs(value)
@@ -464,6 +463,20 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"target means must be finite and positive, got {targets}")
     if len(set(targets)) != len(targets):
         raise ValueError(f"target means must be distinct, got {targets}")
+    if not (math.isfinite(config.cutoff_factor) and config.cutoff_factor > 0.0):
+        raise ValueError(
+            f"cutoff factor must be finite and positive, got {config.cutoff_factor}"
+        )
+    if targets:
+        cutoff = variational.default_cutoff(
+            max(targets), config.cutoff_factor, config.cutoff_floor
+        )
+        try:
+            variational.check_dimension(
+                canonical.Spectrum(kind=config.spectrum, cutoff=cutoff)
+            )
+        except ValueError as exc:
+            raise ValueError(f"target mean {max(targets)}: {exc}") from None
     if not 0.0 < config.visibility <= 1.0:
         raise ValueError(f"visibility must be in (0, 1], got {config.visibility}")
     for name in ("instances", "states"):

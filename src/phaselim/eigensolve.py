@@ -2,9 +2,15 @@
 
 Three matrix representations are supported:
 
-* ``BandedSymmetric`` -- main diagonal plus superdiagonals; tridiagonal
-  matrices are solved by Sturm bisection, wider bands by a banded Cholesky
-  shift-invert (positive definite case) or Lanczos.
+* ``BandedSymmetric`` -- main diagonal plus superdiagonals.  Cold solves
+  of tridiagonal matrices use Sturm bisection, of wider bands a banded
+  Cholesky shift-invert (positive definite case) or Lanczos.  A smallest
+  solve with a start vector first tries a certified warm path, O(d) banded
+  work in all: Rayleigh-quotient iteration to a shift rho, a banded
+  Cholesky factor of A - sigma I with sigma a little below rho (its success
+  proves sigma < lambda_min by Sylvester's law of inertia), and inverse
+  iteration with that factor, which can then only converge to the smallest
+  eigenpair.  When a step fails the cold path runs instead.
 * ``DenseSymmetric`` -- explicit entries, solved by Lanczos on a mat-vec.
 * ``ToeplitzPlusDiagonal`` -- symmetric Toeplitz part applied via FFT
   circulant embedding plus an arbitrary diagonal; the smallest eigenpair is
@@ -27,6 +33,7 @@ from scipy.linalg import (
     cho_solve_banded,
     cholesky_banded,
     eigh_tridiagonal,
+    solve_banded,
     solve_triangular,
 )
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -42,6 +49,12 @@ __all__ = [
 
 _RESIDUAL_FACTOR = 1e-10  # residual invariant: ||Av - av|| <= factor * ||A||
 _VECTOR_TOL = 1e-9  # LOPCG stop on the preconditioned residual ||M r||
+_STALL_STEPS = 10  # steps without halving the distance to the stop: stalled
+# Warm banded path (see _warm_banded_smallest)
+_RQI_TOL = 1e-4  # Rayleigh-quotient iteration stops at ||r|| <= tol * |rho|
+_RQI_STEPS = 10
+_SHIFT_MARGIN = 1e-3  # certified shift sigma = rho - margin * |rho| - 2 ||r||
+_MOVE_TOL = 1e-12  # inverse iteration stops once the unit vector moves this little
 
 
 class EigsolveError(RuntimeError):
@@ -195,7 +208,14 @@ def _default_start(n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _finish(matrix: Matrix, value: float, vector: np.ndarray) -> EigenPair:
+def _stalled(history: list[float]) -> bool:
+    """True once the last _STALL_STEPS values failed to halve the best before them."""
+    if len(history) <= _STALL_STEPS:
+        return False
+    return min(history[-_STALL_STEPS:]) > 0.5 * min(history[:-_STALL_STEPS])
+
+
+def _finish(matrix: Matrix, vector: np.ndarray) -> EigenPair:
     vector = vector / np.linalg.norm(vector)
     image = matrix.matvec(vector)
     value = float(vector @ image)  # Rayleigh quotient polish
@@ -219,49 +239,98 @@ def _arpack(
     v0: np.ndarray,
     maxiter: int,
     tol: float = 0.0,
-) -> tuple[float, np.ndarray]:
-    """One eigenpair by ARPACK.  ncv is small: ARPACK fills the whole basis
+) -> np.ndarray:
+    """One eigenvector by ARPACK.  ncv is small: ARPACK fills the whole basis
     before its first convergence test, so a warm start still pays ncv applies."""
     n = op.shape[0]
     ncv = min(n, 6)
     try:
-        vals, vecs = eigsh(
+        _, vecs = eigsh(
             op, k=1, which=which, v0=v0, maxiter=maxiter, ncv=ncv, tol=tol
         )
     except ArpackNoConvergence:
         # One retry with a perturbed deterministic start vector.
         bump = np.cos(1.0 + np.arange(n, dtype=float))
         v1 = v0 + 0.1 * np.linalg.norm(v0) * bump / np.linalg.norm(bump)
-        vals, vecs = eigsh(
+        _, vecs = eigsh(
             op, k=1, which=which, v0=v1, maxiter=2 * maxiter, ncv=ncv, tol=tol
         )
-    return float(vals[0]), vecs[:, 0]
+    return vecs[:, 0]
 
 
-def _tridiagonal_extremal(
-    banded: BandedSymmetric, which: str
-) -> tuple[float, np.ndarray]:
+def _tridiagonal_extremal(banded: BandedSymmetric, which: str) -> np.ndarray:
     n = banded.dimension
     main = banded.diagonals[0]
     off = banded.diagonals[1] if banded.bandwidth >= 1 else np.zeros(n - 1)
     index = 0 if which == "smallest" else n - 1
-    vals, vecs = eigh_tridiagonal(
-        main, off, select="i", select_range=(index, index)
-    )
-    return float(vals[0]), vecs[:, 0]
+    _, vecs = eigh_tridiagonal(main, off, select="i", select_range=(index, index))
+    return vecs[:, 0]
+
+
+def _warm_banded_smallest(
+    banded: BandedSymmetric, x: np.ndarray, maxiter: int
+) -> np.ndarray | None:
+    """Smallest eigenvector from a nearby start, or None when not certified.
+
+    Rayleigh-quotient iteration (banded LU solves of (A - rho I) y = x)
+    runs until ||r|| <= _RQI_TOL |rho|.  The banded Cholesky factor of
+    A - sigma I, sigma = rho - _SHIFT_MARGIN |rho| - 2 ||r||, exists only if
+    sigma < lambda_min, so inverse iteration with it converges to the
+    smallest eigenvector whatever eigenvector RQI approached; it runs until
+    the unit vector moves <= _MOVE_TOL, or gives up once that movement has
+    stalled.  Stopping on ||r|| alone would not do: at d ~ 1e5 the gap is
+    ~4e-8, so ||r|| = 1e-12 ||A|| still leaves a vector error ~ ||r|| / gap
+    ~ 1e-4.
+    """
+    u = banded.bandwidth
+    upper = banded.to_upper_banded()
+    general = np.vstack((upper, np.zeros((u, banded.dimension))))  # LU storage
+    for k in range(1, u + 1):
+        general[u + k, :-k] = banded.diagonals[k]
+    x = x / np.linalg.norm(x)
+    for _ in range(_RQI_STEPS):
+        ax = banded.matvec(x)
+        rho = float(x @ ax)
+        r_norm = float(np.linalg.norm(ax - rho * x))
+        if r_norm <= _RQI_TOL * abs(rho):
+            break
+        general[u] = upper[u] - rho
+        try:
+            y = solve_banded((u, u), general, x, check_finite=False)
+        except np.linalg.LinAlgError:
+            return None
+        y_norm = np.linalg.norm(y)
+        if not np.isfinite(y_norm) or y_norm == 0.0:
+            return None
+        x = y / y_norm
+    else:
+        return None
+    sigma = rho - _SHIFT_MARGIN * abs(rho) - 2.0 * r_norm
+    upper[u] -= sigma
+    try:
+        factor = cholesky_banded(upper, lower=False, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    moves: list[float] = []
+    for _ in range(maxiter):
+        y = cho_solve_banded((factor, False), x, check_finite=False)
+        y /= np.linalg.norm(y)
+        moves.append(float(np.linalg.norm(y - x)))
+        x = y
+        if moves[-1] <= _MOVE_TOL:
+            return x
+        if _stalled(moves):
+            return None
+    return None
 
 
 def _inverse_operator_extremal(
-    matrix: Matrix,
-    apply_inverse,
-    v0: np.ndarray,
-    maxiter: int,
-) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair of a positive definite matrix via A^{-1} Lanczos."""
-    n = matrix.dimension
+    apply_inverse, v0: np.ndarray, maxiter: int
+) -> np.ndarray:
+    """Smallest eigenvector of a positive definite matrix via A^{-1} Lanczos."""
+    n = v0.size
     op = LinearOperator((n, n), matvec=apply_inverse, dtype=float)
-    _, vec = _arpack(op, "LA", v0, maxiter, tol=1e-13)
-    return float(vec @ matrix.matvec(vec)), vec
+    return _arpack(op, "LA", v0, maxiter, tol=1e-13)
 
 
 def _lopcg_smallest(
@@ -269,8 +338,8 @@ def _lopcg_smallest(
     apply_prec,
     x: np.ndarray,
     maxiter: int,
-) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair by single-vector LOPCG.
+) -> np.ndarray:
+    """Smallest eigenvector by single-vector LOPCG.
 
     Each step is a Rayleigh-Ritz projection onto span{x, M r, p}, where
     r = A x - (x'Ax) x, M is the preconditioner and p is the previous
@@ -280,18 +349,29 @@ def _lopcg_smallest(
     has become numerically dependent on the other two directions is dropped.
     It stops at ||r|| <= 1e-12 ||A|| and ||M r|| <= _VECTOR_TOL: as M ~ A^-1,
     ||M r|| tracks the eigenvector error, which ||r|| alone leaves loose.
+    Both measures have a rounding floor (||M r|| one near eps ||A|| /
+    lambda_min); a solve whose distance to the stop has not halved in
+    _STALL_STEPS steps raises instead of running on to ``maxiter``.
     """
     tol = 1e-2 * _RESIDUAL_FACTOR * matrix.norm_bound()
     x = x / np.linalg.norm(x)
     ax = matrix.matvec(x)
     p = ap = None
+    distances: list[float] = []
     for _ in range(maxiter):
         value = float(x @ ax)
         r = ax - value * x
         w = apply_prec(r)
         w_norm = np.linalg.norm(w)
-        if np.linalg.norm(r) <= tol and w_norm <= _VECTOR_TOL:
-            return value, x
+        distances.append(max(np.linalg.norm(r) / tol, w_norm / _VECTOR_TOL))
+        if distances[-1] <= 1.0:
+            return x
+        if _stalled(distances):
+            raise EigsolveError(
+                f"LOPCG stalled at residual {np.linalg.norm(r):.3e} and "
+                f"preconditioned residual {w_norm:.3e} after {len(distances)} "
+                f"iterations (targets {tol:.3e} and {_VECTOR_TOL:.0e})"
+            )
         w = w / w_norm
         basis, images = [x, w], [ax, matrix.matvec(w)]
         if p is not None:
@@ -323,7 +403,8 @@ def extremal_eigenpair(
     """Extremal eigenpair of a real symmetric matrix.
 
     ``which`` is ``smallest`` or ``largest``.  ``start_vector`` warm-starts
-    the iterative paths (ignored by direct ones).  ``preconditioner`` is an
+    the iterative paths and the banded smallest path (ignored by Sturm
+    bisection).  ``preconditioner`` is an
     optional positive definite banded matrix, spectrally equivalent to
     ``matrix``, used on the ``ToeplitzPlusDiagonal`` smallest path: its
     banded Cholesky solve preconditions the LOPCG iteration, and without a
@@ -332,9 +413,19 @@ def extremal_eigenpair(
     default start vector are used.  LOPCG also requires the preconditioned
     residual <= 1e-9, so a warm start is refined until its vector is accurate.
 
+    A banded smallest solve with a start vector runs Rayleigh-quotient
+    iteration from it, certifies a shift sigma < lambda_min by a banded
+    Cholesky factorization of A - sigma I, and refines the vector by inverse
+    iteration with that factor until it moves <= 1e-12 (see
+    ``_warm_banded_smallest``).  If the LU solve, the certificate or the
+    refinement fails, the cold path runs instead: Sturm bisection for a
+    tridiagonal matrix, Cholesky shift-invert Lanczos from the start vector
+    for a wider band.  A fallback is not an error.
+
+    Every path ends with the same check, residual <= 1e-10 ||A||.
     Deterministic for fixed inputs; raises ``EigsolveError`` on
     non-convergence (the ARPACK paths after one restart with a perturbed
-    start vector).
+    start vector, LOPCG also when its progress stalls).
     """
     if which not in ("smallest", "largest"):
         raise ValueError(f"which must be 'smallest' or 'largest', got {which!r}")
@@ -346,9 +437,14 @@ def extremal_eigenpair(
     v0 = _default_start(n) if start_vector is None else np.asarray(start_vector, float)
     maxiter = max(200, int(50.0 * np.sqrt(n)))
 
+    warm_banded = start_vector is not None and which == "smallest"
+    if isinstance(matrix, BandedSymmetric) and warm_banded:
+        vec = _warm_banded_smallest(matrix, v0, maxiter)
+        if vec is not None:
+            return _finish(matrix, vec)
+
     if isinstance(matrix, BandedSymmetric) and matrix.bandwidth <= 1:
-        value, vec = _tridiagonal_extremal(matrix, which)
-        return _finish(matrix, value, vec)
+        return _finish(matrix, _tridiagonal_extremal(matrix, which))
 
     if which == "smallest":
         if isinstance(matrix, BandedSymmetric):
@@ -357,20 +453,18 @@ def extremal_eigenpair(
             except np.linalg.LinAlgError:
                 apply_inv = None
             if apply_inv is not None:
-                value, vec = _inverse_operator_extremal(matrix, apply_inv, v0, maxiter)
-                return _finish(matrix, value, vec)
+                vec = _inverse_operator_extremal(apply_inv, v0, maxiter)
+                return _finish(matrix, vec)
         if isinstance(matrix, ToeplitzPlusDiagonal):
             if preconditioner is not None:
                 prec = _banded_cholesky_apply(preconditioner)
                 if start_vector is None:
-                    v0 = _tridiagonal_extremal(preconditioner, "smallest")[1]
+                    v0 = _tridiagonal_extremal(preconditioner, "smallest")
             else:
                 diag = np.maximum(matrix.first_column[0] + matrix.diagonal, 1e-300)
                 prec = lambda b: b / diag  # Jacobi fallback
-            value, vec = _lopcg_smallest(matrix, prec, v0, maxiter)
-            return _finish(matrix, value, vec)
+            return _finish(matrix, _lopcg_smallest(matrix, prec, v0, maxiter))
 
     op = LinearOperator((n, n), matvec=matrix.matvec, dtype=float)
     arpack_which = "SA" if which == "smallest" else "LA"
-    value, vec = _arpack(op, arpack_which, v0, maxiter)
-    return _finish(matrix, value, vec)
+    return _finish(matrix, _arpack(op, arpack_which, v0, maxiter))

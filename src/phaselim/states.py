@@ -73,6 +73,24 @@ class ProbeState:
     def dimension(self) -> int:
         return self.amplitudes.size
 
+    def with_cutoff(self, cutoff: int) -> "ProbeState":
+        """The same state on a spectrum with a cutoff at least as large.
+
+        The new levels get zero amplitude: at the top for nonneg spectra, at
+        both ends for symmetric ones.
+        """
+        spectrum = self.spectrum.with_cutoff(cutoff)
+        if spectrum.cutoff < self.spectrum.cutoff:
+            raise ValueError(
+                f"cutoff {cutoff} is below the state's {self.spectrum.cutoff}"
+            )
+        offset = 0
+        if spectrum.kind == "symmetric":
+            offset = spectrum.cutoff - self.spectrum.cutoff
+        amplitudes = np.zeros(spectrum.dimension)
+        amplitudes[offset : offset + self.dimension] = self.amplitudes
+        return ProbeState(spectrum=spectrum, amplitudes=amplitudes)
+
     def mean_weight(self) -> float:
         """<N> for nonneg spectra, <|J|> for symmetric ones."""
         return float(self.spectrum.weights() @ self.amplitudes**2)

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from phaselim.canonical import (
+    F3_A1,
+    F3_A2,
     BoundReport,
     ErrorDistribution,
     GeneratorDistribution,
@@ -26,7 +28,9 @@ from phaselim.canonical import (
     generator_distribution,
     max_entropy_bound_checks,
     metrics_from_moments,
+    moment_deficits,
     moments,
+    state_metrics,
     unbias_rotation,
     verify_bounds,
 )
@@ -131,6 +135,53 @@ class TestMoments:
             direct = float(psi[m:] @ psi[: n - m])
             assert fast[m].real == pytest.approx(direct, abs=1e-12)
             assert fast[m].imag == 0.0
+
+
+def broad_state(kind: str) -> ProbeState:
+    """A smooth state over ~2e4 levels: q_1 = 1 - <cos Theta> ~ 1e-8."""
+    if kind == "nonneg":
+        n = np.arange(20_001, dtype=float)
+        return make_state(kind, np.sin(math.pi * (n + 1.0) / 20_002.0))
+    j = np.arange(-20_000, 20_001, dtype=float)
+    return make_state(kind, np.exp(-((j / 5_000.0) ** 2)))
+
+
+def fsum_deficits(state: ProbeState) -> tuple[float, float]:
+    """q_1, q_2 from the deficit identity with correctly rounded sums."""
+    psi = state.amplitudes
+    norm_sq = math.fsum(psi * psi)
+    out = []
+    for m in (1, 2):
+        terms = np.concatenate(((psi[m:] - psi[:-m]) ** 2, psi[:m] ** 2, psi[-m:] ** 2))
+        out.append(0.5 * math.fsum(terms) / norm_sq)
+    return out[0], out[1]
+
+
+class TestPairwiseDeficits:
+    """Pairwise np.sum keeps the deficits of broad states at full precision."""
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    def test_deficits_match_fsum_reference(self, kind):
+        state = broad_state(kind)
+        q1, q2 = fsum_deficits(state)
+        assert 1e-9 < q1 < 1e-7
+        fast = moment_deficits(state, 2)
+        assert fast[0] == pytest.approx(q1, rel=1e-14)
+        assert fast[1] == pytest.approx(q2, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    def test_state_metrics_match_fsum_reference(self, kind):
+        state = broad_state(kind)
+        q1, q2 = fsum_deficits(state)
+        metrics = state_metrics(state)
+        expected = {
+            "delta1": math.sqrt(2.0 * q1),
+            "holevo": q1 * (2.0 - q1) / (1.0 - q1) ** 2,
+            "delta2": math.sqrt((8.0 / 3.0) * q1 - q2 / 6.0),
+            "delta3": math.sqrt(-F3_A1 * q1 - F3_A2 * q2),
+        }
+        for name, value in expected.items():
+            assert metrics[name] == pytest.approx(value, rel=1e-14), name
 
 
 class TestMetrics:

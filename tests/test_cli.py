@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -116,12 +117,25 @@ class TestExitCodes:
         assert cli.main(["verify", *argv]) == 2
         assert f"configuration error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["curve", "series"])
+    def test_target_over_dimension_limit_exits_2(self, capsys, command):
+        start = time.perf_counter()
+        assert cli.main([command, "--targets", "1e9"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "configuration error: target mean 1000000000.0: dimension" in err
+        assert "exceeds the limit of 10000000 rows" in err
+
+    def test_nonfinite_cutoff_factor_exits_2(self, capsys):
+        assert cli.main(["curve", "--targets", "10", "--cutoff-factor", "inf"]) == 2
+        assert "configuration error: cutoff factor" in capsys.readouterr().err
+
     def test_out_of_memory_is_solver_failure(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 74.5 GiB")
 
         monkeypatch.setattr(variational, "sweep_curve", exhausted)
-        assert cli.main(["curve", "--targets", "1e9"]) == 3
+        assert cli.main(["curve", "--targets", "1e5"]) == 3
         err = capsys.readouterr().err
         assert "solver failure: Unable to allocate 74.5 GiB" in err
         assert "Traceback" not in err

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from phaselim import eigensolve
 from phaselim.eigensolve import (
     BandedSymmetric,
     DenseSymmetric,
     EigenPair,
+    EigsolveError,
     ToeplitzPlusDiagonal,
     extremal_eigenpair,
 )
@@ -162,6 +166,101 @@ class TestPreconditionedToeplitz:
         warm = solve(beta_b, start=solve(beta_a))
         cold = solve(beta_b)
         assert weights @ warm**2 == pytest.approx(weights @ cold**2, rel=1e-9)
+
+
+    def test_stall_raises_within_100_matvecs(self, monkeypatch):
+        # ||M r|| cannot reach 1e-15 (its rounding floor is far above), so
+        # the solve must end in EigsolveError soon after it stops improving
+        monkeypatch.setattr(eigensolve, "_VECTOR_TOL", 1e-15)
+        matvecs = []
+        apply = ToeplitzPlusDiagonal.matvec
+        monkeypatch.setattr(
+            ToeplitzPlusDiagonal,
+            "matvec",
+            lambda self, x: matvecs.append(1) or apply(self, x),
+        )
+        spectrum = Spectrum(kind="nonneg", cutoff=3000)
+        penalty = 3.8 / 301.0**3
+        surrogate = BandedSymmetric(
+            [2.0 + penalty * spectrum.weights(), -np.ones(spectrum.dimension - 1)]
+        )
+        matrix = build_matrix(cost_function("theta_sq", m_max=1), spectrum, -penalty)
+        with pytest.raises(EigsolveError, match="stalled"):
+            extremal_eigenpair(matrix, "smallest", preconditioner=surrogate)
+        assert len(matvecs) <= 100
+
+
+# The factor c of the public beta = c * p for each banded cost.
+BETA_PER_PENALTY = {"f1": 0.5, "f2": 1.0, "f3": -1.0}
+
+
+def banded_problem(name, kind, cutoff, penalty):
+    spectrum = Spectrum(kind=kind, cutoff=cutoff)
+    return build_matrix(cost_function(name), spectrum, BETA_PER_PENALTY[name] * penalty)
+
+
+def dense_eigh(matrix):
+    return np.linalg.eigh(banded_to_dense(matrix))
+
+
+def signed_like(reference, vector):
+    """``reference`` with the sign that makes it overlap ``vector`` positively."""
+    return math.copysign(1.0, reference @ vector) * reference
+
+
+class TestWarmBanded:
+    """Smallest banded solves from a start vector: the certified warm path
+    (Rayleigh-quotient iteration, Cholesky certificate, inverse iteration)
+    and its fallback to the cold solvers."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        name=st.sampled_from(sorted(BETA_PER_PENALTY)),
+        kind=st.sampled_from(["nonneg", "symmetric"]),
+        cutoff=st.integers(2, 60),
+        log_penalty=st.floats(math.log(1e-4), math.log(5.0)),
+        shift=st.floats(-2.0, 2.0),
+    )
+    def test_start_from_a_neighbouring_penalty(
+        self, name, kind, cutoff, log_penalty, shift
+    ):
+        penalty = math.exp(log_penalty)
+        matrix = banded_problem(name, kind, cutoff, penalty)
+        neighbour = banded_problem(name, kind, cutoff, penalty * math.exp(shift))
+        start = dense_eigh(neighbour)[1][:, 0]
+        values, vectors = dense_eigh(matrix)
+        pair = extremal_eigenpair(matrix, "smallest", start_vector=start)
+        assert pair.value == pytest.approx(values[0], rel=1e-11, abs=1e-13)
+        assert pair.vector == pytest.approx(
+            signed_like(vectors[:, 0], pair.vector), abs=1e-9
+        )
+        assert pair.residual <= 1e-10 * matrix.norm_bound()
+
+    @pytest.mark.parametrize("name", ["f1", "f2"])
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    def test_second_eigenvector_start_returns_smallest_pair(self, name, kind):
+        matrix = banded_problem(name, kind, 200, 1e-5)
+        values, vectors = dense_eigh(matrix)
+        pair = extremal_eigenpair(matrix, "smallest", start_vector=vectors[:, 1])
+        assert pair.value == pytest.approx(values[0], rel=1e-11)
+        assert pair.vector == pytest.approx(
+            signed_like(vectors[:, 0], pair.vector), abs=1e-9
+        )
+
+    def test_warm_and_cold_agree_at_dimension_100001(self):
+        # f1 near mean 1e4.  Both solvers carry ~1.5e-9 relative error in
+        # <N> against an extended-precision reference at this size, so they
+        # are compared to 1e-8; stopping on ||r|| <= 1e-12 ||A|| instead of
+        # the vector's movement misses by ~8e-6.
+        spectrum = Spectrum(kind="nonneg", cutoff=100_000)
+        weights = spectrum.weights()
+        f1 = cost_function("f1")
+        beta = 0.5 * 3.7872 / 10001.0**3
+        start = extremal_eigenpair(build_matrix(f1, spectrum, 2.0 * beta)).vector
+        matrix = build_matrix(f1, spectrum, beta)
+        warm = extremal_eigenpair(matrix, "smallest", start_vector=start).vector
+        cold = extremal_eigenpair(matrix, "smallest").vector
+        assert weights @ warm**2 == pytest.approx(weights @ cold**2, rel=1e-8)
 
 
 class TestMatvecAndBounds:

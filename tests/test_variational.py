@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaselim import canonical
+from phaselim import canonical, variational
 from phaselim.eigensolve import (
     BandedSymmetric,
     DenseSymmetric,
@@ -405,6 +405,39 @@ class TestOptimalPoint:
             ),
         )
         assert point.scale_factor == pytest.approx(7.0)
+
+
+class TestDimensionGuard:
+    def test_solve_point_checks_before_solving(self, monkeypatch):
+        monkeypatch.setattr(variational, "_MAX_DIMENSION", 100)
+        with pytest.raises(ValueError, match="exceeds the limit of 100 rows"):
+            solve_point(cost_function("f1"), Spectrum(kind="nonneg", cutoff=100), 0.1)
+
+    def test_sweep_checks_every_target_first(self, monkeypatch):
+        monkeypatch.setattr(variational, "_MAX_DIMENSION", 1000)
+        solves = []
+        monkeypatch.setattr(variational, "_solve_eigen", lambda *a: solves.append(a))
+        with pytest.raises(ValueError, match="dimension 1001"):
+            sweep_curve(cost_function("f1"), "nonneg", [1.0, 100.0])
+        assert solves == []
+
+
+class TestProbeStateWithCutoff:
+    @pytest.mark.parametrize(
+        "kind, padded",
+        [("nonneg", [0.6, 0.8, 0.0, 0.0]), ("symmetric", [0.0, 0.6, 0.0, 0.8, 0.0])],
+    )
+    def test_zero_pads_new_levels(self, kind, padded):
+        amplitudes = [0.6, 0.8] if kind == "nonneg" else [0.6, 0.0, 0.8]
+        state = ProbeState(Spectrum(kind=kind, cutoff=1), np.array(amplitudes))
+        wider = state.with_cutoff(2 if kind == "symmetric" else 3)
+        assert wider.amplitudes.tolist() == padded
+        assert wider.mean_weight() == pytest.approx(state.mean_weight(), abs=1e-15)
+
+    def test_smaller_cutoff_rejected(self):
+        state = ProbeState(Spectrum(kind="nonneg", cutoff=3), np.full(4, 0.5))
+        with pytest.raises(ValueError):
+            state.with_cutoff(2)
 
 
 class TestDefaultCutoff:
