@@ -479,9 +479,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"target mean {max(targets)}: {exc}") from None
     if not 0.0 < config.visibility <= 1.0:
         raise ValueError(f"visibility must be in (0, 1], got {config.visibility}")
-    for name in ("instances", "states"):
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
+    minimums = {"instances": 1, "states": 1, "max_dimension": 2, "grid_points": 2}
+    for name, low in minimums.items():
+        if getattr(config, name) < low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(config, name)}")
     return config
 
 

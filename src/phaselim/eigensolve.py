@@ -1,26 +1,19 @@
-"""Extremal eigenpair solvers for real symmetric matrices.
+"""Smallest eigenpair of a real symmetric matrix, one path per structure.
 
-Three matrix representations are supported:
+Every cost of the variational problem is posed as the smallest eigenpair of
+Z(f) + p diag(W), so that pair is the only one solved for.
 
-* ``BandedSymmetric`` -- main diagonal plus superdiagonals.  Cold solves
-  of tridiagonal matrices use Sturm bisection, of wider bands a banded
-  Cholesky shift-invert (positive definite case) or Lanczos.  A smallest
-  solve with a start vector first tries a certified warm path, O(d) banded
-  work in all: Rayleigh-quotient iteration to a shift rho, a banded
-  Cholesky factor of A - sigma I with sigma a little below rho (its success
-  proves sigma < lambda_min by Sylvester's law of inertia), and inverse
-  iteration with that factor, which can then only converge to the smallest
-  eigenpair.  When a step fails the cold path runs instead.
-* ``DenseSymmetric`` -- explicit entries, solved by Lanczos on a mat-vec.
+* ``BandedSymmetric`` -- main diagonal plus superdiagonals.  A start vector
+  is refined on a certified warm path of O(d) banded work (Rayleigh-quotient
+  iteration, a Cholesky certificate of a shift below lambda_min, inverse
+  iteration).  The cold path is Sturm bisection for bandwidth <= 1 and
+  Lanczos on the banded Cholesky inverse (shift-invert) for a wider band.
 * ``ToeplitzPlusDiagonal`` -- symmetric Toeplitz part applied via FFT
-  circulant embedding plus an arbitrary diagonal; the smallest eigenpair is
-  found by locally optimal preconditioned conjugate gradients (LOPCG,
-  Knyazev 2001), preconditioned by the banded Cholesky factor of a
-  spectrally equivalent surrogate supplied by the caller.  One FFT mat-vec
-  per iteration is what lets the dense quadratic-cost problems reach
-  dimension ~3e4 without O(d^3) factorizations.
-
-Only one extremal pair is ever needed, so no full-spectrum path exists.
+  circulant embedding plus an arbitrary diagonal, solved by locally optimal
+  preconditioned conjugate gradients (LOPCG, Knyazev 2001) with the banded
+  Cholesky factor of a spectrally equivalent surrogate supplied by the
+  caller.  One FFT mat-vec per iteration is what lets the dense
+  quadratic-cost problems reach dimension ~3e4 without O(d^3) work.
 """
 
 from __future__ import annotations
@@ -40,7 +33,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 __all__ = [
     "BandedSymmetric",
-    "DenseSymmetric",
     "ToeplitzPlusDiagonal",
     "EigenPair",
     "EigsolveError",
@@ -115,29 +107,6 @@ class BandedSymmetric:
 
 
 @dataclass(frozen=True)
-class DenseSymmetric:
-    """Dense symmetric matrix; entries are mirrored on construction."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"entries must be square, got shape {a.shape}")
-        object.__setattr__(self, "entries", 0.5 * (a + a.T))
-
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.entries @ x
-
-    def norm_bound(self) -> float:
-        return float(np.abs(self.entries).sum(axis=1).max(initial=0.0))
-
-
-@dataclass(frozen=True)
 class ToeplitzPlusDiagonal:
     """Symmetric Toeplitz matrix (first column given) plus a diagonal.
 
@@ -191,7 +160,7 @@ class EigenPair:
     residual: float
 
 
-Matrix = BandedSymmetric | DenseSymmetric | ToeplitzPlusDiagonal
+Matrix = BandedSymmetric | ToeplitzPlusDiagonal
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -233,37 +202,43 @@ def _banded_cholesky_apply(banded: BandedSymmetric):
     return lambda b: cho_solve_banded((factor, False), b)
 
 
-def _arpack(
-    op: LinearOperator,
-    which: str,
-    v0: np.ndarray,
-    maxiter: int,
-    tol: float = 0.0,
-) -> np.ndarray:
-    """One eigenvector by ARPACK.  ncv is small: ARPACK fills the whole basis
-    before its first convergence test, so a warm start still pays ncv applies."""
-    n = op.shape[0]
-    ncv = min(n, 6)
-    try:
-        _, vecs = eigsh(
-            op, k=1, which=which, v0=v0, maxiter=maxiter, ncv=ncv, tol=tol
-        )
-    except ArpackNoConvergence:
-        # One retry with a perturbed deterministic start vector.
-        bump = np.cos(1.0 + np.arange(n, dtype=float))
-        v1 = v0 + 0.1 * np.linalg.norm(v0) * bump / np.linalg.norm(bump)
-        _, vecs = eigsh(
-            op, k=1, which=which, v0=v1, maxiter=2 * maxiter, ncv=ncv, tol=tol
-        )
-    return vecs[:, 0]
-
-
-def _tridiagonal_extremal(banded: BandedSymmetric, which: str) -> np.ndarray:
+def _tridiagonal_smallest(banded: BandedSymmetric) -> np.ndarray:
     n = banded.dimension
     main = banded.diagonals[0]
     off = banded.diagonals[1] if banded.bandwidth >= 1 else np.zeros(n - 1)
-    index = 0 if which == "smallest" else n - 1
-    _, vecs = eigh_tridiagonal(main, off, select="i", select_range=(index, index))
+    _, vecs = eigh_tridiagonal(main, off, select="i", select_range=(0, 0))
+    return vecs[:, 0]
+
+
+def _shift_invert_smallest(
+    banded: BandedSymmetric, v0: np.ndarray, maxiter: int
+) -> np.ndarray:
+    """Smallest eigenvector of a positive definite band by ARPACK on A^-1.
+
+    A^-1 is positive definite, so its largest-magnitude eigenvalue (ARPACK's
+    default target) is 1 / lambda_min.  ncv is small: ARPACK fills the whole
+    basis before its first convergence test, so a warm start still pays ncv
+    applies.  A run that does not converge is retried once from a perturbed
+    deterministic start vector.
+    """
+    n = banded.dimension
+    try:
+        apply_inverse = _banded_cholesky_apply(banded)
+    except np.linalg.LinAlgError:
+        raise EigsolveError(
+            f"banded matrix (d = {n}) is not positive definite: Cholesky failed"
+        ) from None
+    op = LinearOperator((n, n), matvec=apply_inverse, dtype=float)
+    options = dict(k=1, ncv=min(n, 6), tol=1e-13)
+    try:
+        _, vecs = eigsh(op, v0=v0, maxiter=maxiter, **options)
+    except ArpackNoConvergence:
+        bump = np.cos(1.0 + np.arange(n, dtype=float))
+        v1 = v0 + 0.1 * np.linalg.norm(v0) * bump / np.linalg.norm(bump)
+        try:
+            _, vecs = eigsh(op, v0=v1, maxiter=2 * maxiter, **options)
+        except ArpackNoConvergence as exc:
+            raise EigsolveError(f"shift-invert Lanczos: {exc}") from None
     return vecs[:, 0]
 
 
@@ -324,15 +299,6 @@ def _warm_banded_smallest(
     return None
 
 
-def _inverse_operator_extremal(
-    apply_inverse, v0: np.ndarray, maxiter: int
-) -> np.ndarray:
-    """Smallest eigenvector of a positive definite matrix via A^{-1} Lanczos."""
-    n = v0.size
-    op = LinearOperator((n, n), matvec=apply_inverse, dtype=float)
-    return _arpack(op, "LA", v0, maxiter, tol=1e-13)
-
-
 def _lopcg_smallest(
     matrix: ToeplitzPlusDiagonal,
     apply_prec,
@@ -348,7 +314,7 @@ def _lopcg_smallest(
     3x3 problem stays well conditioned as r shrinks.  A p that is zero or
     has become numerically dependent on the other two directions is dropped.
     It stops at ||r|| <= 1e-12 ||A|| and ||M r|| <= _VECTOR_TOL: as M ~ A^-1,
-    ||M r|| tracks the eigenvector error, which ||r|| alone leaves loose.
+    ||M r|| tracks the eigenvector error; ||r|| alone leaves it loose.
     Both measures have a rounding floor (||M r|| one near eps ||A|| /
     lambda_min); a solve whose distance to the stop has not halved in
     _STALL_STEPS steps raises instead of running on to ``maxiter``.
@@ -396,75 +362,55 @@ def _lopcg_smallest(
 
 def extremal_eigenpair(
     matrix: Matrix,
-    which: str = "smallest",
+    *,
     start_vector: np.ndarray | None = None,
     preconditioner: BandedSymmetric | None = None,
 ) -> EigenPair:
-    """Extremal eigenpair of a real symmetric matrix.
+    """Smallest eigenpair of a real symmetric matrix.
 
-    ``which`` is ``smallest`` or ``largest``.  ``start_vector`` warm-starts
-    the iterative paths and the banded smallest path (ignored by Sturm
-    bisection).  ``preconditioner`` is an
-    optional positive definite banded matrix, spectrally equivalent to
-    ``matrix``, used on the ``ToeplitzPlusDiagonal`` smallest path: its
-    banded Cholesky solve preconditions the LOPCG iteration, and without a
-    start vector the iteration starts from the preconditioner's own smallest
-    tridiagonal eigenvector.  Without one, a Jacobi preconditioner and the
-    default start vector are used.  LOPCG also requires the preconditioned
-    residual <= 1e-9, so a warm start is refined until its vector is accurate.
-
-    A banded smallest solve with a start vector runs Rayleigh-quotient
+    A ``BandedSymmetric`` solve with ``start_vector`` runs Rayleigh-quotient
     iteration from it, certifies a shift sigma < lambda_min by a banded
     Cholesky factorization of A - sigma I, and refines the vector by inverse
     iteration with that factor until it moves <= 1e-12 (see
-    ``_warm_banded_smallest``).  If the LU solve, the certificate or the
-    refinement fails, the cold path runs instead: Sturm bisection for a
-    tridiagonal matrix, Cholesky shift-invert Lanczos from the start vector
-    for a wider band.  A fallback is not an error.
+    ``_warm_banded_smallest``).  If that fails, or without a start vector,
+    the cold path runs: Sturm bisection for bandwidth <= 1, otherwise
+    shift-invert Lanczos from the start vector (a fixed profile without
+    one).  A fallback is not an error; a band wider than 1 that is not
+    positive definite is (``EigsolveError``).
+
+    A ``ToeplitzPlusDiagonal`` solve requires ``preconditioner``, a positive
+    definite banded matrix spectrally equivalent to ``matrix``: its banded
+    Cholesky solve preconditions LOPCG, and its smallest eigenvector is the
+    start without ``start_vector``.  LOPCG stops only once the
+    preconditioned residual is <= 1e-9, so a warm start is refined too.
 
     Every path ends with the same check, residual <= 1e-10 ||A||.
     Deterministic for fixed inputs; raises ``EigsolveError`` on
-    non-convergence (the ARPACK paths after one restart with a perturbed
-    start vector, LOPCG also when its progress stalls).
+    non-convergence (shift-invert after one restart from a perturbed start
+    vector, LOPCG also when its progress stalls).
     """
-    if which not in ("smallest", "largest"):
-        raise ValueError(f"which must be 'smallest' or 'largest', got {which!r}")
+    if isinstance(matrix, ToeplitzPlusDiagonal) and preconditioner is None:
+        raise ValueError("a ToeplitzPlusDiagonal solve requires a preconditioner")
     n = matrix.dimension
     if n == 1:
         value = float(matrix.matvec(np.ones(1))[0])
         return EigenPair(value=value, vector=np.ones(1), residual=0.0)
 
-    v0 = _default_start(n) if start_vector is None else np.asarray(start_vector, float)
     maxiter = max(200, int(50.0 * np.sqrt(n)))
+    if start_vector is not None:
+        start_vector = np.asarray(start_vector, dtype=float)
+    if isinstance(matrix, ToeplitzPlusDiagonal):
+        prec = _banded_cholesky_apply(preconditioner)
+        if start_vector is None:
+            start_vector = _tridiagonal_smallest(preconditioner)
+        return _finish(matrix, _lopcg_smallest(matrix, prec, start_vector, maxiter))
 
-    warm_banded = start_vector is not None and which == "smallest"
-    if isinstance(matrix, BandedSymmetric) and warm_banded:
-        vec = _warm_banded_smallest(matrix, v0, maxiter)
+    if start_vector is not None:
+        vec = _warm_banded_smallest(matrix, start_vector, maxiter)
         if vec is not None:
             return _finish(matrix, vec)
-
-    if isinstance(matrix, BandedSymmetric) and matrix.bandwidth <= 1:
-        return _finish(matrix, _tridiagonal_extremal(matrix, which))
-
-    if which == "smallest":
-        if isinstance(matrix, BandedSymmetric):
-            try:
-                apply_inv = _banded_cholesky_apply(matrix)
-            except np.linalg.LinAlgError:
-                apply_inv = None
-            if apply_inv is not None:
-                vec = _inverse_operator_extremal(apply_inv, v0, maxiter)
-                return _finish(matrix, vec)
-        if isinstance(matrix, ToeplitzPlusDiagonal):
-            if preconditioner is not None:
-                prec = _banded_cholesky_apply(preconditioner)
-                if start_vector is None:
-                    v0 = _tridiagonal_extremal(preconditioner, "smallest")
-            else:
-                diag = np.maximum(matrix.first_column[0] + matrix.diagonal, 1e-300)
-                prec = lambda b: b / diag  # Jacobi fallback
-            return _finish(matrix, _lopcg_smallest(matrix, prec, v0, maxiter))
-
-    op = LinearOperator((n, n), matvec=matrix.matvec, dtype=float)
-    arpack_which = "SA" if which == "smallest" else "LA"
-    return _finish(matrix, _arpack(op, arpack_which, v0, maxiter))
+    if matrix.bandwidth <= 1:
+        return _finish(matrix, _tridiagonal_smallest(matrix))
+    if start_vector is None:
+        start_vector = _default_start(n)
+    return _finish(matrix, _shift_invert_smallest(matrix, start_vector, maxiter))

@@ -261,7 +261,7 @@ def _solve_eigen(
     if isinstance(matrix, ToeplitzPlusDiagonal):
         preconditioner = _matrix(cost_function("f1"), spectrum, penalty)
     return extremal_eigenpair(
-        matrix, "smallest", start_vector=start_vector, preconditioner=preconditioner
+        matrix, start_vector=start_vector, preconditioner=preconditioner
     )
 
 

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselim.canonical import (
     F3_A1,
@@ -305,6 +307,47 @@ class TestVerifyBounds:
         assert report.margins["heis_k_a"] > 0.0
         delta = report.details["delta"]
         assert delta >= K_A / report.details["n_plus_1"]
+
+
+@st.composite
+def random_states(draw, max_cutoff=60):
+    """Random real states of either spectrum kind; like the CLI's random
+    states, some keep only a random part of their support."""
+    kind = draw(st.sampled_from(["nonneg", "symmetric"]))
+    spectrum = Spectrum(kind=kind, cutoff=draw(st.integers(1, max_cutoff)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rng.standard_normal(spectrum.dimension)
+    if draw(st.booleans()):
+        keep = rng.random(spectrum.dimension) < 0.5
+        keep[draw(st.integers(0, spectrum.dimension - 1))] = True
+        psi = np.where(keep, psi, 0.0)
+    return ProbeState(spectrum=spectrum, amplitudes=psi / np.linalg.norm(psi))
+
+
+def at_most(low: float, high: float, rel: float = 1e-12) -> bool:
+    return low <= high + rel * abs(high)
+
+
+class TestMetricChain:
+    """delta_1 <= delta_H, delta_1 <= delta and
+    arccos(1 - delta_1^2/2) <= delta <= (pi/2) delta_1 on random states."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(state=random_states())
+    def test_state_metrics_chain(self, state):
+        metrics = state_metrics(state)
+        delta1 = metrics["delta1"]
+        delta = math.sqrt(metrics["amse"])
+        assert at_most(delta1, math.sqrt(metrics["holevo"]))
+        assert at_most(delta1, delta)
+        assert at_most(math.acos(max(1.0 - delta1**2 / 2.0, -1.0)), delta)
+        assert at_most(delta, 0.5 * math.pi * delta1)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(state=random_states())
+    def test_verify_bounds_margins(self, state):
+        report = verify_bounds(state)
+        assert min(report.margins.values()) >= -1e-12, report.margins
 
 
 class TestMaxEntropyChecks:

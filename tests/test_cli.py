@@ -110,8 +110,28 @@ class TestExitCodes:
             (["mzi", "--visibility", "0"], "visibility must be in (0, 1]"),
             (["povm", "--instances", "0"], "instances must be >= 1"),
             (["bounds", "--states", "0"], "states must be >= 1"),
+            (
+                ["bounds", "--states", "20", "--max-dimension", "1"],
+                "max_dimension must be >= 2",
+            ),
+            (
+                ["bounds", "--states", "20", "--max-dimension", "0"],
+                "max_dimension must be >= 2",
+            ),
+            (["inequalities", "--grid-points", "0"], "grid_points must be >= 2"),
+            (["inequalities", "--grid-points", "-5"], "grid_points must be >= 2"),
+            (["inequalities", "--grid-points", "1"], "grid_points must be >= 2"),
         ],
-        ids=["visibility", "instances", "states"],
+        ids=[
+            "visibility",
+            "instances",
+            "states",
+            "max-dimension-1",
+            "max-dimension-0",
+            "grid-points-0",
+            "grid-points-negative",
+            "grid-points-1",
+        ],
     )
     def test_invalid_verify_option_exits_2(self, capsys, argv, message):
         assert cli.main(["verify", *argv]) == 2

@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaselim import eigensolve
 from phaselim.eigensolve import (
     BandedSymmetric,
-    DenseSymmetric,
     EigenPair,
     EigsolveError,
     ToeplitzPlusDiagonal,
@@ -38,34 +38,43 @@ def toeplitz_to_dense(matrix: ToeplitzPlusDiagonal) -> np.ndarray:
     return dense + np.diag(matrix.diagonal)
 
 
+def positive_definite(matrix: BandedSymmetric) -> BandedSymmetric:
+    """``matrix`` shifted by its norm bound plus one: eigenvalues >= 1."""
+    shift = matrix.norm_bound() + 1.0
+    return BandedSymmetric([matrix.diagonals[0] + shift, *matrix.diagonals[1:]])
+
+
 class TestClosedForms:
     def test_two_by_two_off_half(self):
         matrix = BandedSymmetric([np.zeros(2), np.array([0.5])])
-        pair = extremal_eigenpair(matrix, "largest")
-        assert pair.value == pytest.approx(0.5, abs=1e-14)
-        assert pair.vector == pytest.approx(np.full(2, 1.0 / math.sqrt(2)), abs=1e-12)
+        pair = extremal_eigenpair(matrix)
+        assert pair.value == pytest.approx(-0.5, abs=1e-14)
+        expected = np.array([1.0, -1.0]) / math.sqrt(2)
+        assert pair.vector == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 17, 100])
     def test_tridiagonal_toeplitz_family(self, n):
         matrix = BandedSymmetric([np.zeros(n), np.full(n - 1, 0.5)])
-        largest = extremal_eigenpair(matrix, "largest")
-        smallest = extremal_eigenpair(matrix, "smallest")
-        assert largest.value == pytest.approx(math.cos(math.pi / (n + 1)), abs=1e-13)
+        smallest = extremal_eigenpair(matrix)
         assert smallest.value == pytest.approx(-math.cos(math.pi / (n + 1)), abs=1e-13)
-        # known eigenvector: sin(k pi (i+1)/(n+1)) for the extremal k
+        # known eigenvector: (-1)^i sin(pi (i+1)/(n+1)), first component positive
         i = np.arange(n)
-        top = np.sin(math.pi * (i + 1) / (n + 1))
-        top /= np.linalg.norm(top)
-        assert largest.vector == pytest.approx(top, abs=1e-11)
+        bottom = (-1.0) ** i * np.sin(math.pi * (i + 1) / (n + 1))
+        bottom /= np.linalg.norm(bottom)
+        assert smallest.vector == pytest.approx(bottom, abs=1e-11)
 
     def test_dense_two_by_two_quadratic_block(self):
+        # theta^2 at cutoff 1 (nonneg): Toeplitz column [pi^2/3, -2]
         z0 = math.pi**2 / 3.0
-        matrix = DenseSymmetric(np.array([[z0, -2.0], [-2.0, z0]]))
-        pair = extremal_eigenpair(matrix, "smallest")
+        matrix = ToeplitzPlusDiagonal(
+            first_column=np.array([z0, -2.0]), diagonal=np.zeros(2)
+        )
+        jacobi = BandedSymmetric([np.full(2, z0)])
+        pair = extremal_eigenpair(matrix, preconditioner=jacobi)
         assert pair.value == pytest.approx(z0 - 2.0, abs=1e-13)
 
     def test_dimension_one(self):
-        pair = extremal_eigenpair(BandedSymmetric([np.array([4.0])]), "largest")
+        pair = extremal_eigenpair(BandedSymmetric([np.array([4.0])]))
         assert pair.value == 4.0
         assert pair.residual == 0.0
 
@@ -81,23 +90,18 @@ class TestDenseReference:
         matrix = BandedSymmetric(diags)
         reference = np.linalg.eigvalsh(banded_to_dense(matrix))
         expected = reference[0] if which == "smallest" else reference[-1]
-        pair = extremal_eigenpair(matrix, which)
-        assert pair.value == pytest.approx(expected, rel=1e-11, abs=1e-11)
-
-    @pytest.mark.parametrize("n", [5, 60])
-    def test_dense_vs_full_spectrum(self, n):
-        rng = np.random.default_rng(n)
-        a = rng.standard_normal((n, n))
-        matrix = DenseSymmetric(a + a.T)
-        reference = np.linalg.eigvalsh(matrix.entries)
-        low = extremal_eigenpair(matrix, "smallest")
-        high = extremal_eigenpair(matrix, "largest")
-        assert low.value == pytest.approx(reference[0], rel=1e-11, abs=1e-11)
-        assert high.value == pytest.approx(reference[-1], rel=1e-11, abs=1e-11)
+        # Solve sign * A + shift, positive definite as a wider band must be:
+        # the largest eigenvalue of A is minus the smallest of -A.
+        sign = 1.0 if which == "smallest" else -1.0
+        shift = matrix.norm_bound() + 1.0
+        shifted = BandedSymmetric(
+            [sign * diags[0] + shift, *(sign * d for d in diags[1:])]
+        )
+        value = sign * (extremal_eigenpair(shifted).value - shift)
+        assert value == pytest.approx(expected, rel=1e-11, abs=1e-11)
 
     def test_toeplitz_smallest_vs_dense(self):
         n = 120
-        rng = np.random.default_rng(5)
         # positive definite: diagonally dominant Toeplitz symbol plus weights
         col = np.zeros(n)
         col[0] = 4.0
@@ -105,9 +109,25 @@ class TestDenseReference:
         matrix = ToeplitzPlusDiagonal(
             first_column=col, diagonal=0.1 * np.arange(n, dtype=float)
         )
+        jacobi = BandedSymmetric([col[0] + matrix.diagonal])
         reference = np.linalg.eigvalsh(toeplitz_to_dense(matrix))[0]
-        pair = extremal_eigenpair(matrix, "smallest")
+        pair = extremal_eigenpair(matrix, preconditioner=jacobi)
         assert pair.value == pytest.approx(reference, rel=1e-11)
+
+    @pytest.mark.parametrize("name", ["f2", "f3"])
+    def test_cold_wide_band_far_from_default_start(self, name):
+        # The default start is concentrated at j = -cutoff; the ground state
+        # of the symmetric spectrum is centred at j = 0, 1000 rows away.
+        matrix = banded_problem(name, "symmetric", 1000, 1e-5)
+        assert matrix.bandwidth >= 2 and matrix.dimension == 2001
+        value, vector = scipy.linalg.eigh(
+            banded_to_dense(matrix), subset_by_index=[0, 0]
+        )
+        pair = extremal_eigenpair(matrix)
+        assert pair.value == pytest.approx(value[0], rel=1e-11)
+        assert pair.vector == pytest.approx(
+            signed_like(vector[:, 0], pair.vector), abs=1e-9
+        )
 
 
 class TestPreconditionedToeplitz:
@@ -133,7 +153,7 @@ class TestPreconditionedToeplitz:
             start = vectors[:, 0] + 1e-2 * rng.standard_normal(n) / math.sqrt(n)
         runs = [
             extremal_eigenpair(
-                matrix, "smallest", start_vector=start, preconditioner=surrogate
+                matrix, start_vector=start, preconditioner=surrogate
             )
             for _ in range(2)
         ]
@@ -157,7 +177,6 @@ class TestPreconditionedToeplitz:
             )
             return extremal_eigenpair(
                 build_matrix(cost, spectrum, beta),
-                "smallest",
                 start_vector=start,
                 preconditioner=surrogate,
             ).vector
@@ -186,7 +205,7 @@ class TestPreconditionedToeplitz:
         )
         matrix = build_matrix(cost_function("theta_sq", m_max=1), spectrum, -penalty)
         with pytest.raises(EigsolveError, match="stalled"):
-            extremal_eigenpair(matrix, "smallest", preconditioner=surrogate)
+            extremal_eigenpair(matrix, preconditioner=surrogate)
         assert len(matvecs) <= 100
 
 
@@ -229,7 +248,7 @@ class TestWarmBanded:
         neighbour = banded_problem(name, kind, cutoff, penalty * math.exp(shift))
         start = dense_eigh(neighbour)[1][:, 0]
         values, vectors = dense_eigh(matrix)
-        pair = extremal_eigenpair(matrix, "smallest", start_vector=start)
+        pair = extremal_eigenpair(matrix, start_vector=start)
         assert pair.value == pytest.approx(values[0], rel=1e-11, abs=1e-13)
         assert pair.vector == pytest.approx(
             signed_like(vectors[:, 0], pair.vector), abs=1e-9
@@ -241,7 +260,7 @@ class TestWarmBanded:
     def test_second_eigenvector_start_returns_smallest_pair(self, name, kind):
         matrix = banded_problem(name, kind, 200, 1e-5)
         values, vectors = dense_eigh(matrix)
-        pair = extremal_eigenpair(matrix, "smallest", start_vector=vectors[:, 1])
+        pair = extremal_eigenpair(matrix, start_vector=vectors[:, 1])
         assert pair.value == pytest.approx(values[0], rel=1e-11)
         assert pair.vector == pytest.approx(
             signed_like(vectors[:, 0], pair.vector), abs=1e-9
@@ -258,8 +277,8 @@ class TestWarmBanded:
         beta = 0.5 * 3.7872 / 10001.0**3
         start = extremal_eigenpair(build_matrix(f1, spectrum, 2.0 * beta)).vector
         matrix = build_matrix(f1, spectrum, beta)
-        warm = extremal_eigenpair(matrix, "smallest", start_vector=start).vector
-        cold = extremal_eigenpair(matrix, "smallest").vector
+        warm = extremal_eigenpair(matrix, start_vector=start).vector
+        cold = extremal_eigenpair(matrix).vector
         assert weights @ warm**2 == pytest.approx(weights @ cold**2, rel=1e-8)
 
 
@@ -289,10 +308,12 @@ class TestMatvecAndBounds:
         rng = np.random.default_rng(4)
         n = 50
         banded = BandedSymmetric([rng.standard_normal(n - k) for k in range(2)])
-        dense = DenseSymmetric(rng.standard_normal((n, n)))
+        toeplitz = ToeplitzPlusDiagonal(
+            first_column=rng.standard_normal(n), diagonal=rng.standard_normal(n)
+        )
         for matrix, ref in (
             (banded, banded_to_dense(banded)),
-            (dense, dense.entries),
+            (toeplitz, toeplitz_to_dense(toeplitz)),
         ):
             spectral = float(np.abs(np.linalg.eigvalsh(ref)).max())
             assert matrix.norm_bound() >= spectral - 1e-12
@@ -302,31 +323,37 @@ class TestEigenPairInvariants:
     def test_residual_unit_norm_and_sign(self):
         rng = np.random.default_rng(9)
         n = 80
-        matrix = BandedSymmetric([rng.standard_normal(n - k) for k in range(3)])
-        pair = extremal_eigenpair(matrix, "largest")
+        matrix = positive_definite(
+            BandedSymmetric([rng.standard_normal(n - k) for k in range(3)])
+        )
+        pair = extremal_eigenpair(matrix)
         assert abs(np.linalg.norm(pair.vector) - 1.0) <= 1e-14
         assert pair.residual <= 1e-10 * matrix.norm_bound()
-        first_nonzero = pair.vector[np.abs(pair.vector) > 1e-12][0]
-        assert first_nonzero > 0.0
+        # sign convention: the first component above 1e-12 * max is positive
+        scale = np.abs(pair.vector).max()
+        first_significant = pair.vector[np.abs(pair.vector) > 1e-12 * scale][0]
+        assert first_significant > 0.0
 
     def test_determinism(self):
         rng = np.random.default_rng(10)
         n = 90
-        matrix = DenseSymmetric(rng.standard_normal((n, n)))
-        a = extremal_eigenpair(matrix, "smallest")
-        b = extremal_eigenpair(matrix, "smallest")
+        matrix = positive_definite(
+            BandedSymmetric([rng.standard_normal(n - k) for k in range(3)])
+        )
+        a = extremal_eigenpair(matrix)
+        b = extremal_eigenpair(matrix)
         assert a.value == b.value
         assert np.array_equal(a.vector, b.vector)
 
     def test_monotone_in_penalty(self):
-        # largest eigenvalue of (A - beta*diag(n)) is non-increasing in beta
+        # smallest eigenvalue of (A + p*diag(n)) is non-decreasing in p
         n = 200
         weights = np.arange(n, dtype=float)
-        previous = math.inf
-        for beta in (0.0, 1e-3, 1e-2, 1e-1, 1.0):
-            matrix = BandedSymmetric([-beta * weights, np.full(n - 1, 0.5)])
-            value = extremal_eigenpair(matrix, "largest").value
-            assert value <= previous + 1e-14
+        previous = -math.inf
+        for penalty in (0.0, 1e-3, 1e-2, 1e-1, 1.0):
+            matrix = BandedSymmetric([penalty * weights, np.full(n - 1, 0.5)])
+            value = extremal_eigenpair(matrix).value
+            assert value >= previous - 1e-14
             previous = value
 
 
@@ -335,14 +362,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             BandedSymmetric([np.zeros(4), np.zeros(4)])
 
-    def test_nonsquare_dense(self):
-        with pytest.raises(ValueError):
-            DenseSymmetric(np.zeros((3, 4)))
-
     def test_bad_which(self):
-        with pytest.raises(ValueError):
+        # only the smallest pair is solved for: a positional second argument
+        # (an old ``which``) must fail instead of binding to start_vector
+        with pytest.raises(TypeError):
             extremal_eigenpair(BandedSymmetric([np.zeros(3)]), "middle")
 
     def test_toeplitz_shape_mismatch(self):
         with pytest.raises(ValueError):
             ToeplitzPlusDiagonal(first_column=np.zeros(3), diagonal=np.zeros(4))
+
+    def test_toeplitz_requires_preconditioner(self):
+        matrix = ToeplitzPlusDiagonal(
+            first_column=np.array([2.0, -1.0, 0.0]), diagonal=np.zeros(3)
+        )
+        with pytest.raises(ValueError, match="requires a preconditioner"):
+            extremal_eigenpair(matrix)
+
+    def test_cold_indefinite_pentadiagonal_raises(self):
+        n = 20
+        matrix = BandedSymmetric(
+            [np.full(n, -1.0), np.full(n - 1, 0.5), np.full(n - 2, 0.25)]
+        )
+        with pytest.raises(EigsolveError, match="not positive definite"):
+            extremal_eigenpair(matrix)

@@ -13,11 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaselim import canonical, variational
-from phaselim.eigensolve import (
-    BandedSymmetric,
-    DenseSymmetric,
-    ToeplitzPlusDiagonal,
-)
+from phaselim.eigensolve import BandedSymmetric, ToeplitzPlusDiagonal
 from phaselim.states import ProbeState, Spectrum
 from phaselim.variational import (
     OptimalPoint,
@@ -33,9 +29,7 @@ K_C = 1.376083543343775
 
 
 def densify(matrix):
-    """Explicit symmetric matrix from any of the three operator types."""
-    if isinstance(matrix, DenseSymmetric):
-        return matrix.entries.copy()
+    """Explicit symmetric matrix from either operator type."""
     n = matrix.dimension
     out = np.zeros((n, n))
     if isinstance(matrix, BandedSymmetric):
