@@ -12,8 +12,8 @@ Z(f) + p diag(W), so that pair is the only one solved for.
   circulant embedding plus an arbitrary diagonal, solved by locally optimal
   preconditioned conjugate gradients (LOPCG, Knyazev 2001) with the banded
   Cholesky factor of a spectrally equivalent surrogate supplied by the
-  caller.  One FFT mat-vec per iteration is what lets the dense
-  quadratic-cost problems reach dimension ~3e4 without O(d^3) work.
+  caller.  A step costs one FFT mat-vec, one banded solve and O(d) vector
+  work, so the dense quadratic-cost problems reach dimension 1e6.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from scipy.linalg import (
     cholesky_banded,
     eigh_tridiagonal,
     solve_banded,
-    solve_triangular,
 )
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -164,11 +163,9 @@ Matrix = BandedSymmetric | ToeplitzPlusDiagonal
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    """Flip sign so the first significant component is positive."""
-    nz = np.nonzero(np.abs(v) > 1e-12 * np.abs(v).max(initial=0.0))[0]
-    if nz.size and v[nz[0]] < 0.0:
-        return -v
-    return v
+    """Make the largest component (the first within rel 1e-8 of it) positive."""
+    top = np.argmax(np.abs(v) >= (1.0 - 1e-8) * np.abs(v).max())
+    return -v if v[top] < 0.0 else v
 
 
 def _default_start(n: int) -> np.ndarray:
@@ -190,10 +187,8 @@ def _finish(matrix: Matrix, vector: np.ndarray) -> EigenPair:
     value = float(vector @ image)  # Rayleigh quotient polish
     residual = float(np.linalg.norm(image - value * vector))
     bound = _RESIDUAL_FACTOR * max(matrix.norm_bound(), 1e-300)
-    if residual > bound:
-        raise EigsolveError(
-            f"residual {residual:.3e} exceeds tolerance {bound:.3e}"
-        )
+    if not residual <= bound:  # a NaN residual or value fails too
+        raise EigsolveError(f"residual {residual:.3e} exceeds tolerance {bound:.3e}")
     return EigenPair(value=value, vector=_canonical_sign(vector), residual=residual)
 
 
@@ -203,9 +198,10 @@ def _banded_cholesky_apply(banded: BandedSymmetric):
 
 
 def _tridiagonal_smallest(banded: BandedSymmetric) -> np.ndarray:
-    n = banded.dimension
+    if banded.bandwidth > 1:
+        raise ValueError(f"bandwidth {banded.bandwidth} is not tridiagonal")
     main = banded.diagonals[0]
-    off = banded.diagonals[1] if banded.bandwidth >= 1 else np.zeros(n - 1)
+    off = banded.diagonals[1] if banded.bandwidth else np.zeros(main.size - 1)
     _, vecs = eigh_tridiagonal(main, off, select="i", select_range=(0, 0))
     return vecs[:, 0]
 
@@ -309,10 +305,10 @@ def _lopcg_smallest(
 
     Each step is a Rayleigh-Ritz projection onto span{x, M r, p}, where
     r = A x - (x'Ax) x, M is the preconditioner and p is the previous
-    update direction.  The basis is orthonormalized first (QR) and p is kept
-    as the component of the step orthogonal to the old x, so the projected
-    3x3 problem stays well conditioned as r shrinks.  A p that is zero or
-    has become numerically dependent on the other two directions is dropped.
+    update direction.  M r and p are orthonormalized by Gram-Schmidt applied
+    twice (their images by the same combinations), so the 3x3 projection is
+    a table of dot products; p is kept orthogonal to the old x, and one that
+    is zero or dependent on the other two (norm < 1e-8 left) is dropped.
     It stops at ||r|| <= 1e-12 ||A|| and ||M r|| <= _VECTOR_TOL: as M ~ A^-1,
     ||M r|| tracks the eigenvector error; ||r|| alone leaves it loose.
     Both measures have a rounding floor (||M r|| one near eps ||A|| /
@@ -322,7 +318,7 @@ def _lopcg_smallest(
     tol = 1e-2 * _RESIDUAL_FACTOR * matrix.norm_bound()
     x = x / np.linalg.norm(x)
     ax = matrix.matvec(x)
-    p = ap = None
+    p = ap = np.zeros_like(x)
     distances: list[float] = []
     for _ in range(maxiter):
         value = float(x @ ax)
@@ -338,22 +334,24 @@ def _lopcg_smallest(
                 f"preconditioned residual {w_norm:.3e} after {len(distances)} "
                 f"iterations (targets {tol:.3e} and {_VECTOR_TOL:.0e})"
             )
-        w = w / w_norm
-        basis, images = [x, w], [ax, matrix.matvec(w)]
-        if p is not None:
-            scale = 1.0 / max(np.linalg.norm(p), 1e-300)  # p = 0 is dropped below
-            basis.append(scale * p)
-            images.append(scale * ap)
-        q, tri = np.linalg.qr(np.column_stack(basis))
-        if len(basis) == 3 and abs(tri[2, 2]) < 1e-8:
-            q, tri = q[:, :2], tri[:2, :2]
-            images.pop()
-        aq = solve_triangular(tri, np.column_stack(images).T, trans="T").T
-        projected = q.T @ aq
+        w /= w_norm
+        scale = 1.0 / max(np.linalg.norm(p), 1e-300)  # p = 0 is dropped below
+        basis, images = [x], [ax]
+        for v, av in ((w, matrix.matvec(w)), (scale * p, scale * ap)):
+            for _ in range(2):
+                for q, aq in zip(basis, images):
+                    dot = q @ v
+                    v, av = v - dot * q, av - dot * aq
+            v_norm = np.linalg.norm(v)
+            if v_norm >= 1e-8 or len(basis) == 1:  # keeps M r, drops a dependent p
+                basis.append(v / v_norm)
+                images.append(av / v_norm)
+        projected = np.array([[q @ aq for aq in images] for q in basis])
         _, coeffs = np.linalg.eigh(0.5 * (projected + projected.T))
         c = coeffs[:, 0]
-        p, ap = q[:, 1:] @ c[1:], aq[:, 1:] @ c[1:]
-        x, ax = q @ c, aq @ c
+        p = sum(ci * q for ci, q in zip(c[1:], basis[1:]))
+        ap = sum(ci * aq for ci, aq in zip(c[1:], images[1:]))
+        x, ax = c[0] * x + p, c[0] * ax + ap
     raise EigsolveError(
         f"LOPCG did not reach residual {tol:.3e} and preconditioned residual "
         f"{_VECTOR_TOL:.0e} in {maxiter} iterations"
@@ -380,9 +378,9 @@ def extremal_eigenpair(
 
     A ``ToeplitzPlusDiagonal`` solve requires ``preconditioner``, a positive
     definite banded matrix spectrally equivalent to ``matrix``: its banded
-    Cholesky solve preconditions LOPCG, and its smallest eigenvector is the
-    start without ``start_vector``.  LOPCG stops only once the
-    preconditioned residual is <= 1e-9, so a warm start is refined too.
+    Cholesky solve preconditions LOPCG, and its smallest eigenvector (cold
+    banded path) is the start without ``start_vector``.  LOPCG stops only
+    once the preconditioned residual is <= 1e-9, so a warm start is refined.
 
     Every path ends with the same check, residual <= 1e-10 ||A||.
     Deterministic for fixed inputs; raises ``EigsolveError`` on
@@ -402,7 +400,7 @@ def extremal_eigenpair(
     if isinstance(matrix, ToeplitzPlusDiagonal):
         prec = _banded_cholesky_apply(preconditioner)
         if start_vector is None:
-            start_vector = _tridiagonal_smallest(preconditioner)
+            start_vector = extremal_eigenpair(preconditioner).vector
         return _finish(matrix, _lopcg_smallest(matrix, prec, start_vector, maxiter))
 
     if start_vector is not None:

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaselim import eigensolve
+from phaselim import eigensolve, variational
 from phaselim.eigensolve import (
     BandedSymmetric,
     EigenPair,
@@ -57,10 +57,11 @@ class TestClosedForms:
         matrix = BandedSymmetric([np.zeros(n), np.full(n - 1, 0.5)])
         smallest = extremal_eigenpair(matrix)
         assert smallest.value == pytest.approx(-math.cos(math.pi / (n + 1)), abs=1e-13)
-        # known eigenvector: (-1)^i sin(pi (i+1)/(n+1)), first component positive
+        # known eigenvector: (-1)^i sin(pi (i+1)/(n+1)), its largest component
+        # (the first of the two central ones for even n) positive
         i = np.arange(n)
         bottom = (-1.0) ** i * np.sin(math.pi * (i + 1) / (n + 1))
-        bottom /= np.linalg.norm(bottom)
+        bottom *= np.sign(bottom[(n - 1) // 2]) / np.linalg.norm(bottom)
         assert smallest.vector == pytest.approx(bottom, abs=1e-11)
 
     def test_dense_two_by_two_quadratic_block(self):
@@ -131,8 +132,68 @@ class TestDenseReference:
 
 
 class TestPreconditionedToeplitz:
-    """theta^2 matrices with the f1 surrogate 2 - 2cos(t) + penalty*weight
-    as preconditioner, at dimensions small enough for dense eigh."""
+    """theta^2 matrices preconditioned by the f3 matrix at the same penalty
+    (as ``variational`` solves them) or by the f1 surrogate
+    2 - 2cos(t) + penalty*weight, at dimensions small enough for dense eigh."""
+
+    @pytest.mark.parametrize(
+        "kind, cutoff, penalty",
+        [
+            ("nonneg", 500, 3e-6),
+            ("nonneg", 500, 3e-5),
+            ("nonneg", 500, 3e-3),
+            ("symmetric", 300, 1e-5),
+            ("symmetric", 300, 1e-4),
+            ("symmetric", 300, 1e-2),
+        ],
+    )
+    @pytest.mark.parametrize("start", ["f1", "f3", "warm"])
+    def test_f3_preconditioned_theta_sq_vs_dense(self, kind, cutoff, penalty, start):
+        # f1: the cold solve of variational._solve_eigen (f1 Sturm start);
+        # f3: extremal_eigenpair's own cold start (f3's smallest eigenvector)
+        spectrum = Spectrum(kind=kind, cutoff=cutoff)
+        cost = cost_function("theta_sq", m_max=1)
+        matrix = build_matrix(cost, spectrum, -penalty)
+        f3 = build_matrix(cost_function("f3"), spectrum, -penalty)
+        assert f3.bandwidth == 2
+        values, vectors = np.linalg.eigh(toeplitz_to_dense(matrix))
+        n = matrix.dimension
+        vector = None
+        if start == "warm":
+            rng = np.random.default_rng(cutoff)
+            vector = vectors[:, 0] + 1e-2 * rng.standard_normal(n) / math.sqrt(n)
+
+        def solve():
+            if start == "f3":
+                return extremal_eigenpair(matrix, preconditioner=f3)
+            return variational._solve_eigen(cost, spectrum, penalty, vector)
+
+        pair, again = solve(), solve()
+        assert pair.value == pytest.approx(values[0], rel=1e-11)
+        assert pair.vector == pytest.approx(
+            signed_like(vectors[:, 0], pair.vector), abs=1e-9
+        )
+        assert pair.residual <= 1e-10 * matrix.norm_bound()
+        assert again.value == pair.value
+        assert np.array_equal(again.vector, pair.vector)
+
+    def test_cold_f3_solve_within_matvec_budget(self, monkeypatch):
+        # nonneg cutoff 1000 near mean 100: 12 mat-vecs with the f3
+        # preconditioner, 20 with the f1 one
+        matvecs = []
+        apply = ToeplitzPlusDiagonal.matvec
+        monkeypatch.setattr(
+            ToeplitzPlusDiagonal,
+            "matvec",
+            lambda self, x: matvecs.append(1) or apply(self, x),
+        )
+        spectrum = Spectrum(kind="nonneg", cutoff=1000)
+        cost = cost_function("theta_sq", m_max=1)
+        penalty = 3.8 / 101.0**3
+        pair = variational._solve_eigen(cost, spectrum, penalty, None)
+        assert len(matvecs) <= 14
+        matrix = build_matrix(cost, spectrum, -penalty)
+        assert pair.residual <= 1e-10 * matrix.norm_bound()
 
     @pytest.mark.parametrize(
         "kind, cutoff, beta", [("nonneg", 500, -3e-5), ("symmetric", 300, -1e-4)]
@@ -329,10 +390,8 @@ class TestEigenPairInvariants:
         pair = extremal_eigenpair(matrix)
         assert abs(np.linalg.norm(pair.vector) - 1.0) <= 1e-14
         assert pair.residual <= 1e-10 * matrix.norm_bound()
-        # sign convention: the first component above 1e-12 * max is positive
-        scale = np.abs(pair.vector).max()
-        first_significant = pair.vector[np.abs(pair.vector) > 1e-12 * scale][0]
-        assert first_significant > 0.0
+        # sign convention: the component of largest magnitude is positive
+        assert pair.vector[np.argmax(np.abs(pair.vector))] > 0.0
 
     def test_determinism(self):
         rng = np.random.default_rng(10)
@@ -378,6 +437,18 @@ class TestValidation:
         )
         with pytest.raises(ValueError, match="requires a preconditioner"):
             extremal_eigenpair(matrix)
+
+    def test_tridiagonal_solve_rejects_a_wider_band(self):
+        matrix = BandedSymmetric(
+            [np.full(5, 2.0), np.full(4, -0.5), np.full(3, 0.1)]
+        )
+        with pytest.raises(ValueError, match="not tridiagonal"):
+            eigensolve._tridiagonal_smallest(matrix)
+
+    def test_finish_rejects_a_nan_residual(self):
+        matrix = BandedSymmetric([[1.0, math.nan, 3.0], [0.5, 0.5]])
+        with pytest.raises(EigsolveError, match="residual nan"):
+            eigensolve._finish(matrix, np.array([1.0, 0.0, 0.0]))
 
     def test_cold_indefinite_pentadiagonal_raises(self):
         n = 20
