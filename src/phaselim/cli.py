@@ -45,8 +45,6 @@ class RunConfig:
     metric: str = "holevo"
     spectrum: str = "nonneg"
     targets: list[float] = field(default_factory=list)
-    cutoff_factor: float = 10.0
-    cutoff_floor: int = 100
     grid_points: int = 1_000_000
     instances: int = 100
     states: int = 1000
@@ -130,8 +128,9 @@ def cmd_curve(config: RunConfig) -> int:
         {
             "metric": config.metric,
             "spectrum": config.spectrum,
-            "cutoff_factor": config.cutoff_factor,
-            "cutoff_floor": config.cutoff_floor,
+            "cutoff_per_L": variational._CUTOFF_PER_L,
+            "min_cutoff": variational._MIN_CUTOFF,
+            "tail_rtol": variational._TAIL_RTOL,
             "mean_rtol": variational._MEAN_RTOL,
             "targets": len(config.targets),
         }
@@ -147,17 +146,12 @@ def cmd_curve(config: RunConfig) -> int:
         "beta",
         "cutoff",
         "residual",
+        "tail_mass",
     ]
     if not config.targets:
         _emit(config.output, metadata, header, [])
         return _EXIT_OK
-    points = variational.sweep_curve(
-        cost,
-        config.spectrum,
-        sorted(config.targets),
-        cutoff_factor=config.cutoff_factor,
-        cutoff_floor=config.cutoff_floor,
-    )
+    points = variational.sweep_curve(cost, config.spectrum, sorted(config.targets))
     rows = []
     for point in points:
         metric_value = getattr(point, _METRIC_COLUMN[config.metric])
@@ -173,35 +167,11 @@ def cmd_curve(config: RunConfig) -> int:
                 point.beta,
                 point.cutoff,
                 point.residual,
+                point.tail_mass,
             ]
         )
     _emit(config.output, metadata, header, rows)
     return _EXIT_OK
-
-
-def _converge_point(point, nonneg: bool):
-    """Re-solve at fixed beta with doubled cutoffs until stable.
-
-    The curve cutoff rule (10x the mean) is plotting accuracy; the series
-    comparison resolves gaps at the 1e-9 level, so the numeric side is
-    converged until a doubling moves it by <= 2e-9 relative (at most four
-    doublings).  The Lagrange point at fixed beta is cutoff-independent
-    once the truncation tail is negligible.  Each re-solve starts from the
-    previous point's vector, zero-padded to the doubled cutoff.
-    """
-    cost = variational.cost_function("f1")
-    value = point.delta_H**2 if nonneg else point.delta_1**2
-    for _ in range(4):
-        start = point.state.with_cutoff(2 * point.cutoff)
-        wider = variational.solve_point(
-            cost, start.spectrum, point.beta, start_vector=start.amplitudes
-        )
-        new_value = wider.delta_H**2 if nonneg else wider.delta_1**2
-        stable = abs(new_value - value) <= 2e-9 * abs(value)
-        point, value = wider, new_value
-        if stable:
-            break
-    return point, value
 
 
 def cmd_series(config: RunConfig) -> int:
@@ -220,16 +190,10 @@ def cmd_series(config: RunConfig) -> int:
     for exponent, coeff in zip(expansion.exponents, expansion.coefficients):
         metadata[f"coefficient_{exponent}"] = f"{coeff:.10g}"
     cost = variational.cost_function("f1")
-    points = variational.sweep_curve(
-        cost,
-        config.spectrum,
-        sorted(config.targets),
-        cutoff_factor=config.cutoff_factor,
-        cutoff_floor=config.cutoff_floor,
-    )
+    points = variational.sweep_curve(cost, config.spectrum, sorted(config.targets))
     rows = []
     for point in points:
-        point, numeric = _converge_point(point, nonneg)
+        numeric = point.delta_H**2 if nonneg else point.delta_1**2
         mean = point.mean_constraint
         series_value = (
             asympt.holevo_series(mean)
@@ -396,6 +360,7 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    defaults = RunConfig(command="")
     parser = argparse.ArgumentParser(
         prog="phaselim",
         description="Optimal phase-estimation accuracy: curves, series, verification.",
@@ -403,7 +368,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_targets(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--spectrum", choices=["nonneg", "symmetric"], default=defaults.spectrum
+        )
         group = p.add_mutually_exclusive_group()
         group.add_argument(
             "--range",
@@ -413,45 +381,36 @@ def _build_parser() -> argparse.ArgumentParser:
         group.add_argument(
             "--targets", help="explicit comma-separated target mean values"
         )
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--output", default="-", help="output CSV path ('-' = stdout)")
-        p.add_argument("--cutoff-factor", type=float, default=10.0)
-        p.add_argument("--cutoff-floor", type=int, default=100)
+        p.add_argument(
+            "--output", default=defaults.output, help="output CSV path ('-' = stdout)"
+        )
 
     curve = sub.add_parser("curve", help="trace a constrained-optimum curve")
     curve.add_argument(
-        "--metric", choices=sorted(_METRIC_COST), default="holevo"
+        "--metric", choices=sorted(_METRIC_COST), default=defaults.metric
     )
-    curve.add_argument("--spectrum", choices=["nonneg", "symmetric"], default="nonneg")
-    add_targets(curve)
     add_common(curve)
 
     series = sub.add_parser("series", help="eigensolver versus asymptotic series")
-    series.add_argument(
-        "--spectrum", choices=["nonneg", "symmetric"], default="nonneg"
-    )
-    add_targets(series)
     add_common(series)
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=sorted(_SUITES))
-    verify.add_argument("--output", default="-", help="CSV report path")
-    verify.add_argument("--seed", type=int, default=20240901)
-    verify.add_argument("--instances", type=int, default=100)
-    verify.add_argument("--states", type=int, default=1000)
-    verify.add_argument("--max-dimension", type=int, default=200)
-    verify.add_argument("--grid-points", type=int, default=1_000_000)
-    verify.add_argument("--visibility", type=float, default=0.99)
+    verify.add_argument("--output", default=defaults.output, help="CSV report path")
+    verify.add_argument("--seed", type=int, default=defaults.seed)
+    verify.add_argument("--instances", type=int, default=defaults.instances)
+    verify.add_argument("--states", type=int, default=defaults.states)
+    verify.add_argument("--max-dimension", type=int, default=defaults.max_dimension)
+    verify.add_argument("--grid-points", type=int, default=defaults.grid_points)
+    verify.add_argument("--visibility", type=float, default=defaults.visibility)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
     for name in vars(config):
-        key = name
-        if hasattr(args, key) and getattr(args, key) is not None:
-            setattr(config, name, getattr(args, key))
+        if getattr(args, name, None) is not None:
+            setattr(config, name, getattr(args, name))
     if getattr(args, "range_spec", None):
         config.targets = parse_range(args.range_spec)
     elif getattr(args, "targets", None):
@@ -463,14 +422,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"target means must be finite and positive, got {targets}")
     if len(set(targets)) != len(targets):
         raise ValueError(f"target means must be distinct, got {targets}")
-    if not (math.isfinite(config.cutoff_factor) and config.cutoff_factor > 0.0):
-        raise ValueError(
-            f"cutoff factor must be finite and positive, got {config.cutoff_factor}"
-        )
     if targets:
-        cutoff = variational.default_cutoff(
-            max(targets), config.cutoff_factor, config.cutoff_floor
-        )
+        cutoff = variational.default_cutoff(config.spectrum, max(targets))
         try:
             variational.check_dimension(
                 canonical.Spectrum(kind=config.spectrum, cutoff=cutoff)
@@ -506,6 +459,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return _EXIT_SOLVER
+    except OSError as exc:
+        print(
+            f"configuration error: cannot write {config.output}: {exc.strerror or exc}",
+            file=sys.stderr,
+        )
+        return _EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -32,11 +32,20 @@ Cost functions:
 
 The f1 problem also minimizes the Holevo variance, since both are monotone
 in <cos Theta>.
+
+Truncation is one policy for every solve.  A target mean starts at cutoff
+max(_MIN_CUTOFF, ceil(_CUTOFF_PER_L * L)) in the paper's scale variable
+L = <N+1> (nonneg) or <2|J|+1> (symmetric), where the optimum's tail has
+decayed to ~1e-22.  A solved point is accepted when its top-1% tail mass is
+at most _TAIL_RTOL * q_1, q_1 = 1 - <cos Theta> being of the order of every
+metric; otherwise the cutoff doubles (``_truncated_solve``, the only
+doubling loop).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +75,9 @@ __all__ = [
 ]
 
 _MAX_CUTOFF_DOUBLINGS = 8
+_CUTOFF_PER_L = 8.0  # the optimum's tail in W/L is ~1e-22 here (Airy decay)
+_MIN_CUTOFF = 100  # small-mean theta_sq optima have power-law tails
+_TAIL_RTOL = 1e-10  # accepted top-1% tail mass, relative to q_1
 _MAX_DIMENSION = 10_000_000  # rows; ten times the largest matrix the tests solve
 _MEAN_RTOL = 1e-6
 _BETA_RTOL = 1e-8
@@ -134,7 +146,9 @@ class OptimalPoint:
 
     ``beta`` is the public multiplier c * p (module docstring), ``alpha``
     the smallest eigenvalue <f> + p <W> of Z(f) + p diag(W), and
-    ``residual`` the norm ||A v - alpha v|| for that matrix A.
+    ``residual`` the norm ||A v - alpha v|| for that matrix A, and
+    ``tail_mass`` the probability on the top 1% of |eigenvalue| indices,
+    the number the truncation test compares with _TAIL_RTOL * q_1.
     """
 
     cost: str
@@ -148,6 +162,7 @@ class OptimalPoint:
     delta_3: float
     cutoff: int
     residual: float
+    tail_mass: float
     state: ProbeState
 
     def __post_init__(self) -> None:
@@ -267,20 +282,40 @@ def _solve_eigen(
     return extremal_eigenpair(matrix, start_vector=start_vector, preconditioner=f3)
 
 
-def _tail_mass(spectrum: Spectrum, psi: np.ndarray) -> float:
-    """Probability mass on the top 1% of |eigenvalue| indices."""
-    weights = spectrum.weights()
-    edge = weights >= 0.99 * spectrum.cutoff
-    return float((psi[edge] ** 2).sum())
-
-
-def _assemble_point(
+def _truncated_solve(
     cost: CostFunction,
     spectrum: Spectrum,
     penalty: float,
-    pair: EigenPair,
+    start: np.ndarray | None,
+    solve: Callable[[Spectrum, float, np.ndarray | None], tuple[float, EigenPair]],
 ) -> OptimalPoint:
-    state = ProbeState(spectrum=spectrum, amplitudes=pair.vector)
+    """The one truncation loop: solve, test the tail, double the cutoff.
+
+    ``solve(spectrum, penalty, start)`` returns the penalty it settled on
+    and its eigenpair.  The truncation is accepted when the top 1% of
+    |eigenvalue| indices carry at most ``_TAIL_RTOL * q_1`` probability
+    (module docstring); otherwise the cutoff is doubled and ``solve``
+    resumes at the settled penalty from the zero-padded vector.  At p = 0
+    the cutoff itself is the constraint (hard-box optimum), so no test
+    applies.  A spectrum over ``_MAX_DIMENSION`` rows raises ValueError
+    before it is allocated; a tail still too heavy after
+    ``_MAX_CUTOFF_DOUBLINGS`` doublings raises RuntimeError.
+    """
+    for _ in range(_MAX_CUTOFF_DOUBLINGS):
+        check_dimension(spectrum)
+        penalty, pair = solve(spectrum, penalty, start)
+        state = ProbeState(spectrum=spectrum, amplitudes=pair.vector)
+        edge = spectrum.weights() >= 0.99 * spectrum.cutoff
+        tail = float((state.amplitudes[edge] ** 2).sum())
+        q1 = canonical.moment_deficits(state, 1)[0]
+        if penalty == 0.0 or tail <= _TAIL_RTOL * q1:
+            break
+        state = state.with_cutoff(2 * spectrum.cutoff)
+        spectrum, start = state.spectrum, state.amplitudes
+    else:
+        raise RuntimeError(
+            f"cutoff still insufficient after {_MAX_CUTOFF_DOUBLINGS} doublings"
+        )
     metrics = canonical.state_metrics(state)
     return OptimalPoint(
         cost=cost.name,
@@ -296,6 +331,7 @@ def _assemble_point(
         delta_3=metrics["delta3"],
         cutoff=spectrum.cutoff,
         residual=pair.residual,
+        tail_mass=tail,
         state=state,
     )
 
@@ -310,32 +346,25 @@ def solve_point(
 
     The state is the smallest eigenvector of Z(f) + p diag(weight), p the
     penalty of ``beta`` (module docstring; a beta of the wrong sign raises
-    ValueError), and ``alpha`` its eigenvalue <f> + p <W>.  For penalized
-    solves (p > 0) the truncation is accepted when the top 1% of
-    |eigenvalue| indices carry at most 1e-12 probability; otherwise the
-    cutoff is doubled and the solve repeated, warm-started from the
-    zero-padded vector.  At p = 0 the cutoff itself is the constraint
-    (hard-box optimum), so no doubling applies.  ``start_vector`` must
-    match the spectrum's dimension; a spectrum, or a doubling, over
-    ``_MAX_DIMENSION`` rows raises ValueError before it is allocated.
+    ValueError), and ``alpha`` its eigenvalue <f> + p <W>.  One eigensolve
+    per cutoff; for p > 0 the truncation is tested, and the cutoff doubled,
+    by ``_truncated_solve``.  ``start_vector`` must match the spectrum's
+    dimension.
     """
-    penalty = _penalty(cost, beta)
-    for _ in range(_MAX_CUTOFF_DOUBLINGS):
-        check_dimension(spectrum)
-        pair = _solve_eigen(cost, spectrum, penalty, start_vector)
-        if penalty == 0.0 or _tail_mass(spectrum, pair.vector) <= 1e-12:
-            return _assemble_point(cost, spectrum, penalty, pair)
-        state = ProbeState(spectrum=spectrum, amplitudes=pair.vector)
-        state = state.with_cutoff(2 * spectrum.cutoff)
-        spectrum, start_vector = state.spectrum, state.amplitudes
-    raise RuntimeError(
-        f"cutoff still insufficient after {_MAX_CUTOFF_DOUBLINGS} doublings"
+    return _truncated_solve(
+        cost,
+        spectrum,
+        _penalty(cost, beta),
+        start_vector,
+        lambda spectrum, p, start: (p, _solve_eigen(cost, spectrum, p, start)),
     )
 
 
-def default_cutoff(target: float, factor: float = 10.0, floor: int = 100) -> int:
-    """Truncation rule for a requested mean: max(floor, ceil(factor * target))."""
-    return max(int(floor), math.ceil(factor * target))
+def default_cutoff(kind: str, target: float) -> int:
+    """Truncation rule for a requested mean: max(_MIN_CUTOFF, ceil(_CUTOFF_PER_L L)),
+    L = target + 1 (nonneg) or 2 target + 1 (symmetric)."""
+    scale = target + 1.0 if kind == "nonneg" else 2.0 * target + 1.0
+    return max(_MIN_CUTOFF, math.ceil(_CUTOFF_PER_L * scale))
 
 
 def _seed_penalty(cost: CostFunction, target: float) -> float:
@@ -351,15 +380,18 @@ def _root_find_mean(
     seed_penalty: float,
     slope: float,
     start: np.ndarray | None,
-) -> OptimalPoint:
-    """Safeguarded secant on f(t) = log(mean / target), t = log(penalty).
+) -> tuple[float, EigenPair]:
+    """Penalty putting the mean on ``target`` at this cutoff, and its eigenpair.
 
-    f decreases in t (the mean falls as the penalty grows).  The first step
+    Safeguarded secant on f(t) = log(mean / target), t = log(penalty); f
+    decreases in t (the mean falls as the penalty grows).  The first step
     is Newton with the caller's ``slope`` estimate of df/dt, later ones the
     secant through the two latest iterates (kept only while decreasing);
     steps are capped at log 8, and a step leaving the bracket, once both
     signs are seen, is replaced by bisection.  One eigensolve per trial,
     the first from ``start``, each later one from the previous vector.
+    Only the returned pair's truncation is tested (``_truncated_solve``);
+    the trial iterates at other penalties are not.
     """
     weights = spectrum.weights()
     above = below = None  # latest t with the mean above / below the target
@@ -391,25 +423,20 @@ def _root_find_mean(
         if above is None or below is None:
             raise RuntimeError(f"failed to bracket mean target {target}")
         raise RuntimeError(f"mean {mean} missed target {target} beyond tolerance")
-    point = _assemble_point(cost, spectrum, math.exp(t), pair)
-    if abs(point.mean_constraint - target) > _MEAN_RTOL * target:
-        raise RuntimeError(
-            f"assembled mean {point.mean_constraint} missed target {target}"
-        )
-    return point
+    return math.exp(t), pair
 
 
 def sweep_curve(
     cost: CostFunction,
     spectrum_kind: str | Spectrum,
     targets: list[float],
-    cutoff_factor: float = 10.0,
-    cutoff_floor: int = 100,
 ) -> list[OptimalPoint]:
     """Solve the constrained optimum at each requested mean value.
 
     ``spectrum_kind`` is 'nonneg' or 'symmetric' (or a Spectrum whose kind
-    is used); the cutoff per target follows max(floor, ceil(factor*target)).
+    is used).  Each target starts at ``default_cutoff``, or at the last
+    point's cutoff if that is larger, and its root-found point passes the
+    same truncation test as ``solve_point`` (``_truncated_solve``).
     Targets must be positive and sorted ascending; each mean lands within
     relative 1e-6 of its target.  Later targets are seeded from the last
     point as penalty ~ target^(1/s), s = d log mean / d log penalty between
@@ -418,8 +445,8 @@ def sweep_curve(
     the first eigensolve of each later target starts from the last point's
     vector, zero-padded to the new cutoff; a Toeplitz (theta_sq) solve
     starts from the f1 matrix's eigenvector (3 % fewer mat-vecs, same time).
-    A target whose matrix would exceed ``_MAX_DIMENSION`` rows raises
-    ValueError before any solve.
+    A target whose starting matrix would exceed ``_MAX_DIMENSION`` rows
+    raises ValueError before any solve.
     """
     kind = (
         spectrum_kind.kind if isinstance(spectrum_kind, Spectrum) else spectrum_kind
@@ -429,10 +456,7 @@ def sweep_curve(
         raise ValueError("targets must be positive")
     if sorted(targets) != targets:
         raise ValueError("targets must be sorted ascending")
-    spectra = [
-        Spectrum(kind=kind, cutoff=default_cutoff(t, cutoff_factor, cutoff_floor))
-        for t in targets
-    ]
+    spectra = [Spectrum(kind=kind, cutoff=default_cutoff(kind, t)) for t in targets]
     for spectrum in spectra:
         check_dimension(spectrum)
 
@@ -442,14 +466,28 @@ def sweep_curve(
     for target, spectrum in zip(targets, spectra):
         start = None
         if points:
+            spectrum = spectrum.with_cutoff(max(spectrum.cutoff, points[-1].cutoff))
             ratio = target / points[-1].mean_constraint
             seed = penalties[-1] * ratio ** (1.0 / slope)
             if _is_banded(cost, spectrum):
                 start = points[-1].state.with_cutoff(spectrum.cutoff).amplitudes
         else:
             seed = _seed_penalty(cost, target)
-        points.append(_root_find_mean(cost, spectrum, target, seed, slope, start))
-        penalties.append(_penalty(cost, points[-1].beta))
+        point = _truncated_solve(
+            cost,
+            spectrum,
+            seed,
+            start,
+            lambda spectrum, penalty, start: _root_find_mean(
+                cost, spectrum, target, penalty, slope, start
+            ),
+        )
+        if abs(point.mean_constraint - target) > _MEAN_RTOL * target:
+            raise RuntimeError(
+                f"assembled mean {point.mean_constraint} missed target {target}"
+            )
+        points.append(point)
+        penalties.append(_penalty(cost, point.beta))
         if len(points) >= 2:
             rise = math.log(points[-1].mean_constraint / points[-2].mean_constraint)
             run = math.log(penalties[-1] / penalties[-2])

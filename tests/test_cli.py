@@ -146,9 +146,26 @@ class TestExitCodes:
         assert "configuration error: target mean 1000000000.0: dimension" in err
         assert "exceeds the limit of 10000000 rows" in err
 
-    def test_nonfinite_cutoff_factor_exits_2(self, capsys):
-        assert cli.main(["curve", "--targets", "10", "--cutoff-factor", "inf"]) == 2
-        assert "configuration error: cutoff factor" in capsys.readouterr().err
+    @pytest.mark.parametrize("knob", ["factor", "floor"])
+    def test_removed_cutoff_flags_exit_2_as_unknown(self, capsys, knob):
+        flag = f"--cutoff-{knob}"
+        assert cli.main(["curve", "--targets", "10", flag, "20"]) == 2
+        assert f"unrecognized arguments: {flag} 20" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--targets", "1"],
+            ["verify", "inequalities", "--grid-points", "2001"],
+        ],
+        ids=["curve", "verify"],
+    )
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x.csv"
+        assert cli.main([*argv, "--output", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: cannot write {path}" in err
+        assert "Traceback" not in err
 
     def test_out_of_memory_is_solver_failure(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -186,6 +203,7 @@ class TestCurveOutput:
         "beta",
         "cutoff",
         "residual",
+        "tail_mass",
     ]
 
     def test_empty_targets_write_header_only(self, tmp_path):
@@ -220,6 +238,13 @@ class TestCurveOutput:
         assert metadata["spectrum"] == "nonneg"
         assert metadata["version"]
         assert float(metadata["mean_rtol"]) == pytest.approx(1e-6)
+        assert float(metadata["cutoff_per_L"]) == variational._CUTOFF_PER_L
+        assert int(metadata["min_cutoff"]) == variational._MIN_CUTOFF
+        assert float(metadata["tail_rtol"]) == variational._TAIL_RTOL
+        assert [key for key in metadata if "cutoff" in key] == [
+            "cutoff_per_L",
+            "min_cutoff",
+        ]
         mean = column(rows, header, "mean")
         # Targets are swept in ascending order regardless of input order.
         assert np.all(np.diff(mean) > 0)
@@ -263,6 +288,7 @@ class TestCurveOutput:
             point.beta, rel=1e-15
         )
         assert column(rows, header, "cutoff")[0] == point.cutoff
+        assert column(rows, header, "tail_mass")[0] == point.tail_mass
 
     def test_stdout_when_no_output_path(self, capsys):
         assert cli.main(["curve", "--targets", "1"]) == 0

@@ -362,6 +362,7 @@ class TestOptimalPoint:
             delta_3=1.32,
             cutoff=1,
             residual=0.0,
+            tail_mass=0.5,
             state=ProbeState(
                 spectrum=spectrum, amplitudes=np.full(2, math.sqrt(0.5))
             ),
@@ -411,8 +412,8 @@ class TestDimensionGuard:
         monkeypatch.setattr(variational, "_MAX_DIMENSION", 1000)
         solves = []
         monkeypatch.setattr(variational, "_solve_eigen", lambda *a: solves.append(a))
-        with pytest.raises(ValueError, match="dimension 1001"):
-            sweep_curve(cost_function("f1"), "nonneg", [1.0, 100.0])
+        with pytest.raises(ValueError, match="dimension 1609"):
+            sweep_curve(cost_function("f1"), "nonneg", [1.0, 200.0])
         assert solves == []
 
 
@@ -436,11 +437,54 @@ class TestProbeStateWithCutoff:
 
 class TestDefaultCutoff:
     def test_floor_applies_to_small_targets(self):
-        assert default_cutoff(5.0) == 100
+        assert default_cutoff("nonneg", 5.0) == 100
+        assert default_cutoff("symmetric", 5.0) == 100
 
     def test_factor_applies_to_large_targets(self):
-        assert default_cutoff(12.3) == 123
-        assert default_cutoff(1000.0, factor=10.0, floor=100) == 10000
+        assert default_cutoff("nonneg", 12.3) == 107  # ceil(8 * 13.3)
+        assert default_cutoff("nonneg", 1000.0) == 8008
+        assert default_cutoff("symmetric", 12.3) == 205  # ceil(8 * 25.6)
+        assert default_cutoff("symmetric", 1000.0) == 16008
+
+
+class TestTruncation:
+    TARGETS = [0.3, 10.0, 100.0]
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    @pytest.mark.parametrize("name", ["f1", "f2", "theta_sq"])
+    def test_truncation_converged(self, name, kind):
+        """Each sweep point is a fixed point of doubling its cutoff."""
+        cost = cost_function(name, m_max=1 if name == "theta_sq" else None)
+        for point in sweep_curve(cost, kind, self.TARGETS):
+            assert point.tail_mass <= 1e-10 * point.delta_1**2 / 2.0
+            wider = point.state.with_cutoff(2 * point.cutoff)
+            resolved = solve_point(
+                cost, wider.spectrum, point.beta, start_vector=wider.amplitudes
+            )
+            assert resolved.cutoff == 2 * point.cutoff
+            for metric in ("delta", "delta_H", "delta_1", "delta_2"):
+                before, after = getattr(point, metric), getattr(resolved, metric)
+                assert after == pytest.approx(before, rel=1e-9, abs=0.0), metric
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    def test_short_cutoff_doubles_to_the_default_result(self, kind, monkeypatch):
+        cost = cost_function("f1")
+        targets = [5.0, 40.0 if kind == "nonneg" else 20.0]
+        default = default_cutoff(kind, targets[-1])
+        monkeypatch.setattr(variational, "_CUTOFF_PER_L", 1.0)
+        short = default_cutoff(kind, targets[-1])
+        point = sweep_curve(cost, kind, targets)[-1]
+        assert short < default < point.cutoff
+        assert point.tail_mass <= 1e-10 * point.delta_1**2 / 2.0
+        reference = solve_point(cost, Spectrum(kind=kind, cutoff=default), point.beta)
+        for metric in ("delta", "delta_H", "delta_1", "delta_2", "mean_constraint"):
+            before, after = getattr(reference, metric), getattr(point, metric)
+            assert after == pytest.approx(before, rel=1e-10, abs=0.0), metric
+
+    def test_heavy_tail_raises_after_the_last_doubling(self, monkeypatch):
+        monkeypatch.setattr(variational, "_TAIL_RTOL", -1.0)
+        with pytest.raises(RuntimeError, match="doublings"):
+            solve_point(cost_function("f1"), Spectrum(kind="nonneg", cutoff=4), 0.1)
 
 
 class TestSweepCurve:
@@ -477,13 +521,6 @@ class TestSweepCurve:
         )
         assert points[0].state.spectrum.kind == "symmetric"
         assert points[0].scale_factor == pytest.approx(2.0, rel=1e-6)
-
-    def test_cutoff_factor_stability(self):
-        ten = sweep_curve(cost_function("f1"), "nonneg", [50.0])[0]
-        twenty = sweep_curve(
-            cost_function("f1"), "nonneg", [50.0], cutoff_factor=20.0
-        )[0]
-        assert abs(twenty.delta_H - ten.delta_H) <= 1e-6 * ten.delta_H
 
     def test_symmetric_sweep(self):
         targets = [0.5, 3.0]
