@@ -17,7 +17,9 @@ byte-identical files.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -406,6 +408,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Raise ValueError unless the directory of ``path`` exists and is
+    writable; the file is neither created nor truncated before the end."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ValueError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")
+    if not os.access(folder, os.W_OK):
+        raise ValueError(f"cannot write {path}: {os.strerror(errno.EACCES)}")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
     for name in vars(config):
@@ -436,6 +448,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for name, low in minimums.items():
         if getattr(config, name) < low:
             raise ValueError(f"{name} must be >= {low}, got {getattr(config, name)}")
+    if config.output != "-":
+        _check_writable(config.output)
     return config
 
 

@@ -136,6 +136,19 @@ class ToeplitzPlusDiagonal:
         object.__setattr__(self, "_fft_size", size)
         object.__setattr__(self, "_fft_kernel", rfft(kernel))
 
+    def with_diagonal(self, diagonal: np.ndarray) -> "ToeplitzPlusDiagonal":
+        """The same Toeplitz part plus another diagonal, sharing the first
+        column and the FFT kernel instead of transforming them again."""
+        diag = np.asarray(diagonal, dtype=float)
+        if diag.shape != self.diagonal.shape:
+            raise ValueError("first_column and diagonal must match in length")
+        other = object.__new__(ToeplitzPlusDiagonal)
+        object.__setattr__(other, "first_column", self.first_column)
+        object.__setattr__(other, "diagonal", diag)
+        object.__setattr__(other, "_fft_size", self._fft_size)
+        object.__setattr__(other, "_fft_kernel", self._fft_kernel)
+        return other
+
     @property
     def dimension(self) -> int:
         return self.first_column.size

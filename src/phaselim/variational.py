@@ -40,17 +40,28 @@ decayed to ~1e-22.  A solved point is accepted when its top-1% tail mass is
 at most _TAIL_RTOL * q_1, q_1 = 1 - <cos Theta> being of the order of every
 metric; otherwise the cutoff doubles (``_truncated_solve``, the only
 doubling loop).
+
+A sweep seeds its first target from the asymptote of the target's regime
+(``_first_seed``): perturbation theory about the vacuum at small means,
+mean ~ C_f / p^2, and the paper's p -> 2 k_C^2 / L^3 (nonneg) or
+4 k'_C^2 / L^3 (symmetric) at large ones.  Each later target is seeded from
+the last point along the local slope d log mean / d log p that the root
+finder measured there, bent by the curvature of the two asymptotes' shape
+(``_penalty_shape``).  Across the trials at one cutoff only diag(p W)
+changes, so the theta_sq Toeplitz part and its FFT kernel are built once
+per dimension (``_theta_sq_toeplitz``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import canonical
+from . import asympt, canonical
 from .eigensolve import (
     BandedSymmetric,
     EigenPair,
@@ -82,7 +93,8 @@ _MAX_DIMENSION = 10_000_000  # rows; ten times the largest matrix the tests solv
 _MEAN_RTOL = 1e-6
 _BETA_RTOL = 1e-8
 _MAX_LOG_STEP = math.log(8.0)  # largest root-finder step in log(penalty)
-_LARGE_MEAN_SLOPE = -1.0 / 3.0  # d log mean / d log penalty as mean -> inf
+_MAX_TRIALS = 80  # root-finder eigensolves per cutoff
+_SMALL_MEAN = 0.3  # a first target below this is seeded from mean ~ C_f / p^2
 _BETA_PER_PENALTY = {"f1": 0.5, "f2": 1.0, "theta_sq": -1.0, "f3": -1.0}
 
 
@@ -180,9 +192,7 @@ class OptimalPoint:
     @property
     def scale_factor(self) -> float:
         """<N+1> for nonneg spectra, <2|J|+1> for symmetric ones."""
-        if self.state.spectrum.kind == "nonneg":
-            return self.mean_constraint + 1.0
-        return 2.0 * self.mean_constraint + 1.0
+        return _scale(self.state.spectrum.kind, self.mean_constraint)
 
 
 def _beta_per_penalty(cost: CostFunction) -> float:
@@ -203,36 +213,45 @@ def _penalty(cost: CostFunction, beta: float) -> float:
 
 
 def _cost_for_spectrum(cost: CostFunction, spectrum: Spectrum) -> CostFunction:
-    """Re-truncate theta_sq to the spectrum dimension; others unchanged."""
+    """theta_sq truncated at the spectrum dimension; other costs unchanged."""
     if cost.name != "theta_sq":
         return cost
-    m_max = spectrum.dimension - 1
-    if cost.cosine_coeffs.size == m_max + 1:
-        return cost
-    return cost_function("theta_sq", m_max=m_max)
+    return cost_function("theta_sq", m_max=spectrum.dimension - 1)
 
 
 def _is_banded(cost: CostFunction, spectrum: Spectrum) -> bool:
-    """Whether ``_matrix`` stores the problem banded (up to three coefficients)."""
-    return _cost_for_spectrum(cost, spectrum).cosine_coeffs.size <= 3
+    """Whether ``_matrix`` stores the problem banded: every cost but theta_sq
+    above dimension 3, whose series spans the whole matrix."""
+    return cost.name != "theta_sq" or spectrum.dimension <= 3
+
+
+@functools.lru_cache(maxsize=2)
+def _theta_sq_toeplitz(dimension: int) -> ToeplitzPlusDiagonal:
+    """Z(theta_sq) with a zero diagonal, built and FFT-transformed once.
+
+    The trials of one root finder differ only in diag(p W), so each trial
+    matrix is ``with_diagonal`` of this one; its arrays are read-only.
+    """
+    column = _theta_sq_coeffs(dimension - 1)
+    column[1:] *= 0.5
+    matrix = ToeplitzPlusDiagonal(first_column=column, diagonal=np.zeros(dimension))
+    for array in (matrix.first_column, matrix.diagonal, matrix._fft_kernel):
+        array.flags.writeable = False
+    return matrix
 
 
 def _matrix(
     cost: CostFunction, spectrum: Spectrum, penalty: float
 ) -> BandedSymmetric | ToeplitzPlusDiagonal:
-    """Z(f) + penalty * diag(weight) with z_0 = a_0, z_m = a_m / 2: banded up
-    to three coefficients, otherwise Toeplitz plus diagonal (FFT-applied)."""
-    a = _cost_for_spectrum(cost, spectrum).cosine_coeffs
-    dim = spectrum.dimension
-    take = min(a.size, dim)
-    column = np.zeros(dim)
-    column[:take] = a[:take]
-    column[1:take] *= 0.5
+    """Z(f) + penalty * diag(weight) with z_0 = a_0, z_m = a_m / 2: banded
+    (``_is_banded``), otherwise Toeplitz plus diagonal (FFT-applied)."""
     diagonal = penalty * spectrum.weights()
-    if _is_banded(cost, spectrum):
-        bands = [np.full(dim - m, column[m]) for m in range(1, take)]
-        return BandedSymmetric([column[0] + diagonal, *bands])
-    return ToeplitzPlusDiagonal(first_column=column, diagonal=diagonal)
+    if not _is_banded(cost, spectrum):
+        return _theta_sq_toeplitz(spectrum.dimension).with_diagonal(diagonal)
+    a = _cost_for_spectrum(cost, spectrum).cosine_coeffs
+    take = min(a.size, spectrum.dimension)
+    bands = [np.full(spectrum.dimension - m, 0.5 * a[m]) for m in range(1, take)]
+    return BandedSymmetric([a[0] + diagonal, *bands])
 
 
 def build_matrix(
@@ -244,7 +263,8 @@ def build_matrix(
     the public multiplier (module docstring), so psi' A psi = <f> + p <W>
     for every cost; a beta of the wrong sign raises ValueError.  f1, f2,
     f3, and theta_sq up to dimension 3, are banded; larger theta_sq
-    matrices are returned in Toeplitz-plus-diagonal form.
+    matrices are returned in Toeplitz-plus-diagonal form, whose read-only
+    Toeplitz part is shared by the matrices of one dimension.
     """
     return _matrix(cost, spectrum, _penalty(cost, beta))
 
@@ -360,17 +380,52 @@ def solve_point(
     )
 
 
+def _scale(kind: str, mean: float) -> float:
+    """The paper's scale variable L: <N+1> (nonneg) or <2|J|+1> (symmetric)."""
+    return mean + 1.0 if kind == "nonneg" else 2.0 * mean + 1.0
+
+
 def default_cutoff(kind: str, target: float) -> int:
     """Truncation rule for a requested mean: max(_MIN_CUTOFF, ceil(_CUTOFF_PER_L L)),
     L = target + 1 (nonneg) or 2 target + 1 (symmetric)."""
-    scale = target + 1.0 if kind == "nonneg" else 2.0 * target + 1.0
-    return max(_MIN_CUTOFF, math.ceil(_CUTOFF_PER_L * scale))
+    return max(_MIN_CUTOFF, math.ceil(_CUTOFF_PER_L * _scale(kind, target)))
 
 
-def _seed_penalty(cost: CostFunction, target: float) -> float:
-    """Asymptotic penalty for a requested mean: p -> 2 k_C^2 / <N+1>^3 on
-    the f1 curve; 3.8 / <N+1>^3 is the right order for f2 and theta_sq."""
-    return (3.7872 if cost.name == "f1" else 3.8) / (target + 1.0) ** 3
+def _penalty_shape(kind: str, mean: float) -> tuple[float, float]:
+    """log p, up to a constant, and d log p / d log mean on the shape of the
+    two asymptotes: p ~ mean^(-1/2) at small means and p ~ L^-3 at large
+    ones, joined at L = 6/5, where both slopes are -1/2."""
+    scale = _scale(kind, mean)
+    if scale < 1.2:
+        return 0.5 * math.log(0.2 / (scale - 1.0)) - 3.0 * math.log(1.2), -0.5
+    return -3.0 * math.log(scale), -3.0 * (scale - 1.0) / scale
+
+
+def _first_seed(
+    cost: CostFunction, spectrum: Spectrum, target: float
+) -> tuple[float, float]:
+    """Penalty and slope s = d log mean / d log p seeding a sweep's first
+    target, from the asymptote of its regime.
+
+    Below _SMALL_MEAN, perturbation theory about the vacuum: psi_n ~
+    -z_n / (p W_n), so mean ~ C_f / p^2 with C_f = sum_{n != 0} z_n^2 / W_n
+    (1 for f1, 16/9 + 1/288 for f2, 4 zeta(5) for theta_sq on a nonneg
+    spectrum; twice that on a symmetric one).  Above it, the paper's
+    p -> 2 k_C^2 / L^3 (nonneg) or 4 k'_C^2 / L^3 (symmetric), L = <N+1> or
+    <2|J|+1>.  The slope is that of ``_penalty_shape``.
+    """
+    kind = spectrum.kind
+    if target < _SMALL_MEAN:
+        a = _cost_for_spectrum(cost, spectrum).cosine_coeffs[1 : spectrum.cutoff + 1]
+        c_f = float((0.25 * a**2 / np.arange(1, a.size + 1)).sum())
+        seed = math.sqrt((c_f if kind == "nonneg" else 2.0 * c_f) / target)
+    else:
+        constants = asympt.constants()
+        if kind == "nonneg":
+            seed = 2.0 * constants.k_C**2 / _scale(kind, target) ** 3
+        else:
+            seed = 4.0 * constants.k_C_prime**2 / _scale(kind, target) ** 3
+    return seed, 1.0 / _penalty_shape(kind, target)[1]
 
 
 def _root_find_mean(
@@ -380,30 +435,45 @@ def _root_find_mean(
     seed_penalty: float,
     slope: float,
     start: np.ndarray | None,
-) -> tuple[float, EigenPair]:
-    """Penalty putting the mean on ``target`` at this cutoff, and its eigenpair.
+) -> tuple[float, EigenPair, float]:
+    """Penalty putting the mean on ``target`` at this cutoff, its eigenpair,
+    and the local slope d log mean / d log penalty there.
 
     Safeguarded secant on f(t) = log(mean / target), t = log(penalty); f
     decreases in t (the mean falls as the penalty grows).  The first step
     is Newton with the caller's ``slope`` estimate of df/dt, later ones the
-    secant through the two latest iterates (kept only while decreasing);
-    steps are capped at log 8, and a step leaving the bracket, once both
-    signs are seen, is replaced by bisection.  One eigensolve per trial,
-    the first from ``start``, each later one from the previous vector.
-    Only the returned pair's truncation is tested (``_truncated_solve``);
-    the trial iterates at other penalties are not.
+    secant through the two latest iterates (kept only while negative); the
+    returned slope is the last such secant, or ``slope`` if the first trial
+    lands.  Steps are capped at log 8, and a step leaving the bracket, once
+    both signs are seen, is replaced by bisection.  A target beyond this
+    cutoff's reach raises RuntimeError as soon as a capped step down in
+    penalty raises a mean still below it by less than _MEAN_RTOL relative:
+    the mean has saturated near its hard-box (p -> 0) value.  One eigensolve
+    per trial, the first from ``start``, each later one from the previous
+    vector.  Only the returned pair's truncation is tested
+    (``_truncated_solve``); the trial iterates at other penalties are not.
     """
     weights = spectrum.weights()
     above = below = None  # latest t with the mean above / below the target
-    previous: tuple[float, float] | None = None
+    previous: tuple[float, float, float] | None = None  # t, f and mean
+    capped_down = False  # the step to this trial was a capped step down
     t = math.log(seed_penalty)
-    for _ in range(80):
+    for _ in range(_MAX_TRIALS):
         pair = _solve_eigen(cost, spectrum, math.exp(t), start)
         start = pair.vector
         mean = float(weights @ pair.vector**2)
+        f = math.log(mean / target)
+        if previous is not None and t != previous[0]:
+            secant = (f - previous[1]) / (t - previous[0])
+            if secant < 0.0:
+                slope = secant
         if abs(mean - target) <= _MEAN_RTOL * target:
             break
-        f = math.log(mean / target)
+        if capped_down and above is None and mean - previous[2] < _MEAN_RTOL * mean:
+            raise RuntimeError(
+                f"mean target {target} is beyond reach at cutoff {spectrum.cutoff}: "
+                f"the mean saturates at {mean}"
+            )
         if f > 0.0:
             above = t
         else:
@@ -411,19 +481,16 @@ def _root_find_mean(
         bracketed = above is not None and below is not None
         if bracketed and abs(below - above) <= _BETA_RTOL:
             break
-        if previous is not None and t != previous[0]:
-            secant = (f - previous[1]) / (t - previous[0])
-            if secant < 0.0:
-                slope = secant
-        previous = (t, f)
+        previous = (t, f, mean)
         step = min(max(-f / slope, -_MAX_LOG_STEP), _MAX_LOG_STEP)
         lo, hi = sorted((above, below)) if bracketed else (-math.inf, math.inf)
+        capped_down = step == -_MAX_LOG_STEP
         t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
     else:
         if above is None or below is None:
             raise RuntimeError(f"failed to bracket mean target {target}")
         raise RuntimeError(f"mean {mean} missed target {target} beyond tolerance")
-    return math.exp(t), pair
+    return math.exp(t), pair, slope
 
 
 def sweep_curve(
@@ -438,15 +505,18 @@ def sweep_curve(
     point's cutoff if that is larger, and its root-found point passes the
     same truncation test as ``solve_point`` (``_truncated_solve``).
     Targets must be positive and sorted ascending; each mean lands within
-    relative 1e-6 of its target.  Later targets are seeded from the last
-    point as penalty ~ target^(1/s), s = d log mean / d log penalty between
-    the last two points (-1/3, the large-mean asymptote, before two exist);
-    s is also the root finder's first Newton slope.  For a banded matrix
-    the first eigensolve of each later target starts from the last point's
-    vector, zero-padded to the new cutoff; a Toeplitz (theta_sq) solve
-    starts from the f1 matrix's eigenvector (3 % fewer mat-vecs, same time).
-    A target whose starting matrix would exceed ``_MAX_DIMENSION`` rows
-    raises ValueError before any solve.
+    relative 1e-6 of its target.  The first target is seeded from the
+    asymptote of its regime (``_first_seed``).  Each later one is seeded
+    from the last point as penalty ~ target^(1/s), s = d log mean / d log
+    penalty as the root finder measured it there, with log p and 1/s bent
+    by the change of the asymptotes' shape between the two means
+    (``_penalty_shape``: exact if the curve is that shape times a constant);
+    the bent s is the root finder's first Newton slope.  For a banded
+    matrix the first eigensolve of each later target starts from the last
+    point's vector, zero-padded to the new cutoff; a Toeplitz (theta_sq)
+    solve starts from the f1 matrix's eigenvector (3 % fewer mat-vecs, same
+    time).  A target whose starting matrix would exceed ``_MAX_DIMENSION``
+    rows raises ValueError before any solve.
     """
     kind = (
         spectrum_kind.kind if isinstance(spectrum_kind, Spectrum) else spectrum_kind
@@ -462,37 +532,39 @@ def sweep_curve(
 
     points: list[OptimalPoint] = []
     penalties: list[float] = []
-    slope = _LARGE_MEAN_SLOPE
+    slope = 0.0  # d log mean / d log penalty at the last point
     for target, spectrum in zip(targets, spectra):
         start = None
         if points:
             spectrum = spectrum.with_cutoff(max(spectrum.cutoff, points[-1].cutoff))
-            ratio = target / points[-1].mean_constraint
-            seed = penalties[-1] * ratio ** (1.0 / slope)
+            # the measured slope, bent by the curvature of the asymptotes' shape
+            mean = points[-1].mean_constraint
+            shape_last, inverse_last = _penalty_shape(kind, mean)
+            shape_next, inverse_next = _penalty_shape(kind, target)
+            rise = math.log(target / mean)
+            seed = penalties[-1] * math.exp(
+                rise / slope + shape_next - shape_last - rise * inverse_last
+            )
+            slope = 1.0 / (1.0 / slope + inverse_next - inverse_last)
             if _is_banded(cost, spectrum):
                 start = points[-1].state.with_cutoff(spectrum.cutoff).amplitudes
         else:
-            seed = _seed_penalty(cost, target)
-        point = _truncated_solve(
-            cost,
-            spectrum,
-            seed,
-            start,
-            lambda spectrum, penalty, start: _root_find_mean(
+            seed, slope = _first_seed(cost, spectrum, target)
+
+        def root_find(spectrum, penalty, start, target=target):
+            nonlocal slope
+            penalty, pair, slope = _root_find_mean(
                 cost, spectrum, target, penalty, slope, start
-            ),
-        )
+            )
+            return penalty, pair
+
+        point = _truncated_solve(cost, spectrum, seed, start, root_find)
         if abs(point.mean_constraint - target) > _MEAN_RTOL * target:
             raise RuntimeError(
                 f"assembled mean {point.mean_constraint} missed target {target}"
             )
         points.append(point)
         penalties.append(_penalty(cost, point.beta))
-        if len(points) >= 2:
-            rise = math.log(points[-1].mean_constraint / points[-2].mean_constraint)
-            run = math.log(penalties[-1] / penalties[-2])
-            if run < 0.0 < rise:
-                slope = rise / run
 
     if any(b2 >= b1 for b1, b2 in zip(penalties, penalties[1:])):
         raise RuntimeError("penalty failed to decrease along the sweep")

@@ -167,6 +167,19 @@ class TestExitCodes:
         assert f"configuration error: cannot write {path}" in err
         assert "Traceback" not in err
 
+    def test_unwritable_output_exits_2_before_solving(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("sweep_curve called for an unwritable output")
+
+        monkeypatch.setattr(variational, "sweep_curve", unexpected)
+        path = tmp_path / "missing" / "x.csv"
+        assert cli.main(["curve", "--targets", "1000", "--output", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: cannot write {path}: No such file" in err
+        assert not path.parent.exists()
+
     def test_out_of_memory_is_solver_failure(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 74.5 GiB")

@@ -481,6 +481,20 @@ class TestTruncation:
             before, after = getattr(reference, metric), getattr(point, metric)
             assert after == pytest.approx(before, rel=1e-10, abs=0.0), metric
 
+    def test_target_beyond_the_cutoff_raises_fast(self, monkeypatch):
+        # at cutoff 100 the symmetric f1 mean saturates at its hard-box
+        # value 30.03 as the penalty falls, so a mean of 40 is out of reach
+        monkeypatch.setattr(variational, "_CUTOFF_PER_L", 1.0)
+        solve = variational._solve_eigen
+        calls = []
+        monkeypatch.setattr(
+            variational, "_solve_eigen", lambda *a: calls.append(1) or solve(*a)
+        )
+        saturated = r"cutoff 100: the mean saturates at 30\.03"
+        with pytest.raises(RuntimeError, match=saturated):
+            sweep_curve(cost_function("f1"), "symmetric", [40.0])
+        assert len(calls) <= 20
+
     def test_heavy_tail_raises_after_the_last_doubling(self, monkeypatch):
         monkeypatch.setattr(variational, "_TAIL_RTOL", -1.0)
         with pytest.raises(RuntimeError, match="doublings"):
@@ -530,6 +544,58 @@ class TestSweepCurve:
             assert point.scale_factor == pytest.approx(
                 2.0 * target + 1.0, rel=1e-5
             )
+
+
+class TestSweepSeeding:
+    @pytest.mark.parametrize("target, rtol", [(0.01, 0.1), (1000.0, 0.01)])
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    @pytest.mark.parametrize("name", ["f1", "f2", "theta_sq"])
+    def test_first_seed_near_the_solved_penalty(self, name, kind, target, rtol):
+        cost = cost_function(name, m_max=1 if name == "theta_sq" else None)
+        spectrum = Spectrum(kind=kind, cutoff=default_cutoff(kind, target))
+        seed, slope = variational._first_seed(cost, spectrum, target)
+        (point,) = sweep_curve(cost, kind, [target])
+        assert seed == pytest.approx(variational._penalty(cost, point.beta), rel=rtol)
+        assert slope < 0.0
+
+    def test_eigensolves_per_sweep(self, monkeypatch):
+        # 30 + 28 + 6 = 64 solves with the large-mean seed 3.8 / (t + 1)^3
+        # and the default slope -1/3
+        solve = variational._solve_eigen
+        calls = []
+        monkeypatch.setattr(
+            variational, "_solve_eigen", lambda *a: calls.append(1) or solve(*a)
+        )
+        theta_sq = cost_function("theta_sq", m_max=1)
+        counts = []
+        for kind in ("nonneg", "symmetric"):
+            sweep_curve(theta_sq, kind, [0.01, 0.1, 1.0, 10.0, 100.0])
+            counts.append(len(calls) - sum(counts))
+        sweep_curve(cost_function("f1"), "symmetric", [100.0, 1000.0])
+        counts.append(len(calls) - sum(counts))
+        assert counts[0] <= 20 and counts[1] <= 22 and counts[2] <= 6
+        assert sum(counts) <= 46
+
+    def test_toeplitz_part_is_shared_and_read_only(self):
+        spectrum = Spectrum(kind="symmetric", cutoff=300)
+        cost = cost_function("theta_sq", m_max=1)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(spectrum.dimension)
+        coeffs = cost_function("theta_sq", m_max=spectrum.dimension - 1).cosine_coeffs
+        column = np.concatenate(([coeffs[0]], 0.5 * coeffs[1:]))
+        for penalty in (1e-4, 0.3):
+            matrix = variational._matrix(cost, spectrum, penalty)
+            fresh = ToeplitzPlusDiagonal(
+                first_column=column, diagonal=penalty * spectrum.weights()
+            )
+            assert np.array_equal(matrix.matvec(x), fresh.matvec(x))
+            shared = variational._theta_sq_toeplitz(spectrum.dimension)
+            assert matrix.first_column is shared.first_column
+            assert matrix._fft_kernel is shared._fft_kernel
+        for array in (shared.first_column, shared.diagonal, shared._fft_kernel):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 class TestDelta3OnF1State:
