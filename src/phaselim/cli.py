@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import __version__, asympt, canonical, estimators, povm, variational
 
@@ -279,6 +278,8 @@ def _verify_bounds(config: RunConfig) -> list[tuple[str, float, float]]:
 
 
 def _verify_mzi(config: RunConfig) -> list[tuple[str, float, float]]:
+    from scipy.integrate import quad  # the only user; keeps it out of import time
+
     model = estimators.MziModel(visibility=config.visibility)
     phi = np.linspace(1e-4, math.pi - 1e-4, 2001)
     curves = estimators.mzi_curves(model, phi)

@@ -15,7 +15,9 @@ sqrt(2 <|G|> |eps|) on the mean estimate.
 Phase integrals are replaced by exact sums: every integrand is a
 trigonometric polynomial of degree bounded by the eigenvalue span, so a
 uniform grid of K >= 4 span + 4 points integrates it without quadrature
-error.  Estimate labels live on that grid, phi_k = -pi + 2 pi k / K.
+error.  Estimate labels live on that grid, phi_k = -pi + 2 pi k / K.  The
+sums are broadcasts over the grid axis, and Tr(M_k rho_phi) for A phases is
+one (A, d^2) @ (d^2, K) product.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ class DegenerateSystem:
 
     def phase_factors(self, angle: float) -> np.ndarray:
         """Diagonal of e^{iG angle}."""
-        return np.exp(1j * angle * np.asarray(self.eigenvalues, dtype=float))
+        return _phase_rows(self, angle)
 
 
 @dataclass(frozen=True)
@@ -182,12 +184,34 @@ class DensityMatrix:
 
     def shifted(self, system: DegenerateSystem, phase: float) -> np.ndarray:
         """e^{-iG phase} rho e^{iG phase}."""
-        u = system.phase_factors(-phase)
-        return u[:, None] * self.entries * u[None, :].conj()
+        return _shifted_states(self, system, [phase])[0]
 
     def mean_abs_generator(self, system: DegenerateSystem) -> float:
         probs = np.real(np.diag(self.entries))
         return float(np.abs(np.asarray(system.eigenvalues, float)) @ probs)
+
+
+def _phase_rows(system: DegenerateSystem, angles: np.ndarray) -> np.ndarray:
+    """Row a of the result is the diagonal of e^{iG angles[a]}."""
+    eigs = np.asarray(system.eigenvalues, dtype=float)
+    return np.exp(1j * np.multiply.outer(angles, eigs))
+
+
+def _rotate(matrices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """diag(rows[a]) matrices[a] diag(rows[a])^dagger for every a."""
+    return rows[:, :, None] * matrices * rows[:, None, :].conj()
+
+
+def _traces(operators: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Re Tr(operators[k] states[a]) as an (A, K) array."""
+    size = operators.shape[1] ** 2
+    flat_states = states.transpose(0, 2, 1).reshape(-1, size)
+    return np.real(flat_states @ operators.reshape(-1, size).T)
+
+
+def _shifted_states(rho: DensityMatrix, system: DegenerateSystem, phases) -> np.ndarray:
+    """e^{-iG phase} rho e^{iG phase} for every phase, stacked."""
+    return _rotate(rho.entries, _phase_rows(system, -np.asarray(phases, dtype=float)))
 
 
 def _require_grid(system: DegenerateSystem, grid_size: int) -> None:
@@ -208,11 +232,8 @@ def canonical_povm(system: DegenerateSystem, grid_size: int) -> PovmSet:
     _require_grid(system, grid_size)
     if any(d != 1 for _, d in system.basis_labels):
         raise ValueError("canonical POVM is defined for nondegenerate systems")
-    estimates = uniform_estimates(grid_size)
-    ops = np.empty((grid_size, system.dimension, system.dimension), dtype=complex)
-    for k, phi in enumerate(estimates):
-        u = system.phase_factors(-phi)
-        ops[k] = np.outer(u, u.conj()) / grid_size
+    rows = _phase_rows(system, -uniform_estimates(grid_size))
+    ops = rows[:, :, None] * rows[:, None, :].conj() / grid_size
     return PovmSet(kind="canonical", operators=ops)
 
 
@@ -227,26 +248,10 @@ def covariant_average(povm: PovmSet, system: DegenerateSystem) -> PovmSet:
     _require_grid(system, povm.grid_size)
     if povm.dimension != system.dimension:
         raise ValueError("POVM dimension does not match the system")
-    seed = _covariant_seed_from_sum(povm, system)
-    return _covariant_set_from_seed(seed, system, povm.grid_size)
-
-
-def _covariant_seed_from_sum(povm: PovmSet, system: DegenerateSystem) -> np.ndarray:
-    seed = np.zeros((povm.dimension, povm.dimension), dtype=complex)
-    for k, phi in enumerate(povm.estimates()):
-        u = system.phase_factors(phi)
-        seed += u[:, None] * povm.operators[k] * u[None, :].conj()
-    return seed / (2.0 * math.pi)
-
-
-def _covariant_set_from_seed(
-    seed: np.ndarray, system: DegenerateSystem, grid_size: int
-) -> PovmSet:
-    ops = np.empty((grid_size, seed.shape[0], seed.shape[1]), dtype=complex)
-    scale = 2.0 * math.pi / grid_size
-    for k, phi in enumerate(uniform_estimates(grid_size)):
-        u = system.phase_factors(-phi)
-        ops[k] = scale * (u[:, None] * seed * u[None, :].conj())
+    estimates = povm.estimates()
+    seed = _rotate(povm.operators, _phase_rows(system, estimates)).sum(axis=0)
+    seed /= 2.0 * math.pi
+    ops = 2.0 * math.pi / povm.grid_size * _rotate(seed, _phase_rows(system, -estimates))
     return PovmSet(kind="covariant", operators=ops)
 
 
@@ -257,11 +262,7 @@ def error_density(
     phase: float = 0.0,
 ) -> np.ndarray:
     """Outcome probabilities p(phi_k | phase) = Tr(M_k rho_phase)."""
-    shifted = rho.shifted(system, phase)
-    masses = np.real(
-        np.einsum("kab,ba->k", povm.operators, shifted, optimize=True)
-    )
-    return masses
+    return _traces(povm.operators, _shifted_states(rho, system, [phase]))[0]
 
 
 def _covariant_seed_checked(povm: PovmSet, system: DegenerateSystem) -> np.ndarray:
@@ -272,14 +273,11 @@ def _covariant_seed_checked(povm: PovmSet, system: DegenerateSystem) -> np.ndarr
     normalization blocks <n,d|M0|n,d'> = delta_{dd'} / 2 pi.
     """
     scale = povm.grid_size / (2.0 * math.pi)
-    estimates = povm.estimates()
-    u0 = system.phase_factors(estimates[0])
-    seed = scale * (u0[:, None] * povm.operators[0] * u0[None, :].conj())
-    for k in range(1, povm.grid_size):
-        u = system.phase_factors(estimates[k])
-        other = scale * (u[:, None] * povm.operators[k] * u[None, :].conj())
-        if float(np.max(np.abs(other - seed))) > _COVARIANCE_TOL:
-            raise ValueError("POVM is not covariant: outcome seeds disagree")
+    rows = _phase_rows(system, povm.estimates())
+    seeds = scale * _rotate(povm.operators, rows)
+    seed = seeds[0]
+    if float(np.max(np.abs(seeds[1:] - seed), initial=0.0)) > _COVARIANCE_TOL:
+        raise ValueError("POVM is not covariant: outcome seeds disagree")
     inv_two_pi = 1.0 / (2.0 * math.pi)
     for n in system.distinct_values():
         idx = system.indices_of(n)
@@ -317,16 +315,11 @@ def lemma2_reduction(
         spectrum = Spectrum(kind="symmetric", cutoff=cutoff)
         offset = cutoff
     dim = spectrum.dimension
+    slots = np.asarray(system.eigenvalues) + offset
     rho_s = np.zeros((dim, dim), dtype=complex)
-    for n in values:
-        idx_n = system.indices_of(n)
-        for n_p in values:
-            idx_np = system.indices_of(n_p)
-            block_rho = rho0.entries[np.ix_(idx_np, idx_n)]
-            block_seed = seed[np.ix_(idx_n, idx_np)]
-            rho_s[n_p + offset, n + offset] = 2.0 * math.pi * np.sum(
-                block_rho * block_seed.T
-            )
+    # term [j, i] = <j|rho0|i><i|M0|j> lands on rho_s[n_j, n_i]
+    np.add.at(rho_s, (slots[:, None], slots[None, :]), rho0.entries * seed.T)
+    rho_s *= 2.0 * math.pi
     return {"rho_s": DensityMatrix(entries=rho_s), "spectrum": spectrum}
 
 
@@ -345,21 +338,20 @@ def continuity_check(
     """
     estimate_op = np.tensordot(povm.estimates(), povm.operators, axes=(0, 0))
     g_mean = rho.mean_abs_generator(system)
-
-    def mean_estimate(phi: float) -> float:
-        return float(np.real(np.trace(estimate_op @ rho.shifted(system, phi))))
-
+    phis = np.linspace(-math.pi, math.pi, phi_samples, endpoint=False)
+    eps = np.asarray(eps_grid, dtype=float)
+    # column 0 is the base phase, the others phi + eps
+    phases = np.concatenate([phis[:, None], phis[:, None] + eps[None, :]], axis=1)
+    means = _traces(estimate_op[None], _shifted_states(rho, system, phases.ravel()))
+    means = means.reshape(phases.shape)
+    bound = 4.0 * math.pi * np.sqrt(2.0 * g_mean * np.abs(eps))
+    margins = bound - np.abs(means[:, 1:] - means[:, :1])
     worst = math.inf
     worst_at = (0.0, 0.0)
-    for phi in np.linspace(-math.pi, math.pi, phi_samples, endpoint=False):
-        base = mean_estimate(float(phi))
-        for eps in eps_grid:
-            diff = abs(mean_estimate(float(phi) + float(eps)) - base)
-            bound = 4.0 * math.pi * math.sqrt(2.0 * g_mean * abs(float(eps)))
-            margin = bound - diff
-            if margin < worst:
-                worst = margin
-                worst_at = (float(phi), float(eps))
+    if margins.size:
+        # the first minimum in (phi, eps) order, as a scan would keep it
+        i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
+        worst, worst_at = float(margins[i, j]), (float(phis[i]), float(eps[j]))
     return BoundReport(
         margins={"continuity": worst},
         details={
@@ -387,15 +379,11 @@ def bias_derivative_identity(
     estimates = povm.estimates()
     phi = float(estimates[grid_index])
     wrapped = phi + _wrap(estimates - phi)
-    masses = error_density(povm, rho, system, phase=phi)
-    bias = float(wrapped @ masses) - phi
-
-    shifted = rho.shifted(system, phi)
+    shifted = _shifted_states(rho, system, [phi])
     eigs = np.asarray(system.eigenvalues, dtype=float)
     commutator = -1j * (eigs[:, None] - eigs[None, :]) * shifted
-    d_masses = np.real(
-        np.einsum("kab,ba->k", povm.operators, commutator, optimize=True)
-    )
+    masses, d_masses = _traces(povm.operators, np.concatenate([shifted, commutator]))
+    bias = float(wrapped @ masses) - phi
     bias_deriv = float(wrapped @ d_masses) - 1.0
 
     antipode = (grid_index + povm.grid_size // 2) % povm.grid_size
@@ -416,16 +404,14 @@ def random_povm(
     S^{-1/2} E_k S^{-1/2} with S = sum E_k, which restores completeness
     exactly while preserving positivity.
     """
-    effects = np.empty((grid_size, dimension, dimension), dtype=complex)
-    for k in range(grid_size):
-        a = rng.standard_normal((dimension, dimension)) + 1j * rng.standard_normal(
-            (dimension, dimension)
-        )
-        effects[k] = a @ a.conj().T
+    # per outcome, the real part is drawn before the imaginary part
+    draws = rng.standard_normal((grid_size, 2, dimension, dimension))
+    a = draws[:, 0] + 1j * draws[:, 1]
+    effects = a @ a.conj().transpose(0, 2, 1)
     total = effects.sum(axis=0)
     vals, vecs = np.linalg.eigh(total)
     inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-    ops = np.einsum("ab,kbc,cd->kad", inv_sqrt, effects, inv_sqrt, optimize=True)
+    ops = inv_sqrt @ effects @ inv_sqrt
     ops = 0.5 * (ops + ops.conj().transpose(0, 2, 1))
     # symmetric completion leaves a rounding-level completeness defect
     defect = ops.sum(axis=0) - np.eye(dimension)
@@ -454,11 +440,13 @@ def average_error_masses(
     ``covariant_average`` produces.
     """
     size = povm.grid_size
-    averaged = np.zeros(size)
-    for u in range(size):
-        masses = error_density(povm, rho, system, phase=2.0 * math.pi * u / size)
-        averaged += np.roll(masses, -u)
-    return averaged / size
+    shifts = np.arange(size)
+    masses = _traces(
+        povm.operators, _shifted_states(rho, system, 2.0 * math.pi * shifts / size)
+    )
+    # row u read cyclically from outcome u: masses[u, (j + u) % K]
+    cyclic = masses[shifts[:, None], (shifts[None, :] + shifts[:, None]) % size]
+    return cyclic.sum(axis=0) / size
 
 
 def verify_random_instance(
@@ -508,11 +496,8 @@ def verify_random_instance(
     generator_reduced = np.real(np.diag(rho_s.entries))
     generator_original = np.zeros(spectrum.dimension)
     offset = 0 if spectrum.kind == "nonneg" else spectrum.cutoff
-    for n in values:
-        idx = system.indices_of(n)
-        generator_original[n + offset] = float(
-            np.real(np.trace(rho.entries[np.ix_(idx, idx)]))
-        )
+    slots = np.asarray(system.eigenvalues) + offset
+    np.add.at(generator_original, slots, np.real(np.diag(rho.entries)))
     generator_gap = float(np.max(np.abs(generator_reduced - generator_original)))
 
     continuity = continuity_check(povm, rho, system, list(eps_grid))

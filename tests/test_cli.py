@@ -455,3 +455,13 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout.strip()
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        """Only `verify mzi` needs quadrature, so importing the CLI must not
+        pay for scipy.integrate."""
+        probe = "import sys, phaselim.cli; print('scipy.integrate' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
