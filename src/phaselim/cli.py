@@ -339,6 +339,16 @@ _SUITES = {
     "probe": _verify_probe,
 }
 
+# The suite-specific ``verify`` flags (RunConfig fields) and the suite that
+# reads each; given to any other suite, a flag is a configuration error.
+_SUITE_FLAGS = {
+    "instances": "povm",
+    "states": "bounds",
+    "max_dimension": "bounds",
+    "grid_points": "inequalities",
+    "visibility": "mzi",
+}
+
 
 def cmd_verify(config: RunConfig) -> int:
     checks = _SUITES[config.suite](config)
@@ -401,11 +411,13 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("suite", choices=sorted(_SUITES))
     verify.add_argument("--output", default=defaults.output, help="CSV report path")
     verify.add_argument("--seed", type=int, default=defaults.seed)
-    verify.add_argument("--instances", type=int, default=defaults.instances)
-    verify.add_argument("--states", type=int, default=defaults.states)
-    verify.add_argument("--max-dimension", type=int, default=defaults.max_dimension)
-    verify.add_argument("--grid-points", type=int, default=defaults.grid_points)
-    verify.add_argument("--visibility", type=float, default=defaults.visibility)
+    for name, suite in _SUITE_FLAGS.items():
+        default = getattr(defaults, name)
+        verify.add_argument(
+            f"--{name.replace('_', '-')}",
+            type=type(default),
+            help=f"verify {suite} only (default {default})",
+        )
     return parser
 
 
@@ -421,6 +433,10 @@ def _check_writable(path: str) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
+    for name, suite in _SUITE_FLAGS.items():
+        if getattr(args, name, None) is not None and args.suite != suite:
+            flag = name.replace("_", "-")
+            raise ValueError(f"--{flag} does not apply to verify {args.suite}")
     for name in vars(config):
         if getattr(args, name, None) is not None:
             setattr(config, name, getattr(args, name))

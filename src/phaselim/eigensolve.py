@@ -6,8 +6,9 @@ Z(f) + p diag(W), so that pair is the only one solved for.
 * ``BandedSymmetric`` -- main diagonal plus superdiagonals.  A start vector
   is refined on a certified warm path of O(d) banded work (Rayleigh-quotient
   iteration, a Cholesky certificate of a shift below lambda_min, inverse
-  iteration).  The cold path is Sturm bisection for bandwidth <= 1 and
-  Lanczos on the banded Cholesky inverse (shift-invert) for a wider band.
+  iteration).  A cold solve starts from the Sturm-bisection eigenvector of
+  the tridiagonal part, the answer for bandwidth <= 1 and the warm path's
+  start for a wider band.
 * ``ToeplitzPlusDiagonal`` -- symmetric Toeplitz part applied via FFT
   circulant embedding plus an arbitrary diagonal, solved by locally optimal
   preconditioned conjugate gradients (LOPCG, Knyazev 2001) with the banded
@@ -22,13 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
-from scipy.linalg import (
-    cho_solve_banded,
-    cholesky_banded,
-    eigh_tridiagonal,
-    solve_banded,
-)
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal, solve_banded
 
 __all__ = [
     "BandedSymmetric",
@@ -46,6 +41,7 @@ _RQI_TOL = 1e-4  # Rayleigh-quotient iteration stops at ||r|| <= tol * |rho|
 _RQI_STEPS = 10
 _SHIFT_MARGIN = 1e-3  # certified shift sigma = rho - margin * |rho| - 2 ||r||
 _MOVE_TOL = 1e-12  # inverse iteration stops once the unit vector moves this little
+_BISECT_TOL = 1e-10  # bisected shift: final bracket width relative to ||A||
 
 
 class EigsolveError(RuntimeError):
@@ -181,12 +177,6 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[top] < 0.0 else v
 
 
-def _default_start(n: int) -> np.ndarray:
-    """Deterministic geometric profile concentrated at low indices."""
-    v = 0.99 ** np.arange(n, dtype=float)
-    return v / np.linalg.norm(v)
-
-
 def _stalled(history: list[float]) -> bool:
     """True once the last _STALL_STEPS values failed to halve the best before them."""
     if len(history) <= _STALL_STEPS:
@@ -219,36 +209,26 @@ def _tridiagonal_smallest(banded: BandedSymmetric) -> np.ndarray:
     return vecs[:, 0]
 
 
-def _shift_invert_smallest(
-    banded: BandedSymmetric, v0: np.ndarray, maxiter: int
-) -> np.ndarray:
-    """Smallest eigenvector of a positive definite band by ARPACK on A^-1.
-
-    A^-1 is positive definite, so its largest-magnitude eigenvalue (ARPACK's
-    default target) is 1 / lambda_min.  ncv is small: ARPACK fills the whole
-    basis before its first convergence test, so a warm start still pays ncv
-    applies.  A run that does not converge is retried once from a perturbed
-    deterministic start vector.
+def _inverse_iteration(
+    factor: np.ndarray, x: np.ndarray, maxiter: int
+) -> np.ndarray | None:
+    """Inverse iteration with the banded Cholesky factor of A - sigma I,
+    sigma < lambda_min: the smallest eigenvector once the unit vector moves
+    <= _MOVE_TOL, None if that movement stalls.  Stopping on ||r|| alone
+    would not do: at d ~ 1e5 the gap is ~4e-8, so ||r|| = 1e-12 ||A|| still
+    leaves a vector error ~ ||r|| / gap ~ 1e-4.
     """
-    n = banded.dimension
-    try:
-        apply_inverse = _banded_cholesky_apply(banded)
-    except np.linalg.LinAlgError:
-        raise EigsolveError(
-            f"banded matrix (d = {n}) is not positive definite: Cholesky failed"
-        ) from None
-    op = LinearOperator((n, n), matvec=apply_inverse, dtype=float)
-    options = dict(k=1, ncv=min(n, 6), tol=1e-13)
-    try:
-        _, vecs = eigsh(op, v0=v0, maxiter=maxiter, **options)
-    except ArpackNoConvergence:
-        bump = np.cos(1.0 + np.arange(n, dtype=float))
-        v1 = v0 + 0.1 * np.linalg.norm(v0) * bump / np.linalg.norm(bump)
-        try:
-            _, vecs = eigsh(op, v0=v1, maxiter=2 * maxiter, **options)
-        except ArpackNoConvergence as exc:
-            raise EigsolveError(f"shift-invert Lanczos: {exc}") from None
-    return vecs[:, 0]
+    moves: list[float] = []
+    for _ in range(maxiter):
+        y = cho_solve_banded((factor, False), x, check_finite=False)
+        y /= np.linalg.norm(y)
+        moves.append(float(np.linalg.norm(y - x)))
+        x = y
+        if moves[-1] <= _MOVE_TOL:
+            return x
+        if _stalled(moves):
+            return None
+    return None
 
 
 def _warm_banded_smallest(
@@ -259,12 +239,8 @@ def _warm_banded_smallest(
     Rayleigh-quotient iteration (banded LU solves of (A - rho I) y = x)
     runs until ||r|| <= _RQI_TOL |rho|.  The banded Cholesky factor of
     A - sigma I, sigma = rho - _SHIFT_MARGIN |rho| - 2 ||r||, exists only if
-    sigma < lambda_min, so inverse iteration with it converges to the
-    smallest eigenvector whatever eigenvector RQI approached; it runs until
-    the unit vector moves <= _MOVE_TOL, or gives up once that movement has
-    stalled.  Stopping on ||r|| alone would not do: at d ~ 1e5 the gap is
-    ~4e-8, so ||r|| = 1e-12 ||A|| still leaves a vector error ~ ||r|| / gap
-    ~ 1e-4.
+    sigma < lambda_min, so ``_inverse_iteration`` with it reaches the
+    smallest eigenvector whatever eigenvector RQI approached.
     """
     u = banded.bandwidth
     upper = banded.to_upper_banded()
@@ -295,17 +271,40 @@ def _warm_banded_smallest(
         factor = cholesky_banded(upper, lower=False, check_finite=False)
     except np.linalg.LinAlgError:
         return None
-    moves: list[float] = []
-    for _ in range(maxiter):
-        y = cho_solve_banded((factor, False), x, check_finite=False)
-        y /= np.linalg.norm(y)
-        moves.append(float(np.linalg.norm(y - x)))
-        x = y
-        if moves[-1] <= _MOVE_TOL:
-            return x
-        if _stalled(moves):
-            return None
-    return None
+    return _inverse_iteration(factor, x, maxiter)
+
+
+def _bisected_smallest(
+    banded: BandedSymmetric, x: np.ndarray, maxiter: int
+) -> np.ndarray:
+    """Smallest eigenvector of any band, from a unit x the warm path rejected.
+
+    A - sigma I has a Cholesky factor iff sigma < lambda_min (Sylvester), so
+    sigma is bisected on that test from [-2 ||A||, x'Ax] to a width of
+    _BISECT_TOL ||A||, and inverse iteration runs at the largest shift that
+    factored.
+    """
+    u = banded.bandwidth
+    upper = banded.to_upper_banded()
+    main = upper[u].copy()
+
+    def factor_at(sigma: float) -> np.ndarray:
+        upper[u] = main - sigma
+        return cholesky_banded(upper, lower=False, check_finite=False)
+
+    scale = max(banded.norm_bound(), 1e-300)
+    lo, hi = -2.0 * scale, float(x @ banded.matvec(x))
+    factor = factor_at(lo)  # A - lo I >= ||A|| I
+    while hi - lo > _BISECT_TOL * scale:
+        sigma = 0.5 * (lo + hi)
+        try:
+            factor, lo = factor_at(sigma), sigma
+        except np.linalg.LinAlgError:
+            hi = sigma
+    vec = _inverse_iteration(factor, x, maxiter)
+    if vec is None:
+        raise EigsolveError(f"inverse iteration at the bisected shift {lo:.6e} stalled")
+    return vec
 
 
 def _lopcg_smallest(
@@ -379,15 +378,13 @@ def extremal_eigenpair(
 ) -> EigenPair:
     """Smallest eigenpair of a real symmetric matrix.
 
-    A ``BandedSymmetric`` solve with ``start_vector`` runs Rayleigh-quotient
-    iteration from it, certifies a shift sigma < lambda_min by a banded
-    Cholesky factorization of A - sigma I, and refines the vector by inverse
-    iteration with that factor until it moves <= 1e-12 (see
-    ``_warm_banded_smallest``).  If that fails, or without a start vector,
-    the cold path runs: Sturm bisection for bandwidth <= 1, otherwise
-    shift-invert Lanczos from the start vector (a fixed profile without
-    one).  A fallback is not an error; a band wider than 1 that is not
-    positive definite is (``EigsolveError``).
+    A ``BandedSymmetric`` solve refines ``start_vector`` on the certified
+    warm path (``_warm_banded_smallest``).  Without a start, or if that
+    fails, it starts from the Sturm-bisection eigenvector of the tridiagonal
+    part: the answer for bandwidth <= 1, refined on the warm path for a
+    wider band, and should that fail too, by inverse iteration at a shift
+    bisected on the Cholesky test (``_bisected_smallest``).  Any band is
+    solved, definite or not.
 
     A ``ToeplitzPlusDiagonal`` solve requires ``preconditioner``, a positive
     definite banded matrix spectrally equivalent to ``matrix``: its banded
@@ -397,8 +394,7 @@ def extremal_eigenpair(
 
     Every path ends with the same check, residual <= 1e-10 ||A||.
     Deterministic for fixed inputs; raises ``EigsolveError`` on
-    non-convergence (shift-invert after one restart from a perturbed start
-    vector, LOPCG also when its progress stalls).
+    non-convergence (LOPCG also when its progress stalls).
     """
     if isinstance(matrix, ToeplitzPlusDiagonal) and preconditioner is None:
         raise ValueError("a ToeplitzPlusDiagonal solve requires a preconditioner")
@@ -420,8 +416,10 @@ def extremal_eigenpair(
         vec = _warm_banded_smallest(matrix, start_vector, maxiter)
         if vec is not None:
             return _finish(matrix, vec)
+    sturm = _tridiagonal_smallest(BandedSymmetric(matrix.diagonals[:2]))
     if matrix.bandwidth <= 1:
-        return _finish(matrix, _tridiagonal_smallest(matrix))
-    if start_vector is None:
-        start_vector = _default_start(n)
-    return _finish(matrix, _shift_invert_smallest(matrix, start_vector, maxiter))
+        return _finish(matrix, sturm)
+    vec = _warm_banded_smallest(matrix, sturm, maxiter)
+    if vec is None:
+        vec = _bisected_smallest(matrix, sturm, maxiter)
+    return _finish(matrix, vec)

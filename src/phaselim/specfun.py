@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 __all__ = [
     "AiryZeros",
@@ -209,6 +208,8 @@ def _largest_root_in_order(f, seed: float, z: float, label: str) -> float:
     max(1, 5 z^{1/3}) per side, safely within the O(z^{1/3}) spacing to the
     next root below.
     """
+    from scipy.optimize import brentq  # the only user; keeps it out of import time
+
     step = 0.25 * max(1.0, z ** (1.0 / 3.0))
     limit = max(1.0, 5.0 * z ** (1.0 / 3.0))
 

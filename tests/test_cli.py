@@ -137,6 +137,27 @@ class TestExitCodes:
         assert cli.main(["verify", *argv]) == 2
         assert f"configuration error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "suite, flag, value",
+        [
+            ("povm", "--max-dimension", "3"),
+            ("povm", "--states", "20"),
+            ("povm", "--grid-points", "2001"),
+            ("bounds", "--grid-points", "2001"),
+            ("bounds", "--instances", "4"),
+            ("inequalities", "--visibility", "0.9"),
+            ("mzi", "--states", "20"),
+            ("probe", "--instances", "4"),
+            ("probe", "--visibility", "0.9"),
+        ],
+    )
+    def test_flag_of_another_suite_exits_2(self, capsys, suite, flag, value):
+        # the flag is rejected before any check runs: no PASS line is printed
+        assert cli.main(["verify", suite, flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"configuration error: {flag} does not apply to verify {suite}" in err
+
     @pytest.mark.parametrize("command", ["curve", "series"])
     def test_target_over_dimension_limit_exits_2(self, capsys, command):
         start = time.perf_counter()
@@ -465,3 +486,17 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_constants_leave_scipy_optimize_and_sparse_unloaded(self):
+        """brentq is imported where the Bessel-zero bracket needs it, and no
+        eigensolve path uses scipy.sparse, so the asymptotic constants every
+        command reads pay for neither."""
+        probe = (
+            "import sys, phaselim.cli; phaselim.asympt.constants(); "
+            "print(sorted({'scipy.optimize', 'scipy.sparse'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

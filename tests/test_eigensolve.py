@@ -91,8 +91,8 @@ class TestDenseReference:
         matrix = BandedSymmetric(diags)
         reference = np.linalg.eigvalsh(banded_to_dense(matrix))
         expected = reference[0] if which == "smallest" else reference[-1]
-        # Solve sign * A + shift, positive definite as a wider band must be:
-        # the largest eigenvalue of A is minus the smallest of -A.
+        # Solve sign * A + shift: the largest eigenvalue of A is minus the
+        # smallest of -A.
         sign = 1.0 if which == "smallest" else -1.0
         shift = matrix.norm_bound() + 1.0
         shifted = BandedSymmetric(
@@ -117,8 +117,8 @@ class TestDenseReference:
 
     @pytest.mark.parametrize("name", ["f2", "f3"])
     def test_cold_wide_band_far_from_default_start(self, name):
-        # The default start is concentrated at j = -cutoff; the ground state
-        # of the symmetric spectrum is centred at j = 0, 1000 rows away.
+        # No start vector: the ground state of the symmetric spectrum is
+        # centred at j = 0, 1000 rows from either end of the band.
         matrix = banded_problem(name, "symmetric", 1000, 1e-5)
         assert matrix.bandwidth >= 2 and matrix.dimension == 2001
         value, vector = scipy.linalg.eigh(
@@ -129,6 +129,70 @@ class TestDenseReference:
         assert pair.vector == pytest.approx(
             signed_like(vector[:, 0], pair.vector), abs=1e-9
         )
+
+    def test_cold_indefinite_pentadiagonal_matches_dense(self):
+        n = 20
+        matrix = BandedSymmetric(
+            [np.full(n, -1.0), np.full(n - 1, 0.5), np.full(n - 2, 0.25)]
+        )
+        value, vector = scipy.linalg.eigh(
+            banded_to_dense(matrix), subset_by_index=[0, 0]
+        )
+        assert value[0] < 0.0
+        pair = extremal_eigenpair(matrix)
+        assert pair.value == pytest.approx(value[0], rel=1e-11)
+        assert pair.vector == pytest.approx(
+            signed_like(vector[:, 0], pair.vector), abs=1e-9
+        )
+
+
+class TestColdBanded:
+    """Cold wide-band solves: the Sturm vector of the tridiagonal part,
+    refined on the warm path, with shift bisection only when that fails."""
+
+    @staticmethod
+    def spy_on_bisection(monkeypatch):
+        calls = []
+        bisect = eigensolve._bisected_smallest
+        monkeypatch.setattr(
+            eigensolve,
+            "_bisected_smallest",
+            lambda *args: calls.append(args[0].dimension) or bisect(*args),
+        )
+        return calls
+
+    def test_bisection_fallback_matches_dense(self, monkeypatch):
+        # the n = 40 band of test_banded_vs_full_spectrum[smallest-40]: from
+        # its Sturm start, RQI settles on a higher eigenpair (7.42 against
+        # 5.12), so the Cholesky certificate fails
+        calls = self.spy_on_bisection(monkeypatch)
+        rng = np.random.default_rng(140)
+        n = 40
+        matrix = positive_definite(
+            BandedSymmetric([rng.standard_normal(n - k) for k in range(3)])
+        )
+        values, vectors = dense_eigh(matrix)
+        pair = extremal_eigenpair(matrix)
+        assert calls == [n]
+        assert pair.value == pytest.approx(values[0], rel=1e-11)
+        assert pair.vector == pytest.approx(
+            signed_like(vectors[:, 0], pair.vector), abs=1e-9
+        )
+
+    @pytest.mark.parametrize("name", ["f2", "f3"])
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    def test_sweep_first_seeds_certify_from_the_sturm_start(
+        self, monkeypatch, name, kind
+    ):
+        calls = self.spy_on_bisection(monkeypatch)
+        cost = cost_function(name)
+        for mean in (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0):
+            spectrum = Spectrum(kind=kind, cutoff=variational.default_cutoff(kind, mean))
+            penalty, _ = variational._first_seed(cost, spectrum, mean)
+            pair = variational._solve_eigen(cost, spectrum, penalty, None)
+            matrix = build_matrix(cost, spectrum, BETA_PER_PENALTY[name] * penalty)
+            assert pair.residual <= 1e-10 * matrix.norm_bound()
+        assert calls == []
 
 
 class TestPreconditionedToeplitz:
@@ -449,11 +513,3 @@ class TestValidation:
         matrix = BandedSymmetric([[1.0, math.nan, 3.0], [0.5, 0.5]])
         with pytest.raises(EigsolveError, match="residual nan"):
             eigensolve._finish(matrix, np.array([1.0, 0.0, 0.0]))
-
-    def test_cold_indefinite_pentadiagonal_raises(self):
-        n = 20
-        matrix = BandedSymmetric(
-            [np.full(n, -1.0), np.full(n - 1, 0.5), np.full(n - 2, 0.25)]
-        )
-        with pytest.raises(EigsolveError, match="not positive definite"):
-            extremal_eigenpair(matrix)
