@@ -32,11 +32,8 @@ from .canonical import (
     entropy_and_length,
     entropy_generator,
     max_entropy_bound_checks,
-    metrics_from_moments,
     moment_deficits,
-    moments,
     state_metrics,
-    unbias_rotation,
     verify_bounds,
 )
 from .variational import (
@@ -46,7 +43,6 @@ from .variational import (
     Spectrum,
     build_matrix,
     cost_function,
-    delta3_on_f1_state,
     solve_point,
     sweep_curve,
 )
@@ -106,11 +102,8 @@ __all__ = [
     "entropy_and_length",
     "entropy_generator",
     "max_entropy_bound_checks",
-    "metrics_from_moments",
     "moment_deficits",
-    "moments",
     "state_metrics",
-    "unbias_rotation",
     "verify_bounds",
     "CostFunction",
     "OptimalPoint",
@@ -118,7 +111,6 @@ __all__ = [
     "Spectrum",
     "build_matrix",
     "cost_function",
-    "delta3_on_f1_state",
     "solve_point",
     "sweep_curve",
     "Constants",

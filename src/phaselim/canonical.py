@@ -1,12 +1,13 @@
-"""Canonical-measurement error distributions, moments, and entropy bounds.
+"""Canonical-measurement error distributions, metrics, and entropy bounds.
 
 For a probe state with amplitudes psi_n the canonical covariant measurement
 has error density p(theta) = |sum_n psi_n e^{i n theta}|^2 / 2pi, a
 band-limited function whose trigonometric moments <e^{im Theta}> equal
 sum_n psi_{n+m} psi_n*.  This module builds those densities on power-of-two
-grids, converts moments to the standard error metrics (average mean-square
-error over the circle, Holevo variance, and the cosine-surrogate metrics),
-and verifies the entropy-based accuracy bounds:
+grids, computes the standard error metrics at full relative precision
+(average mean-square error over the circle from the difference kernel of
+theta^2, Holevo variance and the cosine-surrogate metrics from the moment
+deficits), and verifies the entropy-based accuracy bounds:
 
 * entropic uncertainty  H(Theta) + H(G) >= ln 2pi,
 * delta >= (2 pi e)^{-1/2} e^{H(Theta)}  (entropic-length bound),
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import ifft, irfft, rfft
+from scipy.fft import ifft, irfft, next_fast_len, rfft
 
 from .states import ProbeState, Spectrum
 
@@ -40,11 +41,9 @@ __all__ = [
     "entropy_generator",
     "generator_distribution",
     "max_entropy_bound_checks",
-    "metrics_from_moments",
     "moment_deficits",
-    "moments",
     "state_metrics",
-    "unbias_rotation",
+    "theta_sq_kernel",
     "verify_bounds",
 ]
 
@@ -57,6 +56,9 @@ F3_A1 = -math.pi**2 / 2.0
 F3_A2 = math.pi**2 / 8.0 - 0.5
 
 _LOG_FLOOR = 1e-300
+_KERNEL_TAIL = 200  # theta_sq_kernel: asymptotic series from this index on
+
+_kernel = np.empty(0)  # the cached prefix of theta_sq_kernel
 
 
 @dataclass(frozen=True)
@@ -194,37 +196,6 @@ def generator_distribution(state: ProbeState) -> GeneratorDistribution:
     )
 
 
-def moments(state: ProbeState, m_max: int) -> np.ndarray:
-    """Trigonometric moments <e^{im Theta}> = sum_n psi_{n+m} psi_n, m = 0..m_max.
-
-    Exact for the canonical measurement; identically zero beyond the support
-    width, so requesting m_max = support width captures every moment.
-    """
-    if m_max > state.spectrum.cutoff and state.spectrum.kind == "nonneg":
-        raise ValueError(f"m_max {m_max} exceeds cutoff {state.spectrum.cutoff}")
-    if m_max > 2 * state.spectrum.cutoff and state.spectrum.kind == "symmetric":
-        raise ValueError(f"m_max {m_max} exceeds width {2 * state.spectrum.cutoff}")
-    psi = state.amplitudes
-    out = np.empty(m_max + 1, dtype=complex)
-    for m in range(m_max + 1):
-        out[m] = float(psi[m:] @ psi[: psi.size - m]) if m < psi.size else 0.0
-    return out
-
-
-def all_moments(state: ProbeState) -> np.ndarray:
-    """Every nonvanishing moment: m = 0 .. dimension - 1.
-
-    The moments are the lag products of psi, computed as an FFT
-    autocorrelation, each to an absolute error of a few eps.  Metrics that
-    are small differences of moments near 1 need more than that:
-    ``state_metrics`` takes the low-order ones from ``moment_deficits``.
-    """
-    psi = state.amplitudes
-    size = 1 << (2 * psi.size - 1).bit_length()
-    spectrum_power = np.abs(rfft(psi, size)) ** 2
-    return irfft(spectrum_power, size)[: psi.size].astype(complex)
-
-
 def moment_deficits(state: ProbeState, m_max: int = 2) -> np.ndarray:
     """Moment deficits q_m = 1 - <cos m Theta> for m = 1 .. m_max.
 
@@ -252,79 +223,70 @@ def moment_deficits(state: ProbeState, m_max: int = 2) -> np.ndarray:
     return out
 
 
+def theta_sq_kernel(size: int) -> np.ndarray:
+    """Fourier coefficients g_0 .. g_{size-1} of g(t) = t^2 / (2 - 2 cos t).
+
+    g is smooth on [-pi, pi] (between 1 and pi^2/4), and the symbol of
+    2 - 2 cos t is that of the difference map u = D psi (u_0 = psi_0,
+    u_k = psi_k - psi_{k-1}, u_d = -psi_{d-1}), so the theta^2 Fourier
+    matrix of order d is exactly D' Z_{d+1}(g) D and
+    <Theta^2> = u' Z(g) u / ||psi||^2.  This is the only home of the theta^2
+    Fourier data: g_0 = 2 ln 2; from m = _KERNEL_TAIL on the asymptotic
+    series g_m = (-1)^m [1/(2m^2) - 3/(4m^4) + 5/(2m^6) - 119/(8m^8)],
+    from g's odd derivatives at pi; below it the backward recurrence
+    g_{m-1} = 2 g_m - g_{m+1} - z_m with the theta^2 entries
+    z_m = 2 (-1)^m / m^2.  g does not depend on the size, so one read-only
+    prefix is cached and sliced.
+    """
+    global _kernel
+    if size > _kernel.size:
+        top = max(size, 2 * _kernel.size, _KERNEL_TAIL + 2)
+        g = np.empty(top)
+        m = np.arange(_KERNEL_TAIL, top, dtype=float)
+        inv_sq = 1.0 / m**2
+        series = inv_sq * (0.5 + inv_sq * (-0.75 + inv_sq * (2.5 - 14.875 * inv_sq)))
+        g[_KERNEL_TAIL:] = np.where(m % 2 == 0, series, -series)
+        for k in range(_KERNEL_TAIL, 1, -1):
+            g[k - 1] = 2.0 * g[k] - g[k + 1] - (2.0 if k % 2 == 0 else -2.0) / k**2
+        g[0] = 2.0 * math.log(2.0)
+        g.flags.writeable = False
+        _kernel = g
+    return _kernel[:size]
+
+
 def state_metrics(state: ProbeState) -> dict[str, float]:
-    """Canonical-measurement metrics of a state.
+    """Canonical-measurement metrics of a state, each at full relative precision.
 
-    Same keys as ``metrics_from_moments``.  The metrics that vanish on the
-    point distribution are rebuilt from the deficits q_m = 1 - c_m (see
-    ``moment_deficits``) at full relative precision:
+    Returns ``amse`` = <Theta^2>, ``holevo`` = <cos Theta>^{-2} - 1 (+inf
+    when <cos Theta> <= 0), and the root metrics ``delta1``, ``delta2``,
+    ``delta3`` of the cosine surrogates.  <Theta^2> = u' Z(g) u / ||psi||^2
+    (``theta_sq_kernel``) is summed over the autocorrelation of u = D psi,
+    from two FFTs: every term is of the size of the result, so nothing
+    cancels.  The other metrics come from the deficits
+    q_m = 1 - <cos m Theta> (``moment_deficits``):
 
-        holevo^2  = q1 (2 - q1) / (1 - q1)^2
+        holevo    = q1 (2 - q1) / (1 - q1)^2
         delta1^2  = 2 q1
         delta2^2  = (8/3) q1 - q2 / 6
         delta3^2  = -F3_A1 q1 - F3_A2 q2
-
-    ``amse`` comes from the moment series, with c_1 and c_2 taken as
-    c_0 (1 - q_m) so that every lag shares the FFT's normalization.  It is
-    still limited by cancellation: the O(1) series sums down to
-    amse ~ 1/L^2 (L = <N+1> or <2|J|+1>), so its relative error grows like
-    eps L^2 (about 5e-10 at mean 1e3).
     """
-    deficits = moment_deficits(state, 2)
-    moms = all_moments(state)
-    low = min(moms.size, 3)
-    moms[1:low] = moms[0].real * (1.0 - deficits[: low - 1])
-    metrics = metrics_from_moments(moms)
-    q1, q2 = (float(q) for q in deficits)
-    if q1 < 1.0:
-        metrics["holevo"] = q1 * (2.0 - q1) / (1.0 - q1) ** 2
-    metrics["delta1"] = math.sqrt(max(2.0 * q1, 0.0))
-    metrics["delta2"] = math.sqrt(max((8.0 / 3.0) * q1 - q2 / 6.0, 0.0))
-    metrics["delta3"] = math.sqrt(max(-F3_A1 * q1 - F3_A2 * q2, 0.0))
-    return metrics
-
-
-def metrics_from_moments(moms: np.ndarray) -> dict[str, float]:
-    """Error metrics from the full set of trigonometric moments.
-
-    Returns ``amse`` = <Theta^2> (mean-square, via the Fourier series
-    pi^2/3 + 4 sum (-1)^m c_m / m^2 which is exact once the moments cover
-    the support width), ``holevo`` = (Re<e^{iTheta}>)^{-2} - 1 (+inf when
-    the real part is not positive), and the root metrics ``delta1``,
-    ``delta2``, ``delta3`` of the cosine surrogates.
-    """
-    c = np.real(np.asarray(moms))
-    if c.size < 1 or abs(c[0] - 1.0) > 1e-9:
-        raise ValueError("moments must start with <e^{i0}> = 1")
-    c1 = c[1] if c.size > 1 else 0.0
-    c2 = c[2] if c.size > 2 else 0.0
-    m = np.arange(1, c.size, dtype=float)
-    amse = math.pi**2 / 3.0 + 4.0 * float((((-1.0) ** m) * c[1:] / m**2).sum())
-    holevo = (1.0 / c1**2 - 1.0) if c1 > 0.0 else math.inf
-    delta1_sq = max(2.0 - 2.0 * c1, 0.0)
-    delta2_sq = max(2.5 - (8.0 / 3.0) * c1 + c2 / 6.0, 0.0)
-    delta3_sq = max(F3_A0 + F3_A1 * c1 + F3_A2 * c2, 0.0)
+    psi = state.amplitudes
+    n = psi.size
+    size = next_fast_len(2 * n + 1)
+    u = np.zeros(size)
+    u[0], u[n] = psi[0], -psi[-1]
+    np.subtract(psi[1:], psi[:-1], out=u[1:n])
+    r = irfft(np.abs(rfft(u)) ** 2, size)[: n + 1]
+    g = theta_sq_kernel(n + 1)
+    amse = (2.0 * float(g @ r) - g[0] * r[0]) / float(psi @ psi)
+    q1, q2 = (float(q) for q in moment_deficits(state, 2))
     return {
         "amse": amse,
-        "holevo": holevo,
-        "delta1": math.sqrt(delta1_sq),
-        "delta2": math.sqrt(delta2_sq),
-        "delta3": math.sqrt(delta3_sq),
+        "holevo": q1 * (2.0 - q1) / (1.0 - q1) ** 2 if q1 < 1.0 else math.inf,
+        "delta1": math.sqrt(max(2.0 * q1, 0.0)),
+        "delta2": math.sqrt(max((8.0 / 3.0) * q1 - q2 / 6.0, 0.0)),
+        "delta3": math.sqrt(max(-F3_A1 * q1 - F3_A2 * q2, 0.0)),
     }
-
-
-def unbias_rotation(moms: np.ndarray) -> np.ndarray:
-    """Moments of the distribution rotated to zero mean direction.
-
-    Multiplies the m-th moment by e^{-i m theta_av} with
-    theta_av = arg <e^{i Theta}>, making the first moment real positive.
-    """
-    moms = np.asarray(moms, dtype=complex)
-    if moms.size < 2 or moms[1] == 0.0:
-        raise ValueError("first moment vanishes; rotation angle undefined")
-    theta_av = math.atan2(moms[1].imag, moms[1].real)
-    m = np.arange(moms.size)
-    return moms * np.exp(-1j * theta_av * m)
 
 
 def _periodic_entropy(density: np.ndarray, step: float) -> float:
@@ -399,8 +361,7 @@ def verify_bounds(state: ProbeState, grid_size: int | None = None) -> BoundRepor
     """
     dist = canonical_distribution(state, grid_size)
     gen = generator_distribution(state)
-    moms = all_moments(state)
-    metrics = metrics_from_moments(moms)
+    metrics = state_metrics(state)
     delta = math.sqrt(metrics["amse"])
     h_theta = entropy_and_length(dist)
     h_g = entropy_generator(gen)
@@ -427,9 +388,9 @@ def verify_bounds(state: ProbeState, grid_size: int | None = None) -> BoundRepor
 
     margins["entropic_length"] = delta - h_theta["L"] / math.sqrt(2.0 * math.pi * math.e)
 
-    c1 = float(np.real(moms[1])) if moms.size > 1 else 0.0
-    margins["arccos_lower"] = delta - math.acos(max(min(1.0 - metrics["delta1"] ** 2 / 2.0, 1.0), -1.0))
-    margins["quadratic_upper"] = (math.pi**2 / 2.0) * (1.0 - c1) - metrics["amse"]
+    q1 = metrics["delta1"] ** 2 / 2.0
+    margins["arccos_lower"] = delta - math.acos(max(min(1.0 - q1, 1.0), -1.0))
+    margins["quadratic_upper"] = (math.pi**2 / 2.0) * q1 - metrics["amse"]
 
     details["delta"] = delta
     details["holevo"] = metrics["holevo"]

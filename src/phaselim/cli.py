@@ -120,10 +120,7 @@ _METRIC_COLUMN = {
 
 
 def cmd_curve(config: RunConfig) -> int:
-    cost = variational.cost_function(
-        _METRIC_COST[config.metric],
-        m_max=1 if _METRIC_COST[config.metric] == "theta_sq" else None,
-    )
+    cost = variational.cost_function(_METRIC_COST[config.metric])
     metadata = _base_metadata(config)
     metadata.update(
         {
@@ -461,7 +458,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"target mean {max(targets)}: {exc}") from None
     if not 0.0 < config.visibility <= 1.0:
         raise ValueError(f"visibility must be in (0, 1], got {config.visibility}")
-    minimums = {"instances": 1, "states": 1, "max_dimension": 2, "grid_points": 2}
+    minimums = {"instances": 1, "states": 1, "max_dimension": 2, "grid_points": 2, "seed": 0}
     for name, low in minimums.items():
         if getattr(config, name) < low:
             raise ValueError(f"{name} must be >= {low}, got {getattr(config, name)}")

@@ -9,12 +9,13 @@ Z(f) + p diag(W), so that pair is the only one solved for.
   iteration).  A cold solve starts from the Sturm-bisection eigenvector of
   the tridiagonal part, the answer for bandwidth <= 1 and the warm path's
   start for a wider band.
-* ``ToeplitzPlusDiagonal`` -- symmetric Toeplitz part applied via FFT
-  circulant embedding plus an arbitrary diagonal, solved by locally optimal
-  preconditioned conjugate gradients (LOPCG, Knyazev 2001) with the banded
-  Cholesky factor of a spectrally equivalent surrogate supplied by the
-  caller.  A step costs one FFT mat-vec, one banded solve and O(d) vector
-  work, so the dense quadratic-cost problems reach dimension 1e6.
+* ``ToeplitzPlusDiagonal`` -- symmetric Toeplitz part in difference form
+  D' Z(g) D, applied via FFT circulant embedding, plus an arbitrary
+  diagonal, solved by locally optimal preconditioned conjugate gradients
+  (LOPCG, Knyazev 2001) with the banded Cholesky factor of a spectrally
+  equivalent surrogate supplied by the caller.  A step costs one FFT
+  mat-vec, one banded solve and O(d) vector work, so the dense
+  quadratic-cost problems reach dimension 1e6.
 """
 
 from __future__ import annotations
@@ -103,60 +104,74 @@ class BandedSymmetric:
 
 @dataclass(frozen=True)
 class ToeplitzPlusDiagonal:
-    """Symmetric Toeplitz matrix (first column given) plus a diagonal.
+    """Symmetric Toeplitz matrix in difference form, D' Z(kernel) D, plus a diagonal.
 
-    The Toeplitz part is applied through an FFT circulant embedding, so a
-    mat-vec costs O(d log d) regardless of how dense the symbol is.
+    D is the (d+1) x d difference map u = D x (u_0 = x_0, u_k = x_k - x_{k-1},
+    u_d = -x_{d-1}) and Z(kernel) the symmetric Toeplitz matrix of order d+1
+    with first column ``kernel``.  D' Z(g) D is the Toeplitz matrix of the
+    symbol g(t) (2 - 2 cos t), so a symbol with a double zero at t = 0 (as
+    theta^2 has) is stored as its smooth quotient g, and a mat-vec rounds
+    relative to ||D x|| rather than ||x||.  Z(kernel) is applied through an
+    FFT circulant embedding, so a mat-vec costs O(d log d) however dense the
+    symbol is.
     """
 
-    first_column: np.ndarray
+    kernel: np.ndarray
     diagonal: np.ndarray
     _fft_kernel: np.ndarray = field(init=False, repr=False, compare=False)
     _fft_size: int = field(init=False, repr=False, compare=False)
+    _toeplitz_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        col = np.asarray(self.first_column, dtype=float)
+        g = np.asarray(self.kernel, dtype=float)
         diag = np.asarray(self.diagonal, dtype=float)
-        if col.ndim != 1 or diag.ndim != 1 or col.size != diag.size:
-            raise ValueError("first_column and diagonal must match in length")
-        if col.size < 1:
+        if g.ndim != 1 or diag.ndim != 1 or g.size != diag.size + 1:
+            raise ValueError("kernel must be one longer than the diagonal")
+        if diag.size < 1:
             raise ValueError("dimension must be >= 1")
-        object.__setattr__(self, "first_column", col)
+        object.__setattr__(self, "kernel", g)
         object.__setattr__(self, "diagonal", diag)
-        n = col.size
+        n = g.size
         size = next_fast_len(2 * n)
-        kernel = np.zeros(size)
-        kernel[:n] = col
-        if n > 1:
-            kernel[size - n + 1 :] = col[1:][::-1]
+        embedded = np.zeros(size)
+        embedded[:n] = g
+        embedded[size - n + 1 :] = g[1:][::-1]
+        # D' Z(g) D has entries t_m = 2 g_m - g_{m-1} - g_{m+1} (g_{-1} = g_1)
+        column = 2.0 * g[:-1] - g[1:] - np.concatenate((g[1:2], g[:-2]))
+        norm = abs(column[0]) + 2.0 * np.abs(column[1:]).sum()
         object.__setattr__(self, "_fft_size", size)
-        object.__setattr__(self, "_fft_kernel", rfft(kernel))
+        object.__setattr__(self, "_fft_kernel", rfft(embedded))
+        object.__setattr__(self, "_toeplitz_norm", float(norm))
 
     def with_diagonal(self, diagonal: np.ndarray) -> "ToeplitzPlusDiagonal":
-        """The same Toeplitz part plus another diagonal, sharing the first
-        column and the FFT kernel instead of transforming them again."""
+        """The same Toeplitz part plus another diagonal, sharing the kernel
+        and its FFT instead of transforming them again."""
         diag = np.asarray(diagonal, dtype=float)
         if diag.shape != self.diagonal.shape:
-            raise ValueError("first_column and diagonal must match in length")
+            raise ValueError("kernel must be one longer than the diagonal")
         other = object.__new__(ToeplitzPlusDiagonal)
-        object.__setattr__(other, "first_column", self.first_column)
         object.__setattr__(other, "diagonal", diag)
-        object.__setattr__(other, "_fft_size", self._fft_size)
-        object.__setattr__(other, "_fft_kernel", self._fft_kernel)
+        for name in ("kernel", "_fft_size", "_fft_kernel", "_toeplitz_norm"):
+            object.__setattr__(other, name, getattr(self, name))
         return other
 
     @property
     def dimension(self) -> int:
-        return self.first_column.size
+        return self.diagonal.size
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         n = self.dimension
-        y = irfft(rfft(x, self._fft_size) * self._fft_kernel, self._fft_size)[:n]
-        return y + self.diagonal * x
+        u = np.zeros(self._fft_size)
+        u[0], u[n] = x[0], -x[-1]
+        np.subtract(x[1:], x[:-1], out=u[1:n])
+        y = irfft(rfft(u) * self._fft_kernel, self._fft_size)
+        out = y[:n] - y[1 : n + 1]
+        out += self.diagonal * x
+        return out
 
     def norm_bound(self) -> float:
-        col = np.abs(self.first_column)
-        return float(col[0] + 2.0 * col[1:].sum() + np.abs(self.diagonal).max(initial=0.0))
+        """The infinity norm of the Toeplitz part plus that of the diagonal."""
+        return self._toeplitz_norm + float(np.abs(self.diagonal).max(initial=0.0))
 
 
 @dataclass(frozen=True)

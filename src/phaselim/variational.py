@@ -27,8 +27,9 @@ Cost functions:
     f2       = 5/2 - (8/3) cos t + (1/6) cos 2t (<f2> = delta_2^2, f2 <= t^2)
     f3       = (pi^2/4 - 1)[2(1 - cos t) - (1 - cos 2t)/2] + 2(1 - cos t)
                                                 (t^2 <= f3)
-    theta_sq = pi^2/3 + 4 sum_m (-1)^m cos(m t)/m^2, truncated at the
-               matrix dimension (exact on band-limited states)
+    theta_sq = t^2, its Fourier matrix applied as D' Z(g) D at every
+               dimension, g = t^2 / (2 - 2 cos t) and D the difference map
+               (``canonical.theta_sq_kernel``)
 
 The f1 problem also minimizes the Holevo variance, since both are monotone
 in <cos Theta>.
@@ -79,7 +80,6 @@ __all__ = [
     "build_matrix",
     "check_dimension",
     "cost_function",
-    "delta3_on_f1_state",
     "solve_point",
     "sweep_curve",
     "default_cutoff",
@@ -100,12 +100,16 @@ _BETA_PER_PENALTY = {"f1": 0.5, "f2": 1.0, "theta_sq": -1.0, "f3": -1.0}
 
 @dataclass(frozen=True)
 class CostFunction:
-    """Finite cosine series a_0 + sum a_m cos(m theta) on [-pi, pi]."""
+    """A cost on [-pi, pi]: the finite cosine series a_0 + sum a_m cos(m theta)
+    of ``cosine_coeffs``, or theta^2 itself when they are None (its Fourier
+    matrix is applied in difference form, module docstring)."""
 
     name: str
-    cosine_coeffs: np.ndarray
+    cosine_coeffs: np.ndarray | None
 
     def __post_init__(self) -> None:
+        if self.cosine_coeffs is None:
+            return
         coeffs = np.asarray(self.cosine_coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.size < 2:
             raise ValueError("need at least coefficients (a_0, a_1)")
@@ -113,30 +117,16 @@ class CostFunction:
 
     def evaluate(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
+        if self.cosine_coeffs is None:
+            return theta**2
         result = np.full_like(theta, self.cosine_coeffs[0])
         for m in range(1, self.cosine_coeffs.size):
             result += self.cosine_coeffs[m] * np.cos(m * theta)
         return result
 
-    def value_from_moments(self, moms: np.ndarray) -> float:
-        """<f> = a_0 + sum_m a_m Re<e^{im Theta}>."""
-        c = np.real(np.asarray(moms))
-        a = self.cosine_coeffs
-        take = min(a.size, c.size)  # moments beyond the support width vanish
-        return float(a[:take] @ c[:take])
 
-
-def _theta_sq_coeffs(m_max: int) -> np.ndarray:
-    m = np.arange(1, m_max + 1, dtype=float)
-    return np.concatenate(([math.pi**2 / 3.0], 4.0 * (-1.0) ** m / m**2))
-
-
-def cost_function(name: str, m_max: int | None = None) -> CostFunction:
-    """Construct a named cost function.
-
-    ``m_max`` is required for ``theta_sq`` (the series is truncated at the
-    matrix dimension minus one); it is ignored for the fixed costs.
-    """
+def cost_function(name: str) -> CostFunction:
+    """Construct a named cost function: f1, f2, f3 or theta_sq."""
     if name == "f1":
         return CostFunction(name, np.array([2.0, -2.0]))
     if name == "f2":
@@ -146,9 +136,7 @@ def cost_function(name: str, m_max: int | None = None) -> CostFunction:
             name, np.array([canonical.F3_A0, canonical.F3_A1, canonical.F3_A2])
         )
     if name == "theta_sq":
-        if m_max is None:
-            raise ValueError("theta_sq requires m_max (dimension - 1)")
-        return CostFunction(name, _theta_sq_coeffs(m_max))
+        return CostFunction(name, None)
     raise ValueError(f"unknown cost function {name!r}")
 
 
@@ -212,30 +200,18 @@ def _penalty(cost: CostFunction, beta: float) -> float:
     return penalty
 
 
-def _cost_for_spectrum(cost: CostFunction, spectrum: Spectrum) -> CostFunction:
-    """theta_sq truncated at the spectrum dimension; other costs unchanged."""
-    if cost.name != "theta_sq":
-        return cost
-    return cost_function("theta_sq", m_max=spectrum.dimension - 1)
-
-
-def _is_banded(cost: CostFunction, spectrum: Spectrum) -> bool:
-    """Whether ``_matrix`` stores the problem banded: every cost but theta_sq
-    above dimension 3, whose series spans the whole matrix."""
-    return cost.name != "theta_sq" or spectrum.dimension <= 3
-
-
 @functools.lru_cache(maxsize=2)
 def _theta_sq_toeplitz(dimension: int) -> ToeplitzPlusDiagonal:
-    """Z(theta_sq) with a zero diagonal, built and FFT-transformed once.
+    """Z(theta_sq) = D' Z(g) D with a zero diagonal, built and
+    FFT-transformed once.
 
     The trials of one root finder differ only in diag(p W), so each trial
     matrix is ``with_diagonal`` of this one; its arrays are read-only.
     """
-    column = _theta_sq_coeffs(dimension - 1)
-    column[1:] *= 0.5
-    matrix = ToeplitzPlusDiagonal(first_column=column, diagonal=np.zeros(dimension))
-    for array in (matrix.first_column, matrix.diagonal, matrix._fft_kernel):
+    matrix = ToeplitzPlusDiagonal(
+        kernel=canonical.theta_sq_kernel(dimension + 1), diagonal=np.zeros(dimension)
+    )
+    for array in (matrix.diagonal, matrix._fft_kernel):
         array.flags.writeable = False
     return matrix
 
@@ -243,12 +219,13 @@ def _theta_sq_toeplitz(dimension: int) -> ToeplitzPlusDiagonal:
 def _matrix(
     cost: CostFunction, spectrum: Spectrum, penalty: float
 ) -> BandedSymmetric | ToeplitzPlusDiagonal:
-    """Z(f) + penalty * diag(weight) with z_0 = a_0, z_m = a_m / 2: banded
-    (``_is_banded``), otherwise Toeplitz plus diagonal (FFT-applied)."""
+    """Z(f) + penalty * diag(weight): banded with z_0 = a_0, z_m = a_m / 2
+    for a cosine series, Toeplitz plus diagonal in difference form (FFT-applied)
+    for theta_sq."""
     diagonal = penalty * spectrum.weights()
-    if not _is_banded(cost, spectrum):
+    a = cost.cosine_coeffs
+    if a is None:
         return _theta_sq_toeplitz(spectrum.dimension).with_diagonal(diagonal)
-    a = _cost_for_spectrum(cost, spectrum).cosine_coeffs
     take = min(a.size, spectrum.dimension)
     bands = [np.full(spectrum.dimension - m, 0.5 * a[m]) for m in range(1, take)]
     return BandedSymmetric([a[0] + diagonal, *bands])
@@ -261,10 +238,10 @@ def build_matrix(
 
     Z(f) is the Fourier matrix of the cost and p = beta / c the penalty of
     the public multiplier (module docstring), so psi' A psi = <f> + p <W>
-    for every cost; a beta of the wrong sign raises ValueError.  f1, f2,
-    f3, and theta_sq up to dimension 3, are banded; larger theta_sq
-    matrices are returned in Toeplitz-plus-diagonal form, whose read-only
-    Toeplitz part is shared by the matrices of one dimension.
+    for every cost; a beta of the wrong sign raises ValueError.  f1, f2 and
+    f3 are banded; theta_sq matrices are returned in Toeplitz-plus-diagonal
+    form, whose read-only Toeplitz part D' Z(g) D is shared by the matrices
+    of one dimension.
     """
     return _matrix(cost, spectrum, _penalty(cost, beta))
 
@@ -410,14 +387,19 @@ def _first_seed(
     Below _SMALL_MEAN, perturbation theory about the vacuum: psi_n ~
     -z_n / (p W_n), so mean ~ C_f / p^2 with C_f = sum_{n != 0} z_n^2 / W_n
     (1 for f1, 16/9 + 1/288 for f2, 4 zeta(5) for theta_sq on a nonneg
-    spectrum; twice that on a symmetric one).  Above it, the paper's
+    spectrum, from z_n = 2 (-1)^n / n^2 summed to the cutoff; twice that on
+    a symmetric one).  Above it, the paper's
     p -> 2 k_C^2 / L^3 (nonneg) or 4 k'_C^2 / L^3 (symmetric), L = <N+1> or
     <2|J|+1>.  The slope is that of ``_penalty_shape``.
     """
     kind = spectrum.kind
     if target < _SMALL_MEAN:
-        a = _cost_for_spectrum(cost, spectrum).cosine_coeffs[1 : spectrum.cutoff + 1]
-        c_f = float((0.25 * a**2 / np.arange(1, a.size + 1)).sum())
+        if cost.cosine_coeffs is None:
+            n = np.arange(1, spectrum.cutoff + 1)
+            z = 2.0 * (-1.0) ** n / n**2
+        else:
+            z = 0.5 * cost.cosine_coeffs[1 : spectrum.cutoff + 1]
+        c_f = float((z**2 / np.arange(1, z.size + 1)).sum())
         seed = math.sqrt((c_f if kind == "nonneg" else 2.0 * c_f) / target)
     else:
         constants = asympt.constants()
@@ -546,7 +528,7 @@ def sweep_curve(
                 rise / slope + shape_next - shape_last - rise * inverse_last
             )
             slope = 1.0 / (1.0 / slope + inverse_next - inverse_last)
-            if _is_banded(cost, spectrum):
+            if cost.cosine_coeffs is not None:  # banded
                 start = points[-1].state.with_cutoff(spectrum.cutoff).amplitudes
         else:
             seed, slope = _first_seed(cost, spectrum, target)
@@ -570,10 +552,3 @@ def sweep_curve(
         raise RuntimeError("penalty failed to decrease along the sweep")
     return points
 
-
-def delta3_on_f1_state(point: OptimalPoint) -> float:
-    """delta_3 evaluated on a stored f1-optimal state (the upper-bound curve)."""
-    if point.cost != "f1":
-        raise ValueError(f"point was produced by cost {point.cost!r}, not f1")
-    q1, q2 = canonical.moment_deficits(point.state, 2)
-    return math.sqrt(max(-canonical.F3_A1 * q1 - canonical.F3_A2 * q2, 0.0))

@@ -55,7 +55,7 @@ DENSE_TARGETS = list(np.logspace(-2.0, math.log10(3e3), 12))
 
 @pytest.fixture(scope="module")
 def dense_sweep():
-    cost = variational.cost_function("theta_sq", m_max=1)
+    cost = variational.cost_function("theta_sq")
     return variational.sweep_curve(cost, "nonneg", DENSE_TARGETS)
 
 
@@ -80,7 +80,7 @@ def symmetric_f1_sweep(f1_cost):
 
 @pytest.fixture(scope="module")
 def symmetric_dense_sweep():
-    cost = variational.cost_function("theta_sq", m_max=1)
+    cost = variational.cost_function("theta_sq")
     return variational.sweep_curve(cost, "symmetric", SYM_TARGETS)
 
 
@@ -138,7 +138,7 @@ def test_c03_dense_curve_floor_and_ordering(
     )
     for tight, loose in zip(dense_sweep, f1_at_dense_targets):
         lower = math.acos(max(-1.0, 1.0 - loose.delta_1**2 / 2.0))
-        upper = variational.delta3_on_f1_state(loose)
+        upper = loose.delta_3
         _check(
             failures,
             lower <= tight.delta,

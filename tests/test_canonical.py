@@ -1,5 +1,5 @@
-"""Canonical-measurement machinery tests: densities, moments, metrics,
-entropies, and the bound reports.
+"""Canonical-measurement machinery tests: densities, moment deficits, the
+theta^2 kernel, metrics, entropies, and the bound reports.
 
 Quadrature oracles are computed in-test by explicit evaluation of
 |sum psi_n e^{in theta}|^2 / 2pi (no FFT), so every dual-route comparison
@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,18 +23,15 @@ from phaselim.canonical import (
     MaxEntropyFamily,
     _laplace_direct,
     _thermal_entropy_direct,
-    all_moments,
     canonical_distribution,
     default_grid_size,
     entropy_and_length,
     entropy_generator,
     generator_distribution,
     max_entropy_bound_checks,
-    metrics_from_moments,
     moment_deficits,
-    moments,
     state_metrics,
-    unbias_rotation,
+    theta_sq_kernel,
     verify_bounds,
 )
 from phaselim.states import ProbeState, Spectrum
@@ -101,42 +99,85 @@ class TestCanonicalDistribution:
         assert default_grid_size(Spectrum(kind="nonneg", cutoff=31)) == 256
 
 
-class TestMoments:
-    def test_normalization_and_two_level(self):
-        state = make_state("nonneg", [1.0, 1.0])
-        moms = moments(state, 1)
-        assert moms[0] == pytest.approx(1.0, abs=1e-14)
-        assert moms[1] == pytest.approx(0.5, abs=1e-14)
+class TestMomentDeficits:
+    def test_two_level(self):
+        # psi = (1, 1)/sqrt 2: <cos Theta> = 1/2, <cos 2 Theta> = 0
+        q1, q2 = moment_deficits(make_state("nonneg", [1.0, 1.0]), 2)
+        assert q1 == pytest.approx(0.5, abs=1e-15)
+        assert q2 == 1.0
 
     @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
     def test_against_quadrature(self, kind):
         rng = np.random.default_rng(23)
         state = make_state(kind, rng.standard_normal(11))
-        width = state.support_width()
         grid = np.linspace(-math.pi, math.pi, 512, endpoint=False)
         p = density_oracle(state, grid)
-        moms = moments(state, min(width, 6))
-        for m, value in enumerate(moms):
+        for m, q in enumerate(moment_deficits(state, 6), start=1):
             # the integrand is band-limited, so the uniform sum is exact
-            quad = np.exp(1j * m * grid) @ p * (2.0 * math.pi / grid.size)
-            assert value == pytest.approx(quad, abs=1e-10)
+            quad = (1.0 - np.cos(m * grid)) @ p * (2.0 * math.pi / grid.size)
+            assert q == pytest.approx(quad, abs=1e-12)
 
-    def test_m_max_validation(self):
-        state = make_state("nonneg", np.ones(4))
+
+def theta_sq_dense(n: int) -> np.ndarray:
+    """The theta^2 Fourier matrix from its closed-form entries: pi^2/3 on the
+    diagonal, 2 (-1)^m / m^2 at distance m."""
+    m = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return np.where(m == 0, math.pi**2 / 3.0, 2.0 * (-1.0) ** m / np.maximum(m, 1) ** 2)
+
+
+def long_double_amse(state: ProbeState) -> float:
+    """<Theta^2> = (pi^2/3 c_0 + 4 sum (-1)^m c_m / m^2) / c_0 with direct
+    pairwise lag sums c_m = sum psi_{n+m} psi_n, all in np.longdouble."""
+    psi = state.amplitudes.astype(np.longdouble)
+    pi = 4 * np.arctan(np.longdouble(1))
+    c_0 = np.sum(psi * psi)
+    total = pi * pi / 3 * c_0
+    for m in range(1, psi.size):
+        sign = 1 if m % 2 == 0 else -1
+        total += sign * 4 * np.sum(psi[m:] * psi[:-m]) / (np.longdouble(m) * m)
+    return total / c_0
+
+
+class TestThetaSqKernel:
+    def test_difference_form_is_the_theta_sq_matrix(self):
+        d = 61
+        g = theta_sq_kernel(d + 1)
+        assert g[0] == 2.0 * math.log(2.0)
+        i, j = np.indices((d + 1, d + 1))
+        difference = np.eye(d + 1, d) - np.eye(d + 1, d, -1)  # u = D psi
+        dense = difference.T @ g[np.abs(i - j)] @ difference
+        assert np.abs(dense - theta_sq_dense(d)).max() <= 1e-14
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 60, 199, 200, 201, 1000])
+    def test_coefficients_against_quadrature(self, m):
+        # g_m = (1/pi) int_0^pi g(t) cos(m t) dt, g(t) = (t/2)^2 / sin^2(t/2)
+        def g(t):
+            return 1.0 if t == 0.0 else (0.5 * t / math.sin(0.5 * t)) ** 2
+
+        value, _ = scipy.integrate.quad(g, 0.0, math.pi, weight="cos", wvar=m)
+        # quad is good to ~3e-16 here; a wrong tail term would miss by ~1e-9
+        assert theta_sq_kernel(m + 1)[m] == pytest.approx(value / math.pi, abs=1e-15)
+
+    def test_prefix_is_shared_and_read_only(self):
+        short, long = theta_sq_kernel(10), theta_sq_kernel(5000)
+        assert np.array_equal(short, long[:10])
+        assert not long.flags.writeable
         with pytest.raises(ValueError):
-            moments(state, 4)
+            long[0] = 1.0
 
-    @pytest.mark.parametrize("n", [2, 3, 50, 4097, 5000])
-    def test_all_moments_fft_path_matches_direct(self, n):
-        rng = np.random.default_rng(24)
-        state = make_state("nonneg", rng.standard_normal(n))
-        psi = state.amplitudes
-        fast = all_moments(state)
-        assert fast.shape == (n,)
-        for m in range(n):
-            direct = float(psi[m:] @ psi[: n - m])
-            assert fast[m].real == pytest.approx(direct, abs=1e-12)
-            assert fast[m].imag == 0.0
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="np.longdouble is plain double here",
+    )
+    def test_broad_state_matches_long_double_series(self):
+        # q_1 ~ 1e-6: the moment series sums O(1) terms down to ~2e-6, which
+        # costs float64 ~1e-10 relative; the kernel form has no cancellation
+        n = np.arange(2222, dtype=float)
+        state = make_state("nonneg", np.sin(math.pi * (n + 1.0) / 2223.0))
+        assert 5e-7 < moment_deficits(state, 1)[0] < 2e-6
+        reference = long_double_amse(state)
+        amse = state_metrics(state)["amse"]
+        assert abs(amse - reference) <= 1e-12 * reference
 
 
 def broad_state(kind: str) -> ProbeState:
@@ -188,57 +229,36 @@ class TestPairwiseDeficits:
 
 class TestMetrics:
     def test_uniform_case(self):
-        state = make_state("nonneg", [0.0, 1.0])
-        # single eigenstate: only the zeroth moment survives
-        metrics = metrics_from_moments(all_moments(state))
+        # single eigenstate: the error density is flat
+        metrics = state_metrics(make_state("nonneg", [0.0, 1.0]))
         assert metrics["amse"] == pytest.approx(math.pi**2 / 3.0, abs=1e-12)
         assert metrics["holevo"] == math.inf
 
     def test_two_level_values(self):
-        metrics = metrics_from_moments(np.array([1.0, 0.5]))
+        # <cos Theta> = 1/2: holevo = 1/c_1^2 - 1 = 3, delta_1^2 = 2 - 2 c_1 = 1,
+        # <Theta^2> = pi^2/3 + 4 (-1) c_1 = pi^2/3 - 2
+        metrics = state_metrics(make_state("nonneg", [1.0, 1.0]))
         assert metrics["holevo"] == pytest.approx(3.0, abs=1e-14)
         assert metrics["delta1"] ** 2 == pytest.approx(1.0, abs=1e-14)
+        assert metrics["amse"] == pytest.approx(math.pi**2 / 3.0 - 2.0, abs=1e-14)
 
     @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
     def test_amse_series_vs_quadrature(self, kind):
         rng = np.random.default_rng(25)
         state = make_state(kind, rng.standard_normal(7))
-        metrics = metrics_from_moments(all_moments(state))
+        metrics = state_metrics(state)
         # theta^2 is not band-limited: use a dense grid for the oracle
         dist = canonical_distribution(state, 1 << 21)
         quad = float((dist.grid**2) @ dist.density * dist.step)
         assert metrics["amse"] == pytest.approx(quad, abs=1e-10)
 
-    def test_moment_validation(self):
-        with pytest.raises(ValueError):
-            metrics_from_moments(np.array([0.7, 0.1]))
-
-
-class TestUnbiasRotation:
-    def test_identity_when_unbiased(self):
-        moms = np.array([1.0, 0.5, 0.1], dtype=complex)
-        assert unbias_rotation(moms) == pytest.approx(moms, abs=1e-15)
-
-    def test_removes_injected_rotation(self):
-        rng = np.random.default_rng(26)
-        base = np.concatenate(([1.0], rng.uniform(0.1, 0.5, 4)))
-        theta_av = 0.7318
-        rotated = base * np.exp(1j * theta_av * np.arange(5))
-        recovered = unbias_rotation(rotated)
-        assert abs(recovered[1].imag) <= 1e-14
-        assert recovered[1].real > 0.0
-        assert recovered == pytest.approx(base.astype(complex), abs=1e-12)
-
-    def test_holevo_invariant_under_rotation(self):
-        base = np.array([1.0, 0.4, 0.2], dtype=complex)
-        rotated = base * np.exp(1j * 1.1 * np.arange(3))
-        holevo_before = metrics_from_moments(base)["holevo"]
-        holevo_after = metrics_from_moments(unbias_rotation(rotated))["holevo"]
-        assert holevo_after == pytest.approx(holevo_before, rel=1e-12)
-
-    def test_zero_first_moment(self):
-        with pytest.raises(ValueError):
-            unbias_rotation(np.array([1.0, 0.0]))
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    def test_amse_is_the_dense_quadratic_form(self, kind):
+        rng = np.random.default_rng(28)
+        state = make_state(kind, rng.standard_normal(41))
+        psi = state.amplitudes
+        expected = psi @ theta_sq_dense(psi.size) @ psi
+        assert state_metrics(state)["amse"] == pytest.approx(expected, rel=1e-13)
 
 
 class TestEntropy:

@@ -121,6 +121,8 @@ class TestExitCodes:
             (["inequalities", "--grid-points", "0"], "grid_points must be >= 2"),
             (["inequalities", "--grid-points", "-5"], "grid_points must be >= 2"),
             (["inequalities", "--grid-points", "1"], "grid_points must be >= 2"),
+            (["povm", "--seed", "-1"], "seed must be >= 0"),
+            (["bounds", "--seed", "-7"], "seed must be >= 0"),
         ],
         ids=[
             "visibility",
@@ -131,6 +133,8 @@ class TestExitCodes:
             "grid-points-0",
             "grid-points-negative",
             "grid-points-1",
+            "seed-povm",
+            "seed-bounds",
         ],
     )
     def test_invalid_verify_option_exits_2(self, capsys, argv, message):

@@ -32,9 +32,20 @@ def banded_to_dense(matrix: BandedSymmetric) -> np.ndarray:
 
 
 def toeplitz_to_dense(matrix: ToeplitzPlusDiagonal) -> np.ndarray:
+    """D' Z(kernel) D + diag from the stored kernel, for solver tests on
+    arbitrary kernels (theta^2 references use ``theta_sq_dense``)."""
     n = matrix.dimension
-    i, j = np.indices((n, n))
-    dense = matrix.first_column[np.abs(i - j)]
+    i, j = np.indices((n + 1, n + 1))
+    difference = np.eye(n + 1, n) - np.eye(n + 1, n, -1)  # u = D x
+    dense = difference.T @ matrix.kernel[np.abs(i - j)] @ difference
+    return dense + np.diag(matrix.diagonal)
+
+
+def theta_sq_dense(matrix: ToeplitzPlusDiagonal) -> np.ndarray:
+    """A theta^2 matrix from closed-form entries: pi^2/3 on the diagonal,
+    2 (-1)^m / m^2 at distance m, plus the matrix's diagonal."""
+    m = np.abs(np.subtract.outer(np.arange(matrix.dimension), np.arange(matrix.dimension)))
+    dense = np.where(m == 0, math.pi**2 / 3.0, 2.0 * (-1.0) ** m / np.maximum(m, 1) ** 2)
     return dense + np.diag(matrix.diagonal)
 
 
@@ -67,8 +78,8 @@ class TestClosedForms:
     def test_dense_two_by_two_quadratic_block(self):
         # theta^2 at cutoff 1 (nonneg): Toeplitz column [pi^2/3, -2]
         z0 = math.pi**2 / 3.0
-        matrix = ToeplitzPlusDiagonal(
-            first_column=np.array([z0, -2.0]), diagonal=np.zeros(2)
+        matrix = build_matrix(
+            cost_function("theta_sq"), Spectrum(kind="nonneg", cutoff=1), 0.0
         )
         jacobi = BandedSymmetric([np.full(2, z0)])
         pair = extremal_eigenpair(matrix, preconditioner=jacobi)
@@ -103,14 +114,15 @@ class TestDenseReference:
 
     def test_toeplitz_smallest_vs_dense(self):
         n = 120
-        # positive definite: diagonally dominant Toeplitz symbol plus weights
-        col = np.zeros(n)
-        col[0] = 4.0
-        col[1:] = 0.5 ** np.arange(1, n)
+        # positive definite: the kernel's symbol 4 + 2 sum 0.5^m cos(m t) is
+        # >= 2, times 2 - 2 cos t, plus positive weights; Jacobi on the
+        # main diagonal 2 (g_0 - g_1) + weight
+        kernel = 0.5 ** np.arange(n + 1)
+        kernel[0] = 4.0
         matrix = ToeplitzPlusDiagonal(
-            first_column=col, diagonal=0.1 * np.arange(n, dtype=float)
+            kernel=kernel, diagonal=0.1 * np.arange(n, dtype=float)
         )
-        jacobi = BandedSymmetric([col[0] + matrix.diagonal])
+        jacobi = BandedSymmetric([2.0 * (kernel[0] - kernel[1]) + matrix.diagonal])
         reference = np.linalg.eigvalsh(toeplitz_to_dense(matrix))[0]
         pair = extremal_eigenpair(matrix, preconditioner=jacobi)
         assert pair.value == pytest.approx(reference, rel=1e-11)
@@ -216,11 +228,11 @@ class TestPreconditionedToeplitz:
         # f1: the cold solve of variational._solve_eigen (f1 Sturm start);
         # f3: extremal_eigenpair's own cold start (f3's smallest eigenvector)
         spectrum = Spectrum(kind=kind, cutoff=cutoff)
-        cost = cost_function("theta_sq", m_max=1)
+        cost = cost_function("theta_sq")
         matrix = build_matrix(cost, spectrum, -penalty)
         f3 = build_matrix(cost_function("f3"), spectrum, -penalty)
         assert f3.bandwidth == 2
-        values, vectors = np.linalg.eigh(toeplitz_to_dense(matrix))
+        values, vectors = np.linalg.eigh(theta_sq_dense(matrix))
         n = matrix.dimension
         vector = None
         if start == "warm":
@@ -252,7 +264,7 @@ class TestPreconditionedToeplitz:
             lambda self, x: matvecs.append(1) or apply(self, x),
         )
         spectrum = Spectrum(kind="nonneg", cutoff=1000)
-        cost = cost_function("theta_sq", m_max=1)
+        cost = cost_function("theta_sq")
         penalty = 3.8 / 101.0**3
         pair = variational._solve_eigen(cost, spectrum, penalty, None)
         assert len(matvecs) <= 14
@@ -265,9 +277,9 @@ class TestPreconditionedToeplitz:
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_theta_sq_vs_dense(self, kind, cutoff, beta, warm):
         spectrum = Spectrum(kind=kind, cutoff=cutoff)
-        matrix = build_matrix(cost_function("theta_sq", m_max=1), spectrum, beta)
+        matrix = build_matrix(cost_function("theta_sq"), spectrum, beta)
         assert isinstance(matrix, ToeplitzPlusDiagonal)
-        values, vectors = np.linalg.eigh(toeplitz_to_dense(matrix))
+        values, vectors = np.linalg.eigh(theta_sq_dense(matrix))
         n = matrix.dimension
         surrogate = BandedSymmetric(
             [2.0 - beta * spectrum.weights(), -np.ones(n - 1)]
@@ -293,7 +305,7 @@ class TestPreconditionedToeplitz:
         # theta^2 near mean 3e3: the beta_a eigenvector already meets the
         # residual test at beta_b, yet its mean is off by ~2e-6 relative
         spectrum = Spectrum(kind="nonneg", cutoff=30000)
-        cost = cost_function("theta_sq", m_max=1)
+        cost = cost_function("theta_sq")
         weights = spectrum.weights()
 
         def solve(beta, start=None):
@@ -313,9 +325,10 @@ class TestPreconditionedToeplitz:
 
 
     def test_stall_raises_within_100_matvecs(self, monkeypatch):
-        # ||M r|| cannot reach 1e-15 (its rounding floor is far above), so
-        # the solve must end in EigsolveError soon after it stops improving
-        monkeypatch.setattr(eigensolve, "_VECTOR_TOL", 1e-15)
+        # ||M r|| cannot reach 1e-18 (its rounding floor, about 1e-15 with
+        # the difference-form mat-vec, is far above), so the solve must end
+        # in EigsolveError soon after it stops improving
+        monkeypatch.setattr(eigensolve, "_VECTOR_TOL", 1e-18)
         matvecs = []
         apply = ToeplitzPlusDiagonal.matvec
         monkeypatch.setattr(
@@ -328,7 +341,7 @@ class TestPreconditionedToeplitz:
         surrogate = BandedSymmetric(
             [2.0 + penalty * spectrum.weights(), -np.ones(spectrum.dimension - 1)]
         )
-        matrix = build_matrix(cost_function("theta_sq", m_max=1), spectrum, -penalty)
+        matrix = build_matrix(cost_function("theta_sq"), spectrum, -penalty)
         with pytest.raises(EigsolveError, match="stalled"):
             extremal_eigenpair(matrix, preconditioner=surrogate)
         assert len(matvecs) <= 100
@@ -412,7 +425,7 @@ class TestMatvecAndBounds:
         n = 67
         rng = np.random.default_rng(2)
         matrix = ToeplitzPlusDiagonal(
-            first_column=rng.standard_normal(n), diagonal=rng.standard_normal(n)
+            kernel=rng.standard_normal(n + 1), diagonal=rng.standard_normal(n)
         )
         dense = toeplitz_to_dense(matrix)
         for _ in range(5):
@@ -434,7 +447,7 @@ class TestMatvecAndBounds:
         n = 50
         banded = BandedSymmetric([rng.standard_normal(n - k) for k in range(2)])
         toeplitz = ToeplitzPlusDiagonal(
-            first_column=rng.standard_normal(n), diagonal=rng.standard_normal(n)
+            kernel=rng.standard_normal(n + 1), diagonal=rng.standard_normal(n)
         )
         for matrix, ref in (
             (banded, banded_to_dense(banded)),
@@ -493,11 +506,11 @@ class TestValidation:
 
     def test_toeplitz_shape_mismatch(self):
         with pytest.raises(ValueError):
-            ToeplitzPlusDiagonal(first_column=np.zeros(3), diagonal=np.zeros(4))
+            ToeplitzPlusDiagonal(kernel=np.zeros(4), diagonal=np.zeros(4))
 
     def test_toeplitz_requires_preconditioner(self):
         matrix = ToeplitzPlusDiagonal(
-            first_column=np.array([2.0, -1.0, 0.0]), diagonal=np.zeros(3)
+            kernel=np.array([2.0, -1.0, 0.0]), diagonal=np.zeros(2)
         )
         with pytest.raises(ValueError, match="requires a preconditioner"):
             extremal_eigenpair(matrix)

@@ -1,7 +1,8 @@
 """Tests for the constrained variational solver.
 
 Reference values are produced by independent routes: dense numpy
-eigendecompositions of the explicitly densified matrices, direct moment
+eigendecompositions of the explicitly densified matrices (theta^2 ones from
+their closed-form entries, never from the operator's kernel), direct moment
 sums, and closed forms for the two-level optimum.
 """
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaselim import canonical, variational
+from phaselim import asympt, canonical, variational
 from phaselim.eigensolve import BandedSymmetric, ToeplitzPlusDiagonal
 from phaselim.states import ProbeState, Spectrum
 from phaselim.variational import (
@@ -20,7 +21,6 @@ from phaselim.variational import (
     build_matrix,
     cost_function,
     default_cutoff,
-    delta3_on_f1_state,
     solve_point,
     sweep_curve,
 )
@@ -28,21 +28,36 @@ from phaselim.variational import (
 K_C = 1.376083543343775
 
 
+def theta_sq_dense(n: int) -> np.ndarray:
+    """The theta^2 Fourier matrix from its closed-form entries: pi^2/3 on the
+    diagonal, 2 (-1)^m / m^2 at distance m."""
+    m = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return np.where(m == 0, math.pi**2 / 3.0, 2.0 * (-1.0) ** m / np.maximum(m, 1) ** 2)
+
+
 def densify(matrix):
-    """Explicit symmetric matrix from either operator type."""
+    """Explicit symmetric matrix: banded from its diagonals, a (theta^2)
+    Toeplitz-plus-diagonal one from theta^2's closed-form entries."""
     n = matrix.dimension
+    if isinstance(matrix, ToeplitzPlusDiagonal):
+        return theta_sq_dense(n) + np.diag(matrix.diagonal)
     out = np.zeros((n, n))
-    if isinstance(matrix, BandedSymmetric):
-        for off, diag in enumerate(matrix.diagonals):
-            idx = np.arange(n - off)
-            out[idx, idx + off] = diag
-            out[idx + off, idx] = diag
-        return out
-    col = matrix.first_column
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    out = col[idx]
-    out[np.diag_indices(n)] += matrix.diagonal
+    for off, diag in enumerate(matrix.diagonals):
+        idx = np.arange(n - off)
+        out[idx, idx + off] = diag
+        out[idx + off, idx] = diag
     return out
+
+
+def moment_value(cost, psi: np.ndarray) -> float:
+    """<f> from direct lag sums c_m = sum psi_{n+m} psi_n: the cosine series
+    a_0 + sum a_m c_m, or pi^2/3 + 4 sum (-1)^m c_m / m^2 for theta^2."""
+    c = [float(psi @ psi)] + [float(psi[m:] @ psi[:-m]) for m in range(1, psi.size)]
+    if cost.name == "theta_sq":
+        m = np.arange(1, psi.size)
+        return math.pi**2 / 3.0 + 4.0 * float(((-1.0) ** m * np.array(c[1:]) / m**2).sum())
+    a = cost.cosine_coeffs
+    return float(sum(a[m] * c[m] for m in range(min(a.size, psi.size))))
 
 
 def reference_eigenpair(matrix):
@@ -64,17 +79,11 @@ class TestCostFunctions:
         cost = cost_function("f2")
         assert cost.cosine_coeffs == pytest.approx([2.5, -8.0 / 3.0, 1.0 / 6.0])
 
-    def test_theta_sq_coefficients(self):
-        cost = cost_function("theta_sq", m_max=4)
-        m = np.arange(1, 5)
-        expected = np.concatenate(
-            ([math.pi**2 / 3.0], 4.0 * (-1.0) ** m / m**2)
-        )
-        assert cost.cosine_coeffs == pytest.approx(expected, abs=0.0)
-
-    def test_theta_sq_requires_m_max(self):
-        with pytest.raises(ValueError):
-            cost_function("theta_sq")
+    def test_theta_sq_is_theta_squared(self):
+        cost = cost_function("theta_sq")
+        assert cost.cosine_coeffs is None
+        theta = np.linspace(-math.pi, math.pi, 101)
+        assert np.array_equal(cost.evaluate(theta), theta**2)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -104,18 +113,6 @@ class TestCostFunctions:
         assert np.all(f2 <= sq + 1e-12)
         assert np.all(f2 >= -1e-12)
         assert np.all(cost_function("f3").evaluate(theta) >= sq - 1e-12)
-
-    def test_value_from_moments(self):
-        cost = cost_function("f1")
-        assert cost.value_from_moments(np.array([1.0, 0.3, 0.9])) == pytest.approx(
-            2.0 - 2.0 * 0.3, abs=1e-15
-        )
-        # moments beyond a state's support width vanish, so a short moment
-        # vector means the remaining series terms contribute zero
-        cost = cost_function("theta_sq", m_max=3)
-        assert cost.value_from_moments(np.array([1.0, 0.5])) == pytest.approx(
-            math.pi**2 / 3.0 - 2.0, abs=1e-15
-        )
 
     def test_validation(self):
         from phaselim.variational import CostFunction
@@ -149,16 +146,14 @@ class TestBuildMatrix:
 
     def test_theta_sq_three_by_three(self):
         matrix = build_matrix(
-            cost_function("theta_sq", m_max=2),
-            Spectrum(kind="nonneg", cutoff=2),
-            0.0,
+            cost_function("theta_sq"), Spectrum(kind="nonneg", cutoff=2), 0.0
         )
-        dense = densify(matrix)
+        applied = np.column_stack([matrix.matvec(e) for e in np.eye(3)])
         third = math.pi**2 / 3.0
         expected = np.array(
             [[third, -2.0, 0.5], [-2.0, third, -2.0], [0.5, -2.0, third]]
         )
-        assert dense == pytest.approx(expected, abs=0.0)
+        assert applied == pytest.approx(expected, abs=1e-14)
 
     def test_symmetric_weights_are_absolute_values(self):
         matrix = build_matrix(
@@ -170,13 +165,11 @@ class TestBuildMatrix:
         assert matrix.dimension == 5
 
     def test_theta_sq_storage_by_dimension(self):
-        cost = cost_function("theta_sq", m_max=1)
-        small = build_matrix(cost, Spectrum(kind="nonneg", cutoff=2), 0.0)
-        assert isinstance(small, BandedSymmetric)
-        mid = build_matrix(cost, Spectrum(kind="nonneg", cutoff=500), 0.0)
-        assert isinstance(mid, ToeplitzPlusDiagonal)
-        large = build_matrix(cost, Spectrum(kind="nonneg", cutoff=1030), 0.0)
-        assert isinstance(large, ToeplitzPlusDiagonal)
+        # one form at every dimension, the smallest ones included
+        cost = cost_function("theta_sq")
+        for kind, cutoff in [("nonneg", 1), ("symmetric", 1), ("nonneg", 1030)]:
+            matrix = build_matrix(cost, Spectrum(kind=kind, cutoff=cutoff), -0.1)
+            assert isinstance(matrix, ToeplitzPlusDiagonal)
 
     def test_quadratic_form_reproduces_moment_values(self):
         # Every cost gives psi' M psi = <f> + p <n>, with penalty p = 2 beta
@@ -186,21 +179,17 @@ class TestBuildMatrix:
         psi = rng.normal(size=13)
         psi /= np.linalg.norm(psi)
         state = ProbeState(spectrum=spectrum, amplitudes=psi)
-        moms = np.real(canonical.all_moments(state))
         mean = state.mean_weight()
         beta = 0.37
-        form = psi @ densify(
-            build_matrix(cost_function("f1"), spectrum, beta)
-        ) @ psi
+        f1 = cost_function("f1")
+        form = psi @ densify(build_matrix(f1, spectrum, beta)) @ psi
         assert form == pytest.approx(
-            cost_function("f1").value_from_moments(moms) + 2.0 * beta * mean,
-            abs=1e-12,
+            moment_value(f1, psi) + 2.0 * beta * mean, abs=1e-12
         )
-        cost = cost_function("theta_sq", m_max=12)
-        form = psi @ densify(build_matrix(cost, spectrum, -beta)) @ psi
-        assert form == pytest.approx(
-            cost.value_from_moments(moms) + beta * mean, abs=1e-12
-        )
+        cost = cost_function("theta_sq")
+        matrix = build_matrix(cost, spectrum, -beta)
+        form = psi @ matrix.matvec(psi)
+        assert form == pytest.approx(moment_value(cost, psi) + beta * mean, abs=1e-12)
 
 
 class TestSolvePoint:
@@ -215,8 +204,7 @@ class TestSolvePoint:
     )
     def test_matches_dense_reference(self, name, beta, cutoff):
         spectrum = Spectrum(kind="nonneg", cutoff=cutoff)
-        kwargs = {"m_max": 1} if name == "theta_sq" else {}
-        cost = cost_function(name, **kwargs)
+        cost = cost_function(name)
         ref_value, ref_vector = reference_eigenpair(build_matrix(cost, spectrum, beta))
         point = solve_point(cost, spectrum, beta)
         assert point.cutoff == cutoff  # no doubling for these settings
@@ -225,7 +213,7 @@ class TestSolvePoint:
 
     def test_toeplitz_route_matches_dense_reference(self):
         spectrum = Spectrum(kind="nonneg", cutoff=1030)
-        cost = cost_function("theta_sq", m_max=1)
+        cost = cost_function("theta_sq")
         point = solve_point(cost, spectrum, -0.5)
         values = np.linalg.eigvalsh(densify(build_matrix(cost, spectrum, -0.5)))
         assert point.alpha == pytest.approx(values[0], abs=1e-11)
@@ -249,7 +237,7 @@ class TestSolvePoint:
         with pytest.raises(ValueError):
             solve_point(cost_function("f1"), nonneg, -0.1)
         with pytest.raises(ValueError):
-            solve_point(cost_function("theta_sq", m_max=1), nonneg, 0.1)
+            solve_point(cost_function("theta_sq"), nonneg, 0.1)
 
     def test_cutoff_doubles_until_tail_is_negligible(self):
         spectrum = Spectrum(kind="nonneg", cutoff=100)
@@ -290,7 +278,7 @@ class TestSolvePoint:
             for b in (0.05, 0.1, 0.3, 1.0)
         ]
         assert all(a > b for a, b in zip(f1_means, f1_means[1:]))
-        cost = cost_function("theta_sq", m_max=1)
+        cost = cost_function("theta_sq")
         sq_means = [
             solve_point(cost, Spectrum(kind="nonneg", cutoff=96), -b).mean_constraint
             for b in (0.2, 0.5, 1.0, 2.0)
@@ -313,8 +301,7 @@ def posed_problems(draw):
     )
     size = draw(st.one_of(st.just(0.0), st.floats(1e-2, 5.0)))
     beta = size / PENALTY_PER_BETA[name]
-    m_max = spectrum.dimension - 1 if name == "theta_sq" else None
-    return cost_function(name, m_max=m_max), spectrum, beta
+    return cost_function(name), spectrum, beta
 
 
 class TestSinglePosing:
@@ -327,10 +314,11 @@ class TestSinglePosing:
         psi = np.random.default_rng(seed).normal(size=spectrum.dimension)
         psi /= np.linalg.norm(psi)
         state = ProbeState(spectrum=spectrum, amplitudes=psi)
-        expected = cost.value_from_moments(
-            canonical.all_moments(state)
-        ) + PENALTY_PER_BETA[cost.name] * beta * state.mean_weight()
-        form = psi @ densify(build_matrix(cost, spectrum, beta)) @ psi
+        expected = (
+            moment_value(cost, psi)
+            + PENALTY_PER_BETA[cost.name] * beta * state.mean_weight()
+        )
+        form = psi @ build_matrix(cost, spectrum, beta).matvec(psi)
         assert form == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -454,7 +442,7 @@ class TestTruncation:
     @pytest.mark.parametrize("name", ["f1", "f2", "theta_sq"])
     def test_truncation_converged(self, name, kind):
         """Each sweep point is a fixed point of doubling its cutoff."""
-        cost = cost_function(name, m_max=1 if name == "theta_sq" else None)
+        cost = cost_function(name)
         for point in sweep_curve(cost, kind, self.TARGETS):
             assert point.tail_mass <= 1e-10 * point.delta_1**2 / 2.0
             wider = point.state.with_cutoff(2 * point.cutoff)
@@ -505,8 +493,7 @@ class TestSweepCurve:
     @pytest.mark.parametrize("name", ["f1", "f2", "theta_sq", "f3"])
     def test_mean_accuracy(self, name):
         targets = [0.5, 2.0, 7.5, 30.0]
-        kwargs = {"m_max": 1} if name == "theta_sq" else {}
-        points = sweep_curve(cost_function(name, **kwargs), "nonneg", targets)
+        points = sweep_curve(cost_function(name), "nonneg", targets)
         for point, target in zip(points, targets):
             assert abs(point.mean_constraint - target) <= 1e-6 * target
             assert point.cost == name
@@ -517,7 +504,7 @@ class TestSweepCurve:
         assert all(a > b for a, b in zip(penalties, penalties[1:]))
         assert all(p.beta > 0 for p in points)
         points = sweep_curve(
-            cost_function("theta_sq", m_max=1), "nonneg", [1.0, 5.0]
+            cost_function("theta_sq"), "nonneg", [1.0, 5.0]
         )
         assert all(p.beta < 0 for p in points)
 
@@ -551,7 +538,7 @@ class TestSweepSeeding:
     @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
     @pytest.mark.parametrize("name", ["f1", "f2", "theta_sq"])
     def test_first_seed_near_the_solved_penalty(self, name, kind, target, rtol):
-        cost = cost_function(name, m_max=1 if name == "theta_sq" else None)
+        cost = cost_function(name)
         spectrum = Spectrum(kind=kind, cutoff=default_cutoff(kind, target))
         seed, slope = variational._first_seed(cost, spectrum, target)
         (point,) = sweep_curve(cost, kind, [target])
@@ -566,7 +553,7 @@ class TestSweepSeeding:
         monkeypatch.setattr(
             variational, "_solve_eigen", lambda *a: calls.append(1) or solve(*a)
         )
-        theta_sq = cost_function("theta_sq", m_max=1)
+        theta_sq = cost_function("theta_sq")
         counts = []
         for kind in ("nonneg", "symmetric"):
             sweep_curve(theta_sq, kind, [0.01, 0.1, 1.0, 10.0, 100.0])
@@ -578,21 +565,21 @@ class TestSweepSeeding:
 
     def test_toeplitz_part_is_shared_and_read_only(self):
         spectrum = Spectrum(kind="symmetric", cutoff=300)
-        cost = cost_function("theta_sq", m_max=1)
+        cost = cost_function("theta_sq")
         rng = np.random.default_rng(7)
         x = rng.standard_normal(spectrum.dimension)
-        coeffs = cost_function("theta_sq", m_max=spectrum.dimension - 1).cosine_coeffs
-        column = np.concatenate(([coeffs[0]], 0.5 * coeffs[1:]))
+        kernel = canonical.theta_sq_kernel(spectrum.dimension + 1)
         for penalty in (1e-4, 0.3):
             matrix = variational._matrix(cost, spectrum, penalty)
             fresh = ToeplitzPlusDiagonal(
-                first_column=column, diagonal=penalty * spectrum.weights()
+                kernel=kernel, diagonal=penalty * spectrum.weights()
             )
             assert np.array_equal(matrix.matvec(x), fresh.matvec(x))
+            assert matrix.norm_bound() == fresh.norm_bound()
             shared = variational._theta_sq_toeplitz(spectrum.dimension)
-            assert matrix.first_column is shared.first_column
+            assert matrix.kernel is shared.kernel
             assert matrix._fft_kernel is shared._fft_kernel
-        for array in (shared.first_column, shared.diagonal, shared._fft_kernel):
+        for array in (shared.kernel, shared.diagonal, shared._fft_kernel):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
@@ -603,29 +590,18 @@ class TestDelta3OnF1State:
         point = solve_point(
             cost_function("f1"), Spectrum(kind="nonneg", cutoff=1), 0.0
         )
-        assert delta3_on_f1_state(point) ** 2 == pytest.approx(
-            math.pi**2 / 8.0 + 0.5, abs=1e-12
-        )
-
-    def test_requires_f1_point(self):
-        point = solve_point(
-            cost_function("theta_sq", m_max=1),
-            Spectrum(kind="nonneg", cutoff=96),
-            -0.5,
-        )
-        with pytest.raises(ValueError):
-            delta3_on_f1_state(point)
+        assert point.delta_3**2 == pytest.approx(math.pi**2 / 8.0 + 0.5, abs=1e-12)
 
     def test_upper_bounds_delta_on_same_state(self):
         points = sweep_curve(cost_function("f1"), "nonneg", [1.0, 10.0, 100.0])
         for point in points:
-            assert delta3_on_f1_state(point) >= point.delta - 1e-12
+            assert point.delta_3 >= point.delta - 1e-12
 
     def test_scaled_value_approaches_k_c_from_above(self):
         points = sweep_curve(cost_function("f1"), "nonneg", [10.0, 30.0, 100.0])
         excesses = []
         for point in points:
-            scaled = (point.mean_constraint + 1.0) * delta3_on_f1_state(point)
+            scaled = (point.mean_constraint + 1.0) * point.delta_3
             assert scaled > K_C
             excesses.append(scaled - K_C)
         assert all(a > b for a, b in zip(excesses, excesses[1:]))
@@ -634,3 +610,29 @@ class TestDelta3OnF1State:
             e * (p.mean_constraint + 1.0) for e, p in zip(excesses, points)
         ]
         assert max(products) <= 1.2 * min(products)
+
+
+class TestThetaSqDifferenceForm:
+    """theta^2 optima through the difference-form operator D' Z(g) D."""
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    def test_eigenvalue_minus_penalty_term_is_delta_squared(self, kind):
+        # alpha = <theta^2> + p <W> from the operator, delta^2 from
+        # state_metrics: both free of cancellation, so they agree to rounding
+        targets = [0.01, 1.0, 30.0, 300.0, 1000.0]
+        for point in sweep_curve(cost_function("theta_sq"), kind, targets):
+            penalty = -point.beta
+            excess = point.alpha - penalty * point.mean_constraint
+            assert excess == pytest.approx(point.delta**2, rel=1e-13, abs=0.0)
+
+    def test_mean_1e5_nonneg_solve_converges_without_doubling(self):
+        # d = 800,009 at the paper's penalty 2 k_C^2 / L^3: the FFT mat-vec
+        # rounds relative to ||D psi|| ~ delta_1 ~ 1e-5, so LOPCG reaches its
+        # 1e-9 stop and the tail passes at the starting cutoff
+        cutoff = default_cutoff("nonneg", 1e5)
+        penalty = 2.0 * asympt.constants().k_C**2 / (1e5 + 1.0) ** 3
+        spectrum = Spectrum(kind="nonneg", cutoff=cutoff)
+        point = solve_point(cost_function("theta_sq"), spectrum, -penalty)
+        assert spectrum.dimension == 800_009 and point.cutoff == cutoff
+        assert point.tail_mass <= 1e-10 * point.delta_1**2 / 2.0
+        assert point.mean_constraint == pytest.approx(1e5, rel=1e-3)
