@@ -68,14 +68,13 @@ class Constants:
 
 def constants() -> Constants:
     zeros = specfun.airy_first_zeros()
-    a = abs(zeros.z_a)
-    ap = abs(zeros.z_a_prime)
+    gamma, gamma_prime = specfun._gammas()
     return Constants(
         k_A=canonical.K_A,
-        k_C=2.0 * (a / 3.0) ** 1.5,
-        k_C_prime=4.0 * (ap / 3.0) ** 1.5,
-        gamma=a / 2.0 ** (1.0 / 3.0),
-        gamma_prime=ap / 2.0 ** (1.0 / 3.0),
+        k_C=2.0 * (abs(zeros.z_a) / 3.0) ** 1.5,
+        k_C_prime=4.0 * (abs(zeros.z_a_prime) / 3.0) ** 1.5,
+        gamma=gamma,
+        gamma_prime=gamma_prime,
         z_a=zeros.z_a,
         z_a_prime=zeros.z_a_prime,
     )
@@ -251,29 +250,28 @@ def asymptotic_bounds_on_delta(
 ) -> dict[str, float]:
     """Asymptotic lower/upper bounds on the squared phase error.
 
-    nonneg (L = <N+1>):
-        lower = k_C^2/L^2 - 16|z_A|^6/(10935 L^4)   (arccos expansion)
-        upper = k_C^2/L^2 + (pi^2-4)|z_A|^3/(54 L^3)
-    symmetric (L = <2|J|+1>):
-        lower = k'_C^2/L^2
-        upper = k'_C^2/L^2 + d_3/L^3
+    nonneg (L = <N+1>, b_2 = k_C^2 of ``nonneg_series_expansion``):
+        lower = b_2/L^2 - b_2^2/(15 L^4)   (arccos expansion)
+        upper = b_2/L^2 + (pi^2-4) b_2/(8 L^3)
+    symmetric (L = <2|J|+1>, d_2 = k'_C^2 and d_3 of
+    ``symmetric_series_expansion``):
+        lower = d_2/L^2
+        upper = d_2/L^2 + d_3/L^3
     """
     _regime_warning(nbar_or_jbar, "mean value")
-    zeros = specfun.airy_first_zeros()
     if spectrum_kind == "nonneg":
-        a = abs(zeros.z_a) ** 3
+        b_2 = float(nonneg_series_expansion().coefficients[0])
         length = nbar_or_jbar + 1.0
-        leading = 4.0 * a / (27.0 * length**2)
+        leading = b_2 / length**2
         return {
-            "lower": leading - 16.0 * a**2 / (10935.0 * length**4),
-            "upper": leading + (math.pi**2 - 4.0) * a / (54.0 * length**3),
+            "lower": leading - b_2**2 / (15.0 * length**4),
+            "upper": leading + (math.pi**2 - 4.0) * b_2 / (8.0 * length**3),
         }
     if spectrum_kind == "symmetric":
-        p = abs(zeros.z_a_prime) ** 3
+        expansion = symmetric_series_expansion()
         length = 2.0 * nbar_or_jbar + 1.0
-        leading = 16.0 * p / (27.0 * length**2)
         return {
-            "lower": leading,
-            "upper": leading + 32.0 * p / (27.0 * length**3),
+            "lower": expansion.evaluate(length, terms=1),
+            "upper": expansion.evaluate(length, terms=2),
         }
     raise ValueError(f"spectrum_kind must be 'nonneg' or 'symmetric', got {spectrum_kind!r}")

@@ -15,7 +15,7 @@ deficits), and verifies the entropy-based accuracy bounds:
 * Holevo variance >= tan^2(pi / (width + 2)) for bounded support,
 * the arccos sandwich between delta_1 and delta.
 
-Max-entropy reference families (thermal, Laplace, flat) provide the closed
+Max-entropy reference families (thermal, Laplace) provide the closed
 forms behind the k_A bounds; ``max_entropy_bound_checks`` sweeps their
 parameter grids.
 """
@@ -35,6 +35,8 @@ __all__ = [
     "GeneratorDistribution",
     "MaxEntropyFamily",
     "BoundReport",
+    "COSINE_COSTS",
+    "MARGIN_TOL",
     "canonical_distribution",
     "default_grid_size",
     "entropy_and_length",
@@ -43,20 +45,31 @@ __all__ = [
     "max_entropy_bound_checks",
     "moment_deficits",
     "state_metrics",
+    "theta_sq_entries",
     "theta_sq_kernel",
     "verify_bounds",
 ]
 
 K_A = math.sqrt(2.0 * math.pi / math.e**3)
 
-# Cosine coefficients of f3 = (pi^2/4 - 1)[2(1 - cos t) - (1 - cos 2t)/2]
-#                             + 2(1 - cos t)
-F3_A0 = 3.0 * math.pi**2 / 8.0 + 0.5
-F3_A1 = -math.pi**2 / 2.0
-F3_A2 = math.pi**2 / 8.0 - 0.5
+# Cosine coefficients (a_0, a_1, a_2) of the surrogate costs
+# f = a_0 + sum_m a_m cos(m t); each vanishes at t = 0 (a row sums to 0).
+COSINE_COSTS = {
+    "f1": (2.0, -2.0),  # 2 - 2 cos t
+    "f2": (2.5, -8.0 / 3.0, 1.0 / 6.0),  # 5/2 - (8/3) cos t + (1/6) cos 2t
+    # (pi^2/4 - 1)[2(1 - cos t) - (1 - cos 2t)/2] + 2(1 - cos t)
+    "f3": (3.0 * math.pi**2 / 8.0 + 0.5, -math.pi**2 / 2.0, math.pi**2 / 8.0 - 0.5),
+}
+
+MARGIN_TOL = -1e-12  # margins this negative count as violations
 
 _LOG_FLOOR = 1e-300
 _KERNEL_TAIL = 200  # theta_sq_kernel: asymptotic series from this index on
+_DIRECT_TOL = 1e-18  # probability cut of the direct max-entropy sums
+# parameter grids of max_entropy_bound_checks
+_NBAR_GRID = np.logspace(-3, 4, 36)
+_BETA_GRID = np.logspace(-3, 1.5, 28)
+_R_GRID = np.linspace(0.0, 0.5, 6)
 
 _kernel = np.empty(0)  # the cached prefix of theta_sq_kernel
 
@@ -109,8 +122,7 @@ class MaxEntropyFamily:
 
     kind = 'thermal': parameter is <N> on the nonnegative integers;
     kind = 'laplace': p_n propto e^{-beta |n - g|} over all integers, with
-        parameter = beta and offset r = ceil(g) - g in [0, 1/2];
-    kind = 'flat': parameter is n_max, uniform over n_max + 1 values.
+        parameter = beta and offset r = ceil(g) - g in [0, 1/2].
     """
 
     kind: str
@@ -118,7 +130,7 @@ class MaxEntropyFamily:
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("thermal", "laplace", "flat"):
+        if self.kind not in ("thermal", "laplace"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.kind == "thermal" and self.parameter < 0.0:
             raise ValueError("thermal parameter <N> must be >= 0")
@@ -127,8 +139,6 @@ class MaxEntropyFamily:
                 raise ValueError("laplace beta must be > 0")
             if not 0.0 <= self.offset <= 0.5:
                 raise ValueError("laplace offset r must lie in [0, 1/2]")
-        if self.kind == "flat" and self.parameter < 0:
-            raise ValueError("flat n_max must be >= 0")
 
     def entropy(self) -> float:
         if self.kind == "thermal":
@@ -136,8 +146,6 @@ class MaxEntropyFamily:
             if nbar == 0.0:
                 return 0.0
             return math.log(nbar + 1.0) + nbar * math.log1p(1.0 / nbar)
-        if self.kind == "flat":
-            return math.log(self.parameter + 1.0)
         # Laplace: H = ln Z + beta <|G - g|> with Z the normalization.
         beta, r = self.parameter, self.offset
         z_norm = (math.exp(-beta * r) + math.exp(-beta * (1.0 - r))) / (
@@ -169,14 +177,12 @@ def canonical_distribution(
 
     The density is a trigonometric polynomial of degree equal to the support
     width, so the uniform grid sum integrates it exactly; grid_size must be a
-    power of two >= 8 (cutoff + 1) to rule out aliasing.
+    power of two >= ``default_grid_size`` to rule out aliasing.
     """
-    size = default_grid_size(state.spectrum) if grid_size is None else int(grid_size)
-    if size & (size - 1) or size < 8 * (state.spectrum.cutoff + 1):
-        raise ValueError(
-            f"grid size {size} would alias: need a power of two >= "
-            f"{8 * (state.spectrum.cutoff + 1)}"
-        )
+    minimum = default_grid_size(state.spectrum)
+    size = minimum if grid_size is None else int(grid_size)
+    if size & (size - 1) or size < minimum:
+        raise ValueError(f"grid size {size} would alias: need a power of two >= {minimum}")
     psi = state.amplitudes
     padded = np.zeros(size, dtype=complex)
     # theta_k = -pi + 2 pi k / size, so e^{i u theta_k} = (-1)^u e^{2pi i uk/size}
@@ -223,6 +229,11 @@ def moment_deficits(state: ProbeState, m_max: int = 2) -> np.ndarray:
     return out
 
 
+def theta_sq_entries(m: np.ndarray) -> np.ndarray:
+    """Entries z_m = 2 (-1)^m / m^2 (m >= 1) of the theta^2 Fourier matrix."""
+    return np.where(m % 2 == 0, 2.0, -2.0) / m**2
+
+
 def theta_sq_kernel(size: int) -> np.ndarray:
     """Fourier coefficients g_0 .. g_{size-1} of g(t) = t^2 / (2 - 2 cos t).
 
@@ -234,8 +245,8 @@ def theta_sq_kernel(size: int) -> np.ndarray:
     Fourier data: g_0 = 2 ln 2; from m = _KERNEL_TAIL on the asymptotic
     series g_m = (-1)^m [1/(2m^2) - 3/(4m^4) + 5/(2m^6) - 119/(8m^8)],
     from g's odd derivatives at pi; below it the backward recurrence
-    g_{m-1} = 2 g_m - g_{m+1} - z_m with the theta^2 entries
-    z_m = 2 (-1)^m / m^2.  g does not depend on the size, so one read-only
+    g_{m-1} = 2 g_m - g_{m+1} - z_m with the theta^2 entries z_m
+    (``theta_sq_entries``).  g does not depend on the size, so one read-only
     prefix is cached and sliced.
     """
     global _kernel
@@ -246,8 +257,9 @@ def theta_sq_kernel(size: int) -> np.ndarray:
         inv_sq = 1.0 / m**2
         series = inv_sq * (0.5 + inv_sq * (-0.75 + inv_sq * (2.5 - 14.875 * inv_sq)))
         g[_KERNEL_TAIL:] = np.where(m % 2 == 0, series, -series)
+        z = theta_sq_entries(np.arange(1, _KERNEL_TAIL + 1))
         for k in range(_KERNEL_TAIL, 1, -1):
-            g[k - 1] = 2.0 * g[k] - g[k + 1] - (2.0 if k % 2 == 0 else -2.0) / k**2
+            g[k - 1] = 2.0 * g[k] - g[k + 1] - z[k - 1]
         g[0] = 2.0 * math.log(2.0)
         g.flags.writeable = False
         _kernel = g
@@ -259,16 +271,16 @@ def state_metrics(state: ProbeState) -> dict[str, float]:
 
     Returns ``amse`` = <Theta^2>, ``holevo`` = <cos Theta>^{-2} - 1 (+inf
     when <cos Theta> <= 0), and the root metrics ``delta1``, ``delta2``,
-    ``delta3`` of the cosine surrogates.  <Theta^2> = u' Z(g) u / ||psi||^2
-    (``theta_sq_kernel``) is summed over the autocorrelation of u = D psi,
-    from two FFTs: every term is of the size of the result, so nothing
-    cancels.  The other metrics come from the deficits
-    q_m = 1 - <cos m Theta> (``moment_deficits``):
+    ``delta3`` of the cosine surrogates f1, f2, f3.  <Theta^2> =
+    u' Z(g) u / ||psi||^2 (``theta_sq_kernel``) is summed over the
+    autocorrelation of u = D psi, from two FFTs: every term is of the size
+    of the result, so nothing cancels.  The other metrics come from the
+    deficits q_m = 1 - <cos m Theta> (``moment_deficits``):
 
         holevo    = q1 (2 - q1) / (1 - q1)^2
-        delta1^2  = 2 q1
-        delta2^2  = (8/3) q1 - q2 / 6
-        delta3^2  = -F3_A1 q1 - F3_A2 q2
+        delta_k^2 = <f_k> = -sum_{m>=1} a_m q_m   (a_m from COSINE_COSTS)
+
+    the last exact because each f_k vanishes at theta = 0.
     """
     psi = state.amplitudes
     n = psi.size
@@ -279,14 +291,15 @@ def state_metrics(state: ProbeState) -> dict[str, float]:
     r = irfft(np.abs(rfft(u)) ** 2, size)[: n + 1]
     g = theta_sq_kernel(n + 1)
     amse = (2.0 * float(g @ r) - g[0] * r[0]) / float(psi @ psi)
-    q1, q2 = (float(q) for q in moment_deficits(state, 2))
-    return {
+    q = [float(q_m) for q_m in moment_deficits(state, 2)]
+    metrics = {
         "amse": amse,
-        "holevo": q1 * (2.0 - q1) / (1.0 - q1) ** 2 if q1 < 1.0 else math.inf,
-        "delta1": math.sqrt(max(2.0 * q1, 0.0)),
-        "delta2": math.sqrt(max((8.0 / 3.0) * q1 - q2 / 6.0, 0.0)),
-        "delta3": math.sqrt(max(-F3_A1 * q1 - F3_A2 * q2, 0.0)),
+        "holevo": q[0] * (2.0 - q[0]) / (1.0 - q[0]) ** 2 if q[0] < 1.0 else math.inf,
     }
+    for name, coeffs in COSINE_COSTS.items():
+        mean_f = -sum(a * q_m for a, q_m in zip(coeffs[1:], q))
+        metrics[f"delta{name[1:]}"] = math.sqrt(max(mean_f, 0.0))
+    return metrics
 
 
 def _periodic_entropy(density: np.ndarray, step: float) -> float:
@@ -339,14 +352,14 @@ class BoundReport:
 
     @property
     def violations(self) -> list[str]:
-        return [name for name, margin in self.margins.items() if margin < -1e-12]
+        return [name for name, margin in self.margins.items() if margin < MARGIN_TOL]
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def verify_bounds(state: ProbeState, grid_size: int | None = None) -> BoundReport:
+def verify_bounds(state: ProbeState) -> BoundReport:
     """Check every accuracy bound on one probe state.
 
     Margins reported (all must be >= 0):
@@ -359,7 +372,7 @@ def verify_bounds(state: ProbeState, grid_size: int | None = None) -> BoundRepor
     * ``arccos_lower``     delta - arccos(1 - delta1^2 / 2)
     * ``quadratic_upper``  (pi^2/2)(1 - <cos Theta>) - delta^2
     """
-    dist = canonical_distribution(state, grid_size)
+    dist = canonical_distribution(state)
     gen = generator_distribution(state)
     metrics = state_metrics(state)
     delta = math.sqrt(metrics["amse"])
@@ -397,7 +410,7 @@ def verify_bounds(state: ProbeState, grid_size: int | None = None) -> BoundRepor
     return BoundReport(margins=margins, details=details)
 
 
-def _thermal_entropy_direct(nbar: float, tol: float = 1e-18) -> float:
+def _thermal_entropy_direct(nbar: float) -> float:
     """Direct summation of -sum p_n ln p_n for the thermal distribution.
 
     Probabilities are built from exact log-domain exponents (n * ln q) rather
@@ -406,21 +419,21 @@ def _thermal_entropy_direct(nbar: float, tol: float = 1e-18) -> float:
     if nbar == 0.0:
         return 0.0
     log_q = -math.log1p(1.0 / nbar)  # ln(nbar/(nbar+1)) without cancellation
-    count = int(math.ceil((math.log(tol) + math.log1p(nbar)) / log_q)) + 1
+    count = int(math.ceil((math.log(_DIRECT_TOL) + math.log1p(nbar)) / log_q)) + 1
     n = np.arange(min(count, 10_000_000))
     log_p = n * log_q - math.log1p(nbar)
     p = np.exp(log_p)
     return float(-(p @ log_p))
 
 
-def _laplace_direct(beta: float, r: float, tol: float = 1e-18) -> tuple[float, float]:
+def _laplace_direct(beta: float, r: float) -> tuple[float, float]:
     """Direct summation of (<|G-g|>, H) for p_n propto e^{-beta |n - g|}.
 
     For g = (integer) + r with 0 <= r <= 1/2 the distances |n − g| are
     {r, 1+r, 2+r, ...} on one side and {1−r, 2−r, ...} on the other (for
     r = 0 the zero distance appears once and each positive integer twice).
     """
-    count = int(math.ceil(-math.log(tol) / beta)) + 2
+    count = int(math.ceil(-math.log(_DIRECT_TOL) / beta)) + 2
     k = np.arange(float(count))
     distances = np.concatenate([k + r, k + (1.0 - r)])
     log_w = -beta * distances
@@ -432,12 +445,9 @@ def _laplace_direct(beta: float, r: float, tol: float = 1e-18) -> tuple[float, f
     return mean_dev, entropy
 
 
-def max_entropy_bound_checks(
-    nbar_grid: np.ndarray | None = None,
-    beta_grid: np.ndarray | None = None,
-    r_grid: np.ndarray | None = None,
-) -> BoundReport:
-    """Sweep the max-entropy closed forms and their bounding inequalities.
+def max_entropy_bound_checks() -> BoundReport:
+    """Sweep the max-entropy closed forms and their bounding inequalities
+    over the fixed parameter grids _NBAR_GRID and _BETA_GRID x _R_GRID.
 
     Margins (>= 0 required):
 
@@ -451,16 +461,9 @@ def max_entropy_bound_checks(
     * ``laplace_first_part`` / ``laplace_second_part``: the two component
       inequalities (beta r + ln Z <= ln(2<|G-g|>+1), beta(<|G-g|> - r) < 1).
     """
-    if nbar_grid is None:
-        nbar_grid = np.logspace(-3, 4, 36)
-    if beta_grid is None:
-        beta_grid = np.logspace(-3, 1.5, 28)
-    if r_grid is None:
-        r_grid = np.linspace(0.0, 0.5, 6)
-
     worst_thermal = 0.0
     worst_xlog = math.inf
-    for nbar in nbar_grid:
+    for nbar in _NBAR_GRID:
         family = MaxEntropyFamily(kind="thermal", parameter=float(nbar))
         closed = family.entropy()
         gap = abs(closed - _thermal_entropy_direct(float(nbar)))
@@ -471,8 +474,8 @@ def max_entropy_bound_checks(
     bound_margin = math.inf
     first_part = math.inf
     second_part = math.inf
-    for beta in beta_grid:
-        for r in r_grid:
+    for beta in _BETA_GRID:
+        for r in _R_GRID:
             family = MaxEntropyFamily(kind="laplace", parameter=float(beta), offset=float(r))
             dev = family.mean_abs_deviation()
             entropy = family.entropy()

@@ -35,8 +35,6 @@ _EXIT_VERIFICATION = 1
 _EXIT_CONFIG = 2
 _EXIT_SOLVER = 3
 
-_MARGIN_TOL = -1e-12  # margins this negative count as violations
-
 
 @dataclass
 class RunConfig:
@@ -104,23 +102,18 @@ def _base_metadata(config: RunConfig) -> dict:
     }
 
 
-_METRIC_COST = {
-    "holevo": "f1",
-    "f1": "f1",
-    "f2": "f2",
-    "amse": "theta_sq",
-}
-
-_METRIC_COLUMN = {
-    "holevo": "delta_H",
-    "f1": "delta_1",
-    "f2": "delta_2",
-    "amse": "delta",
+# curve metric -> (cost it is solved for, OptimalPoint field it reports)
+_METRICS = {
+    "holevo": ("f1", "delta_H"),
+    "f1": ("f1", "delta_1"),
+    "f2": ("f2", "delta_2"),
+    "amse": ("theta_sq", "delta"),
 }
 
 
 def cmd_curve(config: RunConfig) -> int:
-    cost = variational.cost_function(_METRIC_COST[config.metric])
+    cost_name, column = _METRICS[config.metric]
+    cost = variational.cost_function(cost_name)
     metadata = _base_metadata(config)
     metadata.update(
         {
@@ -152,7 +145,7 @@ def cmd_curve(config: RunConfig) -> int:
     points = variational.sweep_curve(cost, config.spectrum, sorted(config.targets))
     rows = []
     for point in points:
-        metric_value = getattr(point, _METRIC_COLUMN[config.metric])
+        metric_value = getattr(point, column)
         rows.append(
             [
                 point.mean_constraint,
@@ -173,8 +166,11 @@ def cmd_curve(config: RunConfig) -> int:
 
 
 def cmd_series(config: RunConfig) -> int:
-    if any(t < 10.0 for t in config.targets):
-        print("series targets must be >= 10 (series regime)", file=sys.stderr)
+    if any(t < asympt._SERIES_REGIME for t in config.targets):
+        print(
+            f"series targets must be >= {asympt._SERIES_REGIME:g} (series regime)",
+            file=sys.stderr,
+        )
         return _EXIT_CONFIG
     nonneg = config.spectrum == "nonneg"
     expansion = (
@@ -205,36 +201,36 @@ def cmd_series(config: RunConfig) -> int:
     return _EXIT_OK
 
 
-def _verify_inequalities(config: RunConfig) -> list[tuple[str, float, float]]:
+def _verify_inequalities(config: RunConfig) -> list[tuple[str, float]]:
     theta = np.linspace(-math.pi, math.pi, config.grid_points)
     theta_sq = theta**2
     f1 = variational.cost_function("f1").evaluate(theta)
     f2 = variational.cost_function("f2").evaluate(theta)
     f3 = variational.cost_function("f3").evaluate(theta)
     return [
-        ("theta_sq_minus_f1", float(np.min(theta_sq - f1)), _MARGIN_TOL),
-        ("theta_sq_minus_f2", float(np.min(theta_sq - f2)), _MARGIN_TOL),
-        ("f3_minus_theta_sq", float(np.min(f3 - theta_sq)), _MARGIN_TOL),
-        ("f2_nonnegative", float(np.min(f2)), _MARGIN_TOL),
+        ("theta_sq_minus_f1", float(np.min(theta_sq - f1))),
+        ("theta_sq_minus_f2", float(np.min(theta_sq - f2))),
+        ("f3_minus_theta_sq", float(np.min(f3 - theta_sq))),
+        ("f2_nonnegative", float(np.min(f2))),
     ]
 
 
-def _verify_povm(config: RunConfig) -> list[tuple[str, float, float]]:
+def _verify_povm(config: RunConfig) -> list[tuple[str, float]]:
     rng = np.random.default_rng(config.seed)
     seeds = rng.integers(0, 2**63 - 1, size=config.instances)
     lemma1 = lemma2 = generator = 0.0
     continuity = math.inf
     for seed in seeds:
-        report = povm.verify_random_instance(int(seed), max_dimension=6)
+        report = povm.verify_random_instance(int(seed))
         lemma1 = max(lemma1, report["lemma1_gap"])
         lemma2 = max(lemma2, report["lemma2_gap"])
         generator = max(generator, report["generator_gap"])
         continuity = min(continuity, report["continuity_margin"])
     return [
-        ("lemma1_gap_max", 1e-10 - lemma1, _MARGIN_TOL),
-        ("lemma2_gap_max", 1e-10 - lemma2, _MARGIN_TOL),
-        ("generator_gap_max", 1e-12 - generator, _MARGIN_TOL),
-        ("continuity_margin_min", continuity, _MARGIN_TOL),
+        ("lemma1_gap_max", 1e-10 - lemma1),
+        ("lemma2_gap_max", 1e-10 - lemma2),
+        ("generator_gap_max", 1e-12 - generator),
+        ("continuity_margin_min", continuity),
     ]
 
 
@@ -257,7 +253,7 @@ def _random_state(
     )
 
 
-def _verify_bounds(config: RunConfig) -> list[tuple[str, float, float]]:
+def _verify_bounds(config: RunConfig) -> list[tuple[str, float]]:
     rng = np.random.default_rng(config.seed)
     worst: dict[str, float] = {}
     for _ in range(config.states):
@@ -265,16 +261,13 @@ def _verify_bounds(config: RunConfig) -> list[tuple[str, float, float]]:
         report = canonical.verify_bounds(state)
         for name, margin in report.margins.items():
             worst[name] = min(worst.get(name, math.inf), margin)
-    rows = [(f"state_{name}", margin, _MARGIN_TOL) for name, margin in sorted(worst.items())]
+    rows = [(f"state_{name}", margin) for name, margin in sorted(worst.items())]
     family = canonical.max_entropy_bound_checks()
-    rows.extend(
-        (f"family_{name}", margin, _MARGIN_TOL)
-        for name, margin in sorted(family.margins.items())
-    )
+    rows.extend((f"family_{name}", margin) for name, margin in sorted(family.margins.items()))
     return rows
 
 
-def _verify_mzi(config: RunConfig) -> list[tuple[str, float, float]]:
+def _verify_mzi(config: RunConfig) -> list[tuple[str, float]]:
     from scipy.integrate import quad  # the only user; keeps it out of import time
 
     model = estimators.MziModel(visibility=config.visibility)
@@ -298,16 +291,16 @@ def _verify_mzi(config: RunConfig) -> list[tuple[str, float, float]]:
     misleading = table["crb_uncorrected"] - table["exact_rmse"]
     floor_margin = curves["scalars"]["amse"] - (canonical.K_A / 1.5) ** 2
     return [
-        ("biased_crb_equals_mse", 1e-12 - bound_gap, _MARGIN_TOL),
-        ("uncorrected_equals_error_prop", 1e-12 - prop_gap, _MARGIN_TOL),
-        ("amse_closed_form_vs_quadrature", 1e-12 - amse_gap, _MARGIN_TOL),
-        ("naive_bound_violated_near_0", float(misleading[0]), _MARGIN_TOL),
-        ("naive_bound_violated_near_pi", float(misleading[-1]), _MARGIN_TOL),
-        ("amse_above_k_a_floor", floor_margin, _MARGIN_TOL),
+        ("biased_crb_equals_mse", 1e-12 - bound_gap),
+        ("uncorrected_equals_error_prop", 1e-12 - prop_gap),
+        ("amse_closed_form_vs_quadrature", 1e-12 - amse_gap),
+        ("naive_bound_violated_near_0", float(misleading[0])),
+        ("naive_bound_violated_near_pi", float(misleading[-1])),
+        ("amse_above_k_a_floor", floor_margin),
     ]
 
 
-def _verify_probe(config: RunConfig) -> list[tuple[str, float, float]]:
+def _verify_probe(config: RunConfig) -> list[tuple[str, float]]:
     k_c = asympt.constants().k_C
     m_values = [100, 10_000, 1_000_000]
     scaled = []
@@ -318,13 +311,11 @@ def _verify_probe(config: RunConfig) -> list[tuple[str, float, float]]:
         scaled.append(result["upper_bound"] * math.sqrt(m * plan.mu))
         floors_ok = min(floors_ok, result["upper_bound"] - result["heis_floor"])
     rows = [
-        (f"scaled_within_10pct_m{m}", 0.1 - abs(s / k_c - 1.0), _MARGIN_TOL)
+        (f"scaled_within_10pct_m{m}", 0.1 - abs(s / k_c - 1.0))
         for m, s in zip(m_values, scaled)
     ]
-    rows.append(
-        ("scaled_monotone_toward_k_c", float(np.min(-np.diff(scaled))), _MARGIN_TOL)
-    )
-    rows.append(("upper_bound_above_floor", floors_ok, _MARGIN_TOL))
+    rows.append(("scaled_monotone_toward_k_c", float(np.min(-np.diff(scaled)))))
+    rows.append(("upper_bound_above_floor", floors_ok))
     return rows
 
 
@@ -351,12 +342,12 @@ def cmd_verify(config: RunConfig) -> int:
     checks = _SUITES[config.suite](config)
     rows = []
     failures = 0
-    for name, margin, threshold in checks:
-        ok = margin >= threshold
+    for name, margin in checks:
+        ok = margin >= canonical.MARGIN_TOL
         failures += 0 if ok else 1
         status = "PASS" if ok else "FAIL"
         print(f"{status} {name} margin={_format(margin)}")
-        rows.append([name, margin, threshold, ok])
+        rows.append([name, margin, canonical.MARGIN_TOL, ok])
     metadata = _base_metadata(config)
     metadata.update({"suite": config.suite, "seed": config.seed, "checks": len(rows)})
     if config.suite == "mzi":
@@ -397,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     curve = sub.add_parser("curve", help="trace a constrained-optimum curve")
     curve.add_argument(
-        "--metric", choices=sorted(_METRIC_COST), default=defaults.metric
+        "--metric", choices=sorted(_METRICS), default=defaults.metric
     )
     add_common(curve)
 

@@ -215,31 +215,28 @@ class ProbeScalingPlan:
     In the small-mu regime (mu^delta_exp <= m) the working mean is
     n = (m mu)^{1/(1+delta_exp)} and each copy is a vacuum/optimal-state
     superposition; otherwise n = mu and the optimal state is used
-    directly.  ``n`` and ``regime`` may be omitted and are derived.
+    directly.  ``n`` and ``regime`` are derived from (m, mu, delta_exp).
     """
 
     m: int
     mu: float
     delta_exp: float
-    n: float | None = None
-    regime: str | None = None
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.mu <= 0.0 or self.delta_exp <= 0.0:
             raise ValueError("mu and delta_exp must be positive")
-        large = self.mu**self.delta_exp > self.m
-        regime = "large-mu" if large else "small-mu"
-        n = self.mu if large else (self.m * self.mu) ** (1.0 / (1.0 + self.delta_exp))
-        if self.regime is None:
-            object.__setattr__(self, "regime", regime)
-        elif self.regime != regime:
-            raise ValueError(f"regime {self.regime!r} inconsistent; expected {regime!r}")
-        if self.n is None:
-            object.__setattr__(self, "n", n)
-        elif not math.isclose(self.n, n, rel_tol=1e-12):
-            raise ValueError(f"n = {self.n} inconsistent; expected {n}")
+
+    @property
+    def regime(self) -> str:
+        return "large-mu" if self.mu**self.delta_exp > self.m else "small-mu"
+
+    @property
+    def n(self) -> float:
+        if self.regime == "large-mu":
+            return self.mu
+        return (self.m * self.mu) ** (1.0 / (1.0 + self.delta_exp))
 
 
 def probe_scaling_uncertainty(
@@ -254,7 +251,7 @@ def probe_scaling_uncertainty(
     pi^2/3.  ``heis_floor`` is k / <mN + 1> with k = k_A by default
     (k_C is the conjectured sharp constant).
     """
-    if plan.n is None or plan.n < 2.0:
+    if plan.n < 2.0:
         raise ValueError(f"plan needs n >= 2, got {plan.n}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

@@ -49,6 +49,9 @@ __all__ = [
 _COMPLETENESS_TOL = 1e-12
 _PSD_TOL = 1e-12
 _COVARIANCE_TOL = 1e-10
+_PHI_SAMPLES = 16  # continuity_check: true phases on a uniform grid
+_MAX_DIMENSION = 6  # random_degenerate_system: total dimension
+_EPS_GRID = (1e-3, 1e-2, 1e-1)  # verify_random_instance: continuity shifts
 
 
 def uniform_estimates(grid_size: int) -> np.ndarray:
@@ -66,21 +69,24 @@ class DegenerateSystem:
     """Integer-spectrum generator with explicit degeneracy labels.
 
     ``eigenvalues[i]`` is the generator eigenvalue of basis vector i; the
-    basis label of vector i is (eigenvalues[i], degeneracy_index[i]).
+    basis label of vector i is (eigenvalues[i], d), d counting 1, 2, ...
+    over the vectors that share that eigenvalue.
     """
 
     eigenvalues: tuple[int, ...]
-    basis_labels: tuple[tuple[int, int], ...]
-    dimension: int
 
-    def __post_init__(self) -> None:
-        if self.dimension != len(self.eigenvalues) or self.dimension != len(
-            self.basis_labels
-        ):
-            raise ValueError("dimension must equal the number of basis vectors")
-        for i, (n, d) in enumerate(self.basis_labels):
-            if n != self.eigenvalues[i] or d < 1:
-                raise ValueError(f"inconsistent basis label {(n, d)} at index {i}")
+    @property
+    def dimension(self) -> int:
+        return len(self.eigenvalues)
+
+    @property
+    def basis_labels(self) -> tuple[tuple[int, int], ...]:
+        counts: dict[int, int] = {}
+        labels = []
+        for n in self.eigenvalues:
+            counts[n] = counts.get(n, 0) + 1
+            labels.append((n, counts[n]))
+        return tuple(labels)
 
     @classmethod
     def from_degeneracies(
@@ -90,18 +96,11 @@ class DegenerateSystem:
         if len(values) != len(degeneracies) or len(set(values)) != len(values):
             raise ValueError("need distinct values with one degeneracy each")
         eigenvalues: list[int] = []
-        labels: list[tuple[int, int]] = []
         for n, count in zip(values, degeneracies):
             if count < 1:
                 raise ValueError(f"degeneracy of {n} must be >= 1, got {count}")
-            for d in range(1, count + 1):
-                eigenvalues.append(int(n))
-                labels.append((int(n), d))
-        return cls(
-            eigenvalues=tuple(eigenvalues),
-            basis_labels=tuple(labels),
-            dimension=len(eigenvalues),
-        )
+            eigenvalues += [int(n)] * count
+        return cls(eigenvalues=tuple(eigenvalues))
 
     @property
     def span(self) -> int:
@@ -112,10 +111,6 @@ class DegenerateSystem:
 
     def indices_of(self, value: int) -> list[int]:
         return [i for i, n in enumerate(self.eigenvalues) if n == value]
-
-    def phase_factors(self, angle: float) -> np.ndarray:
-        """Diagonal of e^{iG angle}."""
-        return _phase_rows(self, angle)
 
 
 @dataclass(frozen=True)
@@ -182,10 +177,6 @@ class DensityMatrix:
     def dimension(self) -> int:
         return self.entries.shape[0]
 
-    def shifted(self, system: DegenerateSystem, phase: float) -> np.ndarray:
-        """e^{-iG phase} rho e^{iG phase}."""
-        return _shifted_states(self, system, [phase])[0]
-
     def mean_abs_generator(self, system: DegenerateSystem) -> float:
         probs = np.real(np.diag(self.entries))
         return float(np.abs(np.asarray(system.eigenvalues, float)) @ probs)
@@ -214,8 +205,14 @@ def _shifted_states(rho: DensityMatrix, system: DegenerateSystem, phases) -> np.
     return _rotate(rho.entries, _phase_rows(system, -np.asarray(phases, dtype=float)))
 
 
+def _exact_grid_size(span: int) -> int:
+    """Fewest estimate-grid points whose sums are exact for eigenvalue span
+    ``span`` (module docstring)."""
+    return 4 * span + 4
+
+
 def _require_grid(system: DegenerateSystem, grid_size: int) -> None:
-    minimum = 4 * system.span + 4
+    minimum = _exact_grid_size(system.span)
     if grid_size < minimum:
         raise ValueError(
             f"grid size {grid_size} too small for eigenvalue span "
@@ -328,17 +325,16 @@ def continuity_check(
     rho: DensityMatrix,
     system: DegenerateSystem,
     eps_grid: list[float],
-    phi_samples: int = 16,
 ) -> BoundReport:
     """Check |<Phi>_{phi+eps} - <Phi>_phi| <= 4 pi sqrt(2 <|G|> |eps|).
 
     The mean estimate uses reference phase 0, i.e. estimates taken in
-    [-pi, pi) as labelled.  Returns the worst margin over a uniform phi
-    grid and all eps values.
+    [-pi, pi) as labelled.  Returns the worst margin over a uniform grid of
+    _PHI_SAMPLES phases phi and all eps values.
     """
     estimate_op = np.tensordot(povm.estimates(), povm.operators, axes=(0, 0))
     g_mean = rho.mean_abs_generator(system)
-    phis = np.linspace(-math.pi, math.pi, phi_samples, endpoint=False)
+    phis = np.linspace(-math.pi, math.pi, _PHI_SAMPLES, endpoint=False)
     eps = np.asarray(eps_grid, dtype=float)
     # column 0 is the base phase, the others phi + eps
     phases = np.concatenate([phis[:, None], phis[:, None] + eps[None, :]], axis=1)
@@ -449,11 +445,7 @@ def average_error_masses(
     return cyclic.sum(axis=0) / size
 
 
-def verify_random_instance(
-    seed: int,
-    max_dimension: int = 6,
-    eps_grid: tuple[float, ...] = (1e-3, 1e-2, 1e-1),
-) -> dict[str, float]:
+def verify_random_instance(seed: int) -> dict[str, float]:
     """Run both reduction lemmas and the continuity bound on one instance.
 
     Draws a random degenerate system, state, and POVM from ``seed``,
@@ -465,16 +457,17 @@ def verify_random_instance(
       covariant masses of the original state,
     * ``generator_gap``: generator distribution of the reduced state
       versus that of the original,
-    * ``continuity_margin``: worst margin of the mean-estimate bound.
+    * ``continuity_margin``: worst margin of the mean-estimate bound over
+      the shifts _EPS_GRID.
 
     The estimate grid is sized from the embedded nondegenerate spectrum so
     every phase sum involved is exact.
     """
     rng = np.random.default_rng(seed)
-    system = random_degenerate_system(rng, max_dimension)
+    system = random_degenerate_system(rng)
     values = system.distinct_values()
     embedded_span = max(values) if min(values) >= 0 else 2 * max(abs(v) for v in values)
-    grid_size = 4 * max(system.span, embedded_span, 1) + 4
+    grid_size = _exact_grid_size(max(system.span, embedded_span, 1))
     rho = random_density(rng, system.dimension)
     povm = random_povm(rng, system.dimension, grid_size)
 
@@ -500,7 +493,7 @@ def verify_random_instance(
     np.add.at(generator_original, slots, np.real(np.diag(rho.entries)))
     generator_gap = float(np.max(np.abs(generator_reduced - generator_original)))
 
-    continuity = continuity_check(povm, rho, system, list(eps_grid))
+    continuity = continuity_check(povm, rho, system, list(_EPS_GRID))
     return {
         "seed": float(seed),
         "dimension": float(system.dimension),
@@ -512,14 +505,17 @@ def verify_random_instance(
     }
 
 
-def random_degenerate_system(
-    rng: np.random.Generator, max_dimension: int = 6
-) -> DegenerateSystem:
-    """Random degenerate integer spectrum with total dimension <= max."""
+def random_degenerate_system(rng: np.random.Generator) -> DegenerateSystem:
+    """Random degenerate integer spectrum of total dimension _MAX_DIMENSION.
+
+    The values start at -1, 0 or 1 and step up by 1 or 2, so an instance
+    embeds into a symmetric spectrum when it starts at -1 and into a
+    nonnegative one otherwise.
+    """
     values: list[int] = []
     degeneracies: list[int] = []
-    remaining = int(max_dimension)
-    next_value = int(rng.integers(0, 2))
+    remaining = _MAX_DIMENSION
+    next_value = int(rng.integers(-1, 2))
     while remaining > 0:
         count = int(rng.integers(1, min(3, remaining) + 1))
         values.append(next_value)

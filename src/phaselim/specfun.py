@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _MAX_ARGUMENT = 1.0e7
+_PRODUCT_SUM_TOL = 1e-8  # bessel_product_sums: largest accepted |J_x / J_{x+1}|
 
 
 class BracketError(RuntimeError):
@@ -262,22 +263,22 @@ def bessel_zero_in_order_deriv(z: float) -> float:
     )
 
 
-def bessel_product_sums(x: float, z: float, tol: float = 1e-8) -> dict[str, float]:
+def bessel_product_sums(x: float, z: float) -> dict[str, float]:
     """Closed-form Bessel product sums, valid where J_x(z) = 0.
 
     S_11 = sum_{k>=1} J_{x+k} J_{x+k+1} = (z/2) J_{x+1}^2
     S_sq = sum_{k>=1} J_{x+k}^2        = (z/2) J_{x+1} dJ_x/dx
     S_12 = sum_{k>=1} J_{x+k} J_{x+k+2} = (z/4) J_{x+1} J_{x+2}
 
-    Raises if |J_x(z)| exceeds tol relative to the local scale |J_{x+1}(z)|,
-    since the closed forms drop terms proportional to J_x(z).
+    Raises if |J_x(z)| exceeds _PRODUCT_SUM_TOL relative to the local scale
+    |J_{x+1}(z)|, since the closed forms drop terms proportional to J_x(z).
     """
     _check_domain(x, z)
     j0 = special.jv(x, z)
     j1 = special.jv(x + 1.0, z)
     j2 = special.jv(x + 2.0, z)
     scale = max(abs(j1), 1e-300)
-    if abs(j0) > tol * scale:
+    if abs(j0) > _PRODUCT_SUM_TOL * scale:
         raise ValueError(
             f"J_x(z) = {j0:.3e} is not zero at (x={x}, z={z}); "
             "product-sum closed forms do not apply"

@@ -23,13 +23,11 @@ each cost was first posed with, beta = c * p:
 
 Cost functions:
 
-    f1       = 2 - 2 cos t                      (<f1> = delta_1^2)
-    f2       = 5/2 - (8/3) cos t + (1/6) cos 2t (<f2> = delta_2^2, f2 <= t^2)
-    f3       = (pi^2/4 - 1)[2(1 - cos t) - (1 - cos 2t)/2] + 2(1 - cos t)
-                                                (t^2 <= f3)
-    theta_sq = t^2, its Fourier matrix applied as D' Z(g) D at every
-               dimension, g = t^2 / (2 - 2 cos t) and D the difference map
-               (``canonical.theta_sq_kernel``)
+    f1, f2, f3  the cosine series of ``canonical.COSINE_COSTS``, with
+                <f1> = delta_1^2, <f2> = delta_2^2 and f2 <= t^2 <= f3
+    theta_sq    t^2, its Fourier matrix applied as D' Z(g) D at every
+                dimension, g = t^2 / (2 - 2 cos t) and D the difference map
+                (``canonical.theta_sq_kernel``)
 
 The f1 problem also minimizes the Holevo variance, since both are monotone
 in <cos Theta>.
@@ -126,18 +124,13 @@ class CostFunction:
 
 
 def cost_function(name: str) -> CostFunction:
-    """Construct a named cost function: f1, f2, f3 or theta_sq."""
-    if name == "f1":
-        return CostFunction(name, np.array([2.0, -2.0]))
-    if name == "f2":
-        return CostFunction(name, np.array([2.5, -8.0 / 3.0, 1.0 / 6.0]))
-    if name == "f3":
-        return CostFunction(
-            name, np.array([canonical.F3_A0, canonical.F3_A1, canonical.F3_A2])
-        )
+    """Construct a named cost function: theta_sq, or a cosine series of
+    ``canonical.COSINE_COSTS`` (f1, f2, f3)."""
     if name == "theta_sq":
         return CostFunction(name, None)
-    raise ValueError(f"unknown cost function {name!r}")
+    if name not in canonical.COSINE_COSTS:
+        raise ValueError(f"unknown cost function {name!r}")
+    return CostFunction(name, np.array(canonical.COSINE_COSTS[name]))
 
 
 @dataclass(frozen=True)
@@ -304,7 +297,8 @@ def _truncated_solve(
         state = ProbeState(spectrum=spectrum, amplitudes=pair.vector)
         edge = spectrum.weights() >= 0.99 * spectrum.cutoff
         tail = float((state.amplitudes[edge] ** 2).sum())
-        q1 = canonical.moment_deficits(state, 1)[0]
+        metrics = canonical.state_metrics(state)
+        q1 = metrics["delta1"] ** 2 / 2.0
         if penalty == 0.0 or tail <= _TAIL_RTOL * q1:
             break
         state = state.with_cutoff(2 * spectrum.cutoff)
@@ -313,7 +307,6 @@ def _truncated_solve(
         raise RuntimeError(
             f"cutoff still insufficient after {_MAX_CUTOFF_DOUBLINGS} doublings"
         )
-    metrics = canonical.state_metrics(state)
     return OptimalPoint(
         cost=cost.name,
         beta=_beta_per_penalty(cost) * penalty,
@@ -387,16 +380,15 @@ def _first_seed(
     Below _SMALL_MEAN, perturbation theory about the vacuum: psi_n ~
     -z_n / (p W_n), so mean ~ C_f / p^2 with C_f = sum_{n != 0} z_n^2 / W_n
     (1 for f1, 16/9 + 1/288 for f2, 4 zeta(5) for theta_sq on a nonneg
-    spectrum, from z_n = 2 (-1)^n / n^2 summed to the cutoff; twice that on
-    a symmetric one).  Above it, the paper's
+    spectrum, from ``canonical.theta_sq_entries`` summed to the cutoff;
+    twice that on a symmetric one).  Above it, the paper's
     p -> 2 k_C^2 / L^3 (nonneg) or 4 k'_C^2 / L^3 (symmetric), L = <N+1> or
     <2|J|+1>.  The slope is that of ``_penalty_shape``.
     """
     kind = spectrum.kind
     if target < _SMALL_MEAN:
         if cost.cosine_coeffs is None:
-            n = np.arange(1, spectrum.cutoff + 1)
-            z = 2.0 * (-1.0) ** n / n**2
+            z = canonical.theta_sq_entries(np.arange(1, spectrum.cutoff + 1))
         else:
             z = 0.5 * cost.cosine_coeffs[1 : spectrum.cutoff + 1]
         c_f = float((z**2 / np.arange(1, z.size + 1)).sum())

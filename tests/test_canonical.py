@@ -14,9 +14,9 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaselim import variational
 from phaselim.canonical import (
-    F3_A1,
-    F3_A2,
+    COSINE_COSTS,
     BoundReport,
     ErrorDistribution,
     GeneratorDistribution,
@@ -31,6 +31,7 @@ from phaselim.canonical import (
     max_entropy_bound_checks,
     moment_deficits,
     state_metrics,
+    theta_sq_entries,
     theta_sq_kernel,
     verify_bounds,
 )
@@ -221,7 +222,8 @@ class TestPairwiseDeficits:
             "delta1": math.sqrt(2.0 * q1),
             "holevo": q1 * (2.0 - q1) / (1.0 - q1) ** 2,
             "delta2": math.sqrt((8.0 / 3.0) * q1 - q2 / 6.0),
-            "delta3": math.sqrt(-F3_A1 * q1 - F3_A2 * q2),
+            # f3's a_1 = -pi^2/2 and a_2 = pi^2/8 - 1/2, written out here
+            "delta3": math.sqrt((math.pi**2 / 2.0) * q1 - (math.pi**2 / 8.0 - 0.5) * q2),
         }
         for name, value in expected.items():
             assert metrics[name] == pytest.approx(value, rel=1e-14), name
@@ -259,6 +261,32 @@ class TestMetrics:
         psi = state.amplitudes
         expected = psi @ theta_sq_dense(psi.size) @ psi
         assert state_metrics(state)["amse"] == pytest.approx(expected, rel=1e-13)
+
+
+class TestCostTable:
+    @pytest.mark.parametrize("name", sorted(COSINE_COSTS))
+    def test_each_cost_vanishes_at_zero(self, name):
+        # delta_k^2 = -sum_{m>=1} a_m q_m needs f_k(0) = sum_m a_m = 0
+        assert abs(sum(COSINE_COSTS[name])) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    @pytest.mark.parametrize("name", sorted(COSINE_COSTS))
+    def test_metrics_are_the_cost_matrix_forms(self, name, kind):
+        rng = np.random.default_rng(14)
+        cost = variational.cost_function(name)
+        # a two-level state has q_2 = 1 (support narrower than cos 2t)
+        sizes = (2, 3, 9, 40) if kind == "nonneg" else (3, 9, 41)
+        for size in sizes:
+            state = make_state(kind, rng.standard_normal(size))
+            matrix = variational.build_matrix(cost, state.spectrum, 0.0)
+            psi = state.amplitudes
+            expected = float(psi @ matrix.matvec(psi))
+            metric = state_metrics(state)[f"delta{name[1:]}"] ** 2
+            assert metric == pytest.approx(expected, rel=1e-12), size
+
+    def test_theta_sq_entries_are_the_dense_matrix(self):
+        dense = theta_sq_dense(12)
+        assert np.array_equal(theta_sq_entries(np.arange(1, 12)), dense[0, 1:])
 
 
 class TestEntropy:

@@ -221,7 +221,7 @@ class TestExitCodes:
 
     def test_verify_failure_exits_1(self, capsys, monkeypatch):
         monkeypatch.setitem(
-            cli._SUITES, "probe", lambda config: [("forced_failure", -1.0, -1e-12)]
+            cli._SUITES, "probe", lambda config: [("forced_failure", -1.0)]
         )
         assert cli.main(["verify", "probe"]) == 1
         captured = capsys.readouterr()

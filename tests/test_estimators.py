@@ -227,13 +227,7 @@ class TestProbeScalingPlan:
         assert plan.regime == "small-mu"
         assert plan.n == pytest.approx((100 * 100.0) ** 0.5, rel=1e-12)
 
-    def test_consistency_validation(self):
-        with pytest.raises(ValueError):
-            estimators.ProbeScalingPlan(m=10_000, mu=1.0, delta_exp=1.0, n=50.0)
-        with pytest.raises(ValueError):
-            estimators.ProbeScalingPlan(
-                m=10_000, mu=1.0, delta_exp=1.0, regime="large-mu"
-            )
+    def test_parameter_validation(self):
         with pytest.raises(ValueError):
             estimators.ProbeScalingPlan(m=0, mu=1.0, delta_exp=1.0)
         with pytest.raises(ValueError):
