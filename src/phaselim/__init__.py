@@ -32,7 +32,6 @@ from .canonical import (
     entropy_and_length,
     entropy_generator,
     max_entropy_bound_checks,
-    moment_deficits,
     state_metrics,
     verify_bounds,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "entropy_and_length",
     "entropy_generator",
     "max_entropy_bound_checks",
-    "moment_deficits",
     "state_metrics",
     "verify_bounds",
     "CostFunction",

@@ -87,7 +87,6 @@ class SeriesExpansion:
     variable: str
     exponents: tuple[int, ...]
     coefficients: np.ndarray
-    order_of_remainder: int
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coefficients, dtype=float)
@@ -127,7 +126,6 @@ def nonneg_series_expansion() -> SeriesExpansion:
         variable="N_plus_1",
         exponents=(2, 4, 6, 8, 10),
         coefficients=coefficients,
-        order_of_remainder=12,
     )
 
 
@@ -152,7 +150,6 @@ def symmetric_series_expansion() -> SeriesExpansion:
         variable="two_J_plus_1",
         exponents=(2, 3, 4, 5, 6),
         coefficients=coefficients,
-        order_of_remainder=7,
     )
 
 

@@ -7,7 +7,8 @@ sum_n psi_{n+m} psi_n*.  This module builds those densities on power-of-two
 grids, computes the standard error metrics at full relative precision
 (average mean-square error over the circle from the difference kernel of
 theta^2, Holevo variance and the cosine-surrogate metrics from the moment
-deficits), and verifies the entropy-based accuracy bounds:
+deficits of the same differences), and verifies the entropy-based accuracy
+bounds:
 
 * entropic uncertainty  H(Theta) + H(G) >= ln 2pi,
 * delta >= (2 pi e)^{-1/2} e^{H(Theta)}  (entropic-length bound),
@@ -43,7 +44,6 @@ __all__ = [
     "entropy_generator",
     "generator_distribution",
     "max_entropy_bound_checks",
-    "moment_deficits",
     "state_metrics",
     "theta_sq_entries",
     "theta_sq_kernel",
@@ -202,33 +202,6 @@ def generator_distribution(state: ProbeState) -> GeneratorDistribution:
     )
 
 
-def moment_deficits(state: ProbeState, m_max: int = 2) -> np.ndarray:
-    """Moment deficits q_m = 1 - <cos m Theta> for m = 1 .. m_max.
-
-    Built from the cancellation-free identity
-
-        2 q_m * sum_i psi_i^2 = sum_i (psi_{i+m} - psi_i)^2 + boundary squares
-
-    whose terms are all nonnegative, so their pairwise sums keep full
-    relative precision (error ~ log2(d) eps).  Forming 1 - c_m from a
-    rounded c_m ~ 1 would cap the accuracy at ~1e-16 / q_m relative, which
-    for broad states (q_1 ~ 1e-7) is far worse than the metrics derived
-    from the deficits need.
-    """
-    psi = state.amplitudes
-    n = psi.size
-    norm_sq = np.sum(psi * psi)
-    out = np.empty(m_max, dtype=float)
-    for m in range(1, m_max + 1):
-        if m >= n:
-            out[m - 1] = 1.0  # the moment vanishes beyond the support
-            continue
-        diffs = psi[m:] - psi[:-m]
-        boundary = np.sum(psi[:m] ** 2) + np.sum(psi[-m:] ** 2)
-        out[m - 1] = 0.5 * (np.sum(diffs * diffs) + boundary) / norm_sq
-    return out
-
-
 def theta_sq_entries(m: np.ndarray) -> np.ndarray:
     """Entries z_m = 2 (-1)^m / m^2 (m >= 1) of the theta^2 Fourier matrix."""
     return np.where(m % 2 == 0, 2.0, -2.0) / m**2
@@ -275,12 +248,22 @@ def state_metrics(state: ProbeState) -> dict[str, float]:
     u' Z(g) u / ||psi||^2 (``theta_sq_kernel``) is summed over the
     autocorrelation of u = D psi, from two FFTs: every term is of the size
     of the result, so nothing cancels.  The other metrics come from the
-    deficits q_m = 1 - <cos m Theta> (``moment_deficits``):
+    deficits q_m = 1 - <cos m Theta>:
 
         holevo    = q1 (2 - q1) / (1 - q1)^2
         delta_k^2 = <f_k> = -sum_{m>=1} a_m q_m   (a_m from COSINE_COSTS)
 
-    the last exact because each f_k vanishes at theta = 0.
+    the last exact because each f_k vanishes at theta = 0.  The deficits
+    are pairwise sums of nonnegative squares of the same u,
+
+        2 q1 ||psi||^2 = sum_k u_k^2
+        2 q2 ||psi||^2 = sum_k (u_k + u_{k+1})^2 + u_0^2 + u_d^2
+
+    (u_k + u_{k+1} = psi_{k+1} - psi_{k-1}), so they keep full relative
+    precision (error ~ log2(d) eps) for broad states with q1 ~ 1e-7, and a
+    single level keeps <cos Theta> = 0 exactly (holevo = +inf).  The FFT
+    lags of u would not: they round each sum as a whole, so a single level
+    came out at q1 = 1 - O(1e-16) and a finite Holevo variance.
     """
     psi = state.amplitudes
     n = psi.size
@@ -290,8 +273,14 @@ def state_metrics(state: ProbeState) -> dict[str, float]:
     np.subtract(psi[1:], psi[:-1], out=u[1:n])
     r = irfft(np.abs(rfft(u)) ** 2, size)[: n + 1]
     g = theta_sq_kernel(n + 1)
-    amse = (2.0 * float(g @ r) - g[0] * r[0]) / float(psi @ psi)
-    q = [float(q_m) for q_m in moment_deficits(state, 2)]
+    norm_sq = float(psi @ psi)
+    amse = (2.0 * float(g @ r) - g[0] * r[0]) / norm_sq
+    diffs = u[: n + 1]
+    pairs = diffs[:-1] + diffs[1:]
+    q = [
+        float(np.sum(diffs * diffs)) / (2.0 * norm_sq),
+        (float(np.sum(pairs * pairs)) + diffs[0] ** 2 + diffs[n] ** 2) / (2.0 * norm_sq),
+    ]
     metrics = {
         "amse": amse,
         "holevo": q[0] * (2.0 - q[0]) / (1.0 - q[0]) ** 2 if q[0] < 1.0 else math.inf,

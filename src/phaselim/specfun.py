@@ -48,7 +48,6 @@ class AiryZeros:
 
     z_a: float
     z_a_prime: float
-    precision: float
 
     def __post_init__(self) -> None:
         if not (-2.4 < self.z_a < -2.3):
@@ -98,7 +97,7 @@ def airy_first_zeros() -> AiryZeros:
     z_a = _refine_zero(airy_ai, airy_ai_prime, -3.0, -2.0)
     # Ai''(t) = t Ai(t) from the Airy equation.
     z_ap = _refine_zero(airy_ai_prime, lambda t: t * airy_ai(t), -1.1, -1.0)
-    return AiryZeros(z_a=z_a, z_a_prime=z_ap, precision=1e-13)
+    return AiryZeros(z_a=z_a, z_a_prime=z_ap)
 
 
 @functools.lru_cache(maxsize=1)

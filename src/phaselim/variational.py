@@ -485,12 +485,15 @@ def sweep_curve(
     penalty as the root finder measured it there, with log p and 1/s bent
     by the change of the asymptotes' shape between the two means
     (``_penalty_shape``: exact if the curve is that shape times a constant);
-    the bent s is the root finder's first Newton slope.  For a banded
-    matrix the first eigensolve of each later target starts from the last
-    point's vector, zero-padded to the new cutoff; a Toeplitz (theta_sq)
-    solve starts from the f1 matrix's eigenvector (3 % fewer mat-vecs, same
-    time).  A target whose starting matrix would exceed ``_MAX_DIMENSION``
-    rows raises ValueError before any solve.
+    the bent s is the root finder's first Newton slope.  For a tridiagonal
+    (f1) matrix the first eigensolve of each later target starts from the
+    last point's vector, zero-padded to the new cutoff; a wider band (f2,
+    f3) starts from the Sturm vector of its tridiagonal part, and a Toeplitz
+    (theta_sq) solve from the f1 matrix's eigenvector (3 % fewer mat-vecs
+    than the padded vector, same time).  Later trials of one target, and
+    cutoff doublings, start from the previous vector.  A target whose
+    starting matrix would exceed ``_MAX_DIMENSION`` rows raises ValueError
+    before any solve.
     """
     kind = (
         spectrum_kind.kind if isinstance(spectrum_kind, Spectrum) else spectrum_kind
@@ -520,7 +523,13 @@ def sweep_curve(
                 rise / slope + shape_next - shape_last - rise * inverse_last
             )
             slope = 1.0 / (1.0 / slope + inverse_next - inverse_last)
-            if cost.cosine_coeffs is not None:  # banded
+            # Only a tridiagonal (f1) target starts from the last vector,
+            # zero-padded: its warm solve (~2 ms) beats Sturm bisection
+            # (~4 ms).  For a wider band (f2, f3) a widely spaced target's
+            # padded start often leads Rayleigh-quotient iteration to a
+            # higher pair, and the failed certificate costs up to five banded
+            # LU solves before the Sturm start the cold path takes anyway.
+            if cost.cosine_coeffs is not None and cost.cosine_coeffs.size == 2:
                 start = points[-1].state.with_cutoff(spectrum.cutoff).amplitudes
         else:
             seed, slope = _first_seed(cost, spectrum, target)

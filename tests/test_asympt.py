@@ -91,10 +91,8 @@ class TestSeriesExpansions:
         ss = asympt.symmetric_series_expansion()
         assert nn.variable == "N_plus_1"
         assert nn.exponents == (2, 4, 6, 8, 10)
-        assert nn.order_of_remainder == 12
         assert ss.variable == "two_J_plus_1"
         assert ss.exponents == (2, 3, 4, 5, 6)
-        assert ss.order_of_remainder == 7
 
     def test_evaluate_partial_sums(self):
         nn = asympt.nonneg_series_expansion()
@@ -132,7 +130,6 @@ class TestSeriesExpansions:
                 variable="N_plus_1",
                 exponents=(2, 4),
                 coefficients=np.array([1.0, 2.0, 3.0]),
-                order_of_remainder=6,
             )
 
 

@@ -29,7 +29,6 @@ from phaselim.canonical import (
     entropy_generator,
     generator_distribution,
     max_entropy_bound_checks,
-    moment_deficits,
     state_metrics,
     theta_sq_entries,
     theta_sq_kernel,
@@ -101,11 +100,14 @@ class TestCanonicalDistribution:
 
 
 class TestMomentDeficits:
+    """The deficits q_m = 1 - <cos m Theta> as state_metrics reads them:
+    delta_1^2 = 2 q_1, delta_2^2 = (8/3) q_1 - q_2 / 6."""
+
     def test_two_level(self):
         # psi = (1, 1)/sqrt 2: <cos Theta> = 1/2, <cos 2 Theta> = 0
-        q1, q2 = moment_deficits(make_state("nonneg", [1.0, 1.0]), 2)
-        assert q1 == pytest.approx(0.5, abs=1e-15)
-        assert q2 == 1.0
+        metrics = state_metrics(make_state("nonneg", [1.0, 1.0]))
+        assert metrics["delta1"] ** 2 == pytest.approx(1.0, abs=1e-15)
+        assert metrics["delta2"] ** 2 == pytest.approx(7.0 / 6.0, abs=1e-15)
 
     @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
     def test_against_quadrature(self, kind):
@@ -113,10 +115,27 @@ class TestMomentDeficits:
         state = make_state(kind, rng.standard_normal(11))
         grid = np.linspace(-math.pi, math.pi, 512, endpoint=False)
         p = density_oracle(state, grid)
-        for m, q in enumerate(moment_deficits(state, 6), start=1):
+        metrics = state_metrics(state)
+        for name, coeffs in COSINE_COSTS.items():
+            cost = coeffs[0] + sum(a * np.cos(m * grid) for m, a in enumerate(coeffs[1:], 1))
             # the integrand is band-limited, so the uniform sum is exact
-            quad = (1.0 - np.cos(m * grid)) @ p * (2.0 * math.pi / grid.size)
-            assert q == pytest.approx(quad, abs=1e-12)
+            quad = cost @ p * (2.0 * math.pi / grid.size)
+            assert metrics[f"delta{name[1:]}"] ** 2 == pytest.approx(quad, abs=1e-12), name
+
+    @pytest.mark.parametrize(
+        "kind, amplitudes",
+        [
+            ("nonneg", [1.0, 0.0, 1.0]),  # (|0> + |2>) / sqrt 2
+            ("nonneg", [0.0, 0.0, 1.0, 0.0, 0.0]),  # one level, wider support
+            ("symmetric", [0.0, 0.0, 1.0, 0.0, 0.0]),
+        ],
+    )
+    def test_vanishing_cos_moment_is_exact(self, kind, amplitudes):
+        # <cos Theta> = 0: the Holevo variance is infinite, not ~1e32, so
+        # even a width-0 state meets tan(pi / (width + 2)) = tan(pi/2)
+        state = make_state(kind, amplitudes)
+        assert state_metrics(state)["holevo"] == math.inf
+        assert verify_bounds(state).margins["tan_bound"] >= 0.0
 
 
 def theta_sq_dense(n: int) -> np.ndarray:
@@ -175,9 +194,10 @@ class TestThetaSqKernel:
         # costs float64 ~1e-10 relative; the kernel form has no cancellation
         n = np.arange(2222, dtype=float)
         state = make_state("nonneg", np.sin(math.pi * (n + 1.0) / 2223.0))
-        assert 5e-7 < moment_deficits(state, 1)[0] < 2e-6
+        metrics = state_metrics(state)
+        assert 5e-7 < metrics["delta1"] ** 2 / 2.0 < 2e-6
         reference = long_double_amse(state)
-        amse = state_metrics(state)["amse"]
+        amse = metrics["amse"]
         assert abs(amse - reference) <= 1e-12 * reference
 
 
@@ -205,18 +225,10 @@ class TestPairwiseDeficits:
     """Pairwise np.sum keeps the deficits of broad states at full precision."""
 
     @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
-    def test_deficits_match_fsum_reference(self, kind):
-        state = broad_state(kind)
-        q1, q2 = fsum_deficits(state)
-        assert 1e-9 < q1 < 1e-7
-        fast = moment_deficits(state, 2)
-        assert fast[0] == pytest.approx(q1, rel=1e-14)
-        assert fast[1] == pytest.approx(q2, rel=1e-14)
-
-    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
     def test_state_metrics_match_fsum_reference(self, kind):
         state = broad_state(kind)
         q1, q2 = fsum_deficits(state)
+        assert 1e-9 < q1 < 1e-7
         metrics = state_metrics(state)
         expected = {
             "delta1": math.sqrt(2.0 * q1),
