@@ -28,6 +28,7 @@ from .canonical import (
     ErrorDistribution,
     GeneratorDistribution,
     MaxEntropyFamily,
+    bound_reports,
     canonical_distribution,
     entropy_and_length,
     entropy_generator,
@@ -97,6 +98,7 @@ __all__ = [
     "ErrorDistribution",
     "GeneratorDistribution",
     "MaxEntropyFamily",
+    "bound_reports",
     "canonical_distribution",
     "entropy_and_length",
     "entropy_generator",

@@ -24,6 +24,7 @@ parameter grids.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "BoundReport",
     "COSINE_COSTS",
     "MARGIN_TOL",
+    "bound_reports",
     "canonical_distribution",
     "default_grid_size",
     "entropy_and_length",
@@ -64,6 +66,7 @@ COSINE_COSTS = {
 MARGIN_TOL = -1e-12  # margins this negative count as violations
 
 _LOG_FLOOR = 1e-300
+_BATCH_CELLS = 1 << 20  # _windows: grid cells at once (16 MB of complex)
 _KERNEL_TAIL = 200  # theta_sq_kernel: asymptotic series from this index on
 _DIRECT_TOL = 1e-18  # probability cut of the direct max-entropy sums
 # parameter grids of max_entropy_bound_checks
@@ -183,16 +186,25 @@ def canonical_distribution(
     size = minimum if grid_size is None else int(grid_size)
     if size & (size - 1) or size < minimum:
         raise ValueError(f"grid size {size} would alias: need a power of two >= {minimum}")
-    psi = state.amplitudes
-    padded = np.zeros(size, dtype=complex)
-    # theta_k = -pi + 2 pi k / size, so e^{i u theta_k} = (-1)^u e^{2pi i uk/size}
-    signs = 1.0 - 2.0 * (np.arange(psi.size) % 2)
-    padded[: psi.size] = signs * psi
-    transform = size * ifft(padded)
-    density = (transform.real**2 + transform.imag**2) / (2.0 * math.pi)
+    density = _densities(state.amplitudes[None, :], size)[0]
     grid = -math.pi + 2.0 * math.pi * np.arange(size) / size
     check = float(density.sum() * (2.0 * math.pi / size))
     return ErrorDistribution(grid=grid, density=density, normalization_check=check)
+
+
+def _densities(psi: np.ndarray, size: int) -> np.ndarray:
+    """Canonical densities, one row per row of amplitudes (zero padded on
+    the right), on the grid theta_k = -pi + 2 pi k / size: one inverse FFT
+    along the rows, so a row of a batch equals the density of its state."""
+    # e^{i u theta_k} = (-1)^u e^{2pi i uk/size}
+    padded = np.zeros((psi.shape[0], size), dtype=complex)
+    padded[:, : psi.shape[1]] = (1.0 - 2.0 * (np.arange(psi.shape[1]) % 2)) * psi
+    transform = ifft(padded, axis=1, overwrite_x=True)
+    transform *= size
+    density = transform.real**2
+    density += transform.imag**2
+    density /= 2.0 * math.pi
+    return density
 
 
 def generator_distribution(state: ProbeState) -> GeneratorDistribution:
@@ -291,9 +303,11 @@ def state_metrics(state: ProbeState) -> dict[str, float]:
     return metrics
 
 
-def _periodic_entropy(density: np.ndarray, step: float) -> float:
-    p = np.maximum(density, _LOG_FLOOR)
-    return float(-(density * np.log(p)).sum() * step)
+def _periodic_entropy(density: np.ndarray, step: float) -> np.ndarray:
+    """Entropy of each density row (last axis) by the uniform grid sum."""
+    terms = np.log(np.maximum(density, _LOG_FLOOR))
+    terms *= density
+    return -terms.sum(axis=-1) * step
 
 
 def entropy_and_length(dist: ErrorDistribution) -> dict[str, float]:
@@ -302,34 +316,19 @@ def entropy_and_length(dist: ErrorDistribution) -> dict[str, float]:
     Trapezoid rule on the periodic extension of the grid (equal to the
     uniform Riemann sum, which is exact for band-limited integrands).
     """
-    h = _periodic_entropy(dist.density, dist.step)
+    h = float(_periodic_entropy(dist.density, dist.step))
     return {"H": h, "L": math.exp(h)}
 
 
 def entropy_generator(dist: GeneratorDistribution) -> float:
     """Shannon entropy H(G) of the generator distribution."""
-    p = dist.probabilities
+    return _shannon(dist.probabilities)
+
+
+def _shannon(p: np.ndarray) -> float:
+    """-sum p ln p over the nonzero p."""
     mask = p > 0.0
     return float(-(p[mask] * np.log(p[mask])).sum())
-
-
-def _best_median_deviation(dist: GeneratorDistribution) -> tuple[float, float]:
-    """Smallest <|G - g|> over the median and a local scan around it.
-
-    The median (ties broken low) is scanned together with g +- 1 and a 0.1
-    grid across that interval, since the minimizing g for a discrete
-    distribution need not be unique.
-    """
-    values = dist.spectrum.values()
-    p = dist.probabilities
-    cumulative = np.cumsum(p)
-    median = values[int(np.searchsorted(cumulative, 0.5))]
-    candidates = np.concatenate(
-        ([median - 1.0, median, median + 1.0], median + np.arange(-10, 11) * 0.1)
-    )
-    deviations = np.abs(values[None, :] - candidates[:, None]) @ p
-    best = int(np.argmin(deviations))
-    return float(candidates[best]), float(deviations[best])
 
 
 @dataclass(frozen=True)
@@ -349,7 +348,28 @@ class BoundReport:
 
 
 def verify_bounds(state: ProbeState) -> BoundReport:
-    """Check every accuracy bound on one probe state.
+    """Check every accuracy bound on one probe state (``bound_reports``)."""
+    return bound_reports([state])[0]
+
+
+def _windows(states: Iterable[ProbeState]) -> Iterator[list[ProbeState]]:
+    """Consecutive states with at most _BATCH_CELLS grid cells together (a
+    larger grid alone), read lazily so that the states are never all held."""
+    window: list[ProbeState] = []
+    cells = 0
+    for state in states:
+        size = default_grid_size(state.spectrum)
+        if window and cells + size > _BATCH_CELLS:
+            yield window
+            window, cells = [], 0
+        window.append(state)
+        cells += size
+    if window:
+        yield window
+
+
+def bound_reports(states: Iterable[ProbeState]) -> list[BoundReport]:
+    """Check every accuracy bound on each probe state, in order.
 
     Margins reported (all must be >= 0):
 
@@ -360,43 +380,88 @@ def verify_bounds(state: ProbeState) -> BoundReport:
     * ``entropic_length``  delta - (2 pi e)^{-1/2} L
     * ``arccos_lower``     delta - arccos(1 - delta1^2 / 2)
     * ``quadratic_upper``  (pi^2/2)(1 - <cos Theta>) - delta^2
+
+    The median scan takes the median of G (ties broken low) together with
+    g +- 1 and a 0.1 grid across that interval, since the minimizing g of a
+    discrete distribution need not be unique; the first smallest <|G - g|>
+    wins.
+
+    The states of each window (``_windows``) that share a grid size are
+    evaluated together on padded arrays.  Every sum runs over a row's own
+    terms in the state-alone order, so a state's report does not depend on
+    the batch it shares.  The metrics come from ``state_metrics``.
     """
-    dist = canonical_distribution(state)
-    gen = generator_distribution(state)
-    metrics = state_metrics(state)
-    delta = math.sqrt(metrics["amse"])
-    h_theta = entropy_and_length(dist)
-    h_g = entropy_generator(gen)
+    reports: list[BoundReport] = []
+    for window in _windows(states):
+        batches: dict[int, list[int]] = {}
+        for index, state in enumerate(window):
+            batches.setdefault(default_grid_size(state.spectrum), []).append(index)
+        done: dict[int, BoundReport] = {}
+        for batch in batches.values():
+            done.update(zip(batch, _batch_reports([window[index] for index in batch])))
+        reports += [done[index] for index in range(len(window))]
+    return reports
 
-    margins: dict[str, float] = {}
-    details: dict[str, float] = {}
 
-    margins["entropic_ur"] = h_theta["H"] + h_g - math.log(2.0 * math.pi)
+def _batch_reports(states: list[ProbeState]) -> list[BoundReport]:
+    """``bound_reports`` for states of one grid size."""
+    size = default_grid_size(states[0].spectrum)
+    psi = np.zeros((len(states), max(state.dimension for state in states)))
+    for row, state in enumerate(states):
+        psi[row, : state.dimension] = state.amplitudes
+    step = 2.0 * math.pi / size
+    density = _densities(psi, size)
+    if np.any(np.abs(density.sum(axis=1) * step - 1.0) > 1e-10):
+        raise ValueError("a canonical density does not integrate to 1")
+    h_theta = _periodic_entropy(density, step)
+    del density
 
-    g_best, dev_best = _best_median_deviation(gen)
-    margins["heis_k_a_median"] = delta - K_A / (2.0 * dev_best + 1.0)
-    details["g_best"] = g_best
-    details["mean_abs_dev"] = dev_best
-    if state.spectrum.kind == "nonneg":
-        n_plus_1 = state.mean_weight() + 1.0
-        margins["heis_k_a"] = delta - K_A / n_plus_1
-        details["n_plus_1"] = n_plus_1
+    p = psi * psi  # the generator probabilities, zero padded
+    lowest = np.array([state.spectrum.values()[0] for state in states])
+    values = lowest[:, None] + np.arange(psi.shape[1])
+    median = lowest + np.argmax(np.cumsum(p, axis=1) >= 0.5, axis=1)
+    g_best = np.empty(len(states))
+    dev_best = np.full(len(states), math.inf)
+    work = np.empty_like(p)
+    for offset in np.concatenate(([-1.0, 0.0, 1.0], np.arange(-10, 11) * 0.1)):
+        g = median + offset
+        np.abs(np.subtract(values, g[:, None], out=work), out=work)
+        work *= p
+        # cumsum adds a row's terms in order, so its padding adds exact zeros
+        dev = np.cumsum(work, axis=1, out=work)[:, -1]
+        better = dev < dev_best
+        g_best[better], dev_best[better] = g[better], dev[better]
 
-    width = state.support_width()
-    tan_floor = math.tan(math.pi / (width + 2.0))
-    delta_h = math.sqrt(metrics["holevo"]) if math.isfinite(metrics["holevo"]) else math.inf
-    margins["tan_bound"] = delta_h - tan_floor
-    details["support_width"] = float(width)
+    support = psi != 0.0
+    widths = psi.shape[1] - 1 - np.argmax(support[:, ::-1], axis=1) - np.argmax(support, axis=1)
 
-    margins["entropic_length"] = delta - h_theta["L"] / math.sqrt(2.0 * math.pi * math.e)
-
-    q1 = metrics["delta1"] ** 2 / 2.0
-    margins["arccos_lower"] = delta - math.acos(max(min(1.0 - q1, 1.0), -1.0))
-    margins["quadratic_upper"] = (math.pi**2 / 2.0) * q1 - metrics["amse"]
-
-    details["delta"] = delta
-    details["holevo"] = metrics["holevo"]
-    return BoundReport(margins=margins, details=details)
+    reports = []
+    for row, state in enumerate(states):
+        metrics = state_metrics(state)
+        delta = math.sqrt(metrics["amse"])
+        h = float(h_theta[row])
+        dev = float(dev_best[row])
+        margins = {
+            "entropic_ur": h + _shannon(p[row, : state.dimension]) - math.log(2.0 * math.pi),
+            "heis_k_a_median": delta - K_A / (2.0 * dev + 1.0),
+        }
+        details = {"g_best": float(g_best[row]), "mean_abs_dev": dev}
+        if state.spectrum.kind == "nonneg":
+            n_plus_1 = state.mean_weight() + 1.0
+            margins["heis_k_a"] = delta - K_A / n_plus_1
+            details["n_plus_1"] = n_plus_1
+        width = int(widths[row])
+        delta_h = math.sqrt(metrics["holevo"]) if math.isfinite(metrics["holevo"]) else math.inf
+        margins["tan_bound"] = delta_h - math.tan(math.pi / (width + 2.0))
+        details["support_width"] = float(width)
+        margins["entropic_length"] = delta - math.exp(h) / math.sqrt(2.0 * math.pi * math.e)
+        q1 = metrics["delta1"] ** 2 / 2.0
+        margins["arccos_lower"] = delta - math.acos(max(min(1.0 - q1, 1.0), -1.0))
+        margins["quadratic_upper"] = (math.pi**2 / 2.0) * q1 - metrics["amse"]
+        details["delta"] = delta
+        details["holevo"] = metrics["holevo"]
+        reports.append(BoundReport(margins=margins, details=details))
+    return reports
 
 
 def _thermal_entropy_direct(nbar: float) -> float:

@@ -35,6 +35,8 @@ _EXIT_VERIFICATION = 1
 _EXIT_CONFIG = 2
 _EXIT_SOLVER = 3
 
+_GRID_CHUNK = 1 << 15  # verify inequalities: grid points evaluated at once
+
 
 @dataclass
 class RunConfig:
@@ -201,18 +203,28 @@ def cmd_series(config: RunConfig) -> int:
     return _EXIT_OK
 
 
+def _grid_chunks(points: int):
+    """np.linspace(-pi, pi, points) in chunks of _GRID_CHUNK points, each
+    built as linspace builds it (k * step - pi, the last point pi), so the
+    whole grid is never held."""
+    step = 2.0 * math.pi / (points - 1)
+    for start in range(0, points, _GRID_CHUNK):
+        chunk = np.arange(start, min(start + _GRID_CHUNK, points), dtype=float) * step - math.pi
+        if start + chunk.size == points:
+            chunk[-1] = math.pi
+        yield chunk
+
+
 def _verify_inequalities(config: RunConfig) -> list[tuple[str, float]]:
-    theta = np.linspace(-math.pi, math.pi, config.grid_points)
-    theta_sq = theta**2
-    f1 = variational.cost_function("f1").evaluate(theta)
-    f2 = variational.cost_function("f2").evaluate(theta)
-    f3 = variational.cost_function("f3").evaluate(theta)
-    return [
-        ("theta_sq_minus_f1", float(np.min(theta_sq - f1))),
-        ("theta_sq_minus_f2", float(np.min(theta_sq - f2))),
-        ("f3_minus_theta_sq", float(np.min(f3 - theta_sq))),
-        ("f2_nonnegative", float(np.min(f2))),
-    ]
+    costs = [variational.cost_function(name) for name in ("f1", "f2", "f3")]
+    worst = np.full(4, math.inf)
+    for theta in _grid_chunks(config.grid_points):
+        theta_sq = theta**2
+        f1, f2, f3 = (cost.evaluate(theta) for cost in costs)
+        margins = [theta_sq - f1, theta_sq - f2, f3 - theta_sq, f2]
+        np.minimum(worst, [np.min(margin) for margin in margins], out=worst)
+    names = ("theta_sq_minus_f1", "theta_sq_minus_f2", "f3_minus_theta_sq", "f2_nonnegative")
+    return [(name, float(margin)) for name, margin in zip(names, worst)]
 
 
 def _verify_povm(config: RunConfig) -> list[tuple[str, float]]:
@@ -255,10 +267,9 @@ def _random_state(
 
 def _verify_bounds(config: RunConfig) -> list[tuple[str, float]]:
     rng = np.random.default_rng(config.seed)
+    states = (_random_state(rng, config.max_dimension) for _ in range(config.states))
     worst: dict[str, float] = {}
-    for _ in range(config.states):
-        state = _random_state(rng, config.max_dimension)
-        report = canonical.verify_bounds(state)
+    for report in canonical.bound_reports(states):
         for name, margin in report.margins.items():
             worst[name] = min(worst.get(name, math.inf), margin)
     rows = [(f"state_{name}", margin) for name, margin in sorted(worst.items())]

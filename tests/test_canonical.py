@@ -7,6 +7,7 @@ is independent of the module's spectral construction.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaselim import variational
+from phaselim import canonical, variational
 from phaselim.canonical import (
     COSINE_COSTS,
     BoundReport,
@@ -23,6 +24,7 @@ from phaselim.canonical import (
     MaxEntropyFamily,
     _laplace_direct,
     _thermal_entropy_direct,
+    bound_reports,
     canonical_distribution,
     default_grid_size,
     entropy_and_length,
@@ -408,6 +410,95 @@ class TestMetricChain:
     def test_verify_bounds_margins(self, state):
         report = verify_bounds(state)
         assert min(report.margins.values()) >= -1e-12, report.margins
+
+
+@st.composite
+def single_level_states(draw, max_cutoff=60):
+    """One occupied level: width 0, <cos Theta> = 0 and H(G) = 0."""
+    kind = draw(st.sampled_from(["nonneg", "symmetric"]))
+    spectrum = Spectrum(kind=kind, cutoff=draw(st.integers(1, max_cutoff)))
+    psi = np.zeros(spectrum.dimension)
+    psi[draw(st.integers(0, spectrum.dimension - 1))] = draw(st.sampled_from([1.0, -1.0]))
+    return ProbeState(spectrum=spectrum, amplitudes=psi)
+
+
+def reference_report(state: ProbeState) -> tuple[dict, dict]:
+    """Margins and details of one state from the one-state primitives; the
+    median scan sums each <|G - g|> in level order."""
+    h_theta = entropy_and_length(canonical_distribution(state))
+    gen = generator_distribution(state)
+    metrics = state_metrics(state)
+    delta = math.sqrt(metrics["amse"])
+    values, p = state.spectrum.values(), gen.probabilities
+    median = values[np.searchsorted(np.cumsum(p), 0.5)]
+    candidates = np.concatenate(
+        ([median - 1.0, median, median + 1.0], median + np.arange(-10, 11) * 0.1)
+    )
+    deviations = [float(np.cumsum(np.abs(values - g) * p)[-1]) for g in candidates]
+    best = int(np.argmin(deviations))
+    width = state.support_width()
+    q1 = metrics["delta1"] ** 2 / 2.0
+    margins = {
+        "entropic_ur": h_theta["H"] + entropy_generator(gen) - math.log(2.0 * math.pi),
+        "heis_k_a_median": delta - K_A / (2.0 * deviations[best] + 1.0),
+        "tan_bound": math.sqrt(metrics["holevo"]) - math.tan(math.pi / (width + 2.0)),
+        "entropic_length": delta - h_theta["L"] / math.sqrt(2.0 * math.pi * math.e),
+        "arccos_lower": delta - math.acos(max(min(1.0 - q1, 1.0), -1.0)),
+        "quadratic_upper": (math.pi**2 / 2.0) * q1 - metrics["amse"],
+    }
+    details = {
+        "delta": delta,
+        "g_best": float(candidates[best]),
+        "mean_abs_dev": deviations[best],
+        "support_width": float(width),
+        "holevo": metrics["holevo"],
+    }
+    if state.spectrum.kind == "nonneg":
+        details["n_plus_1"] = state.mean_weight() + 1.0
+        margins["heis_k_a"] = delta - K_A / details["n_plus_1"]
+    return margins, details
+
+
+class TestBoundReports:
+    """The batched reports equal the one-state reference exactly, whatever
+    batch a state shares (the cell cap is drawn so that windows split)."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(
+        states=st.lists(
+            st.one_of(random_states(), single_level_states()), min_size=1, max_size=12
+        ),
+        cap=st.sampled_from([16, 100, 512, 2000, 1 << 20]),
+    )
+    def test_batch_equals_one_state_reference(self, states, cap):
+        with mock.patch.object(canonical, "_BATCH_CELLS", cap):
+            reports = bound_reports(states)
+        assert len(reports) == len(states)
+        for state, report in zip(states, reports):
+            margins, details = reference_report(state)
+            assert report.margins == margins
+            assert report.details == details
+            assert verify_bounds(state) == report
+            if np.count_nonzero(state.amplitudes) == 1:
+                assert details["support_width"] == 0.0
+                assert details["holevo"] == math.inf
+                assert abs(margins["entropic_ur"]) <= 1e-15
+
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(cutoffs=st.lists(st.integers(1, 1 << 17), max_size=24))
+    def test_windows_respect_the_cell_cap(self, cutoffs):
+        states = [make_state("nonneg", np.ones(c + 1)) for c in cutoffs]
+        windows = list(canonical._windows(iter(states)))
+        assert [s for window in windows for s in window] == states
+        for window in windows:
+            cells = sum(default_grid_size(s.spectrum) for s in window)
+            assert len(window) == 1 or cells <= canonical._BATCH_CELLS
+
+    def test_large_state_is_a_window_of_one(self):
+        small = make_state("symmetric", np.ones(41))
+        large = make_state("nonneg", np.ones(100_000))  # d = 1e5: 2^20 grid cells
+        windows = list(canonical._windows([small, large, small, small, large, large]))
+        assert [len(window) for window in windows] == [1, 1, 2, 1, 1]
 
 
 class TestMaxEntropyChecks:

@@ -388,12 +388,34 @@ class TestVerifyOutput:
             assert row[3] == "True"
             assert f"PASS {row[0]}" in printed
 
-    def test_small_inequality_grid_passes(self, capsys):
-        code = cli.main(["verify", "inequalities", "--grid-points", "20001"])
+    @pytest.mark.parametrize("points", [2, 3, 2001, 20001, 32768, 32769, 33039])
+    def test_small_inequality_grid_passes(self, points, capsys):
+        # the chunked walk must equal one evaluation of the whole grid, at
+        # the endpoints +-pi and on both sides of a chunk boundary; at 33039
+        # points (k * step - pi) misses pi at the last k, which linspace sets
+        code = cli.main(["verify", "inequalities", "--grid-points", str(points)])
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
         assert "FAIL" not in out
+        theta = np.linspace(-math.pi, math.pi, points)
+        assert np.array_equal(np.concatenate(list(cli._grid_chunks(points))), theta)
+        f1, f2, f3 = (variational.cost_function(n).evaluate(theta) for n in ("f1", "f2", "f3"))
+        expected = {
+            "theta_sq_minus_f1": np.min(theta**2 - f1),
+            "theta_sq_minus_f2": np.min(theta**2 - f2),
+            "f3_minus_theta_sq": np.min(f3 - theta**2),
+            "f2_nonnegative": np.min(f2),
+        }
+        printed = dict(line.split(" ")[1:] for line in out.splitlines())
+        assert printed == {name: f"margin={cli._format(float(v))}" for name, v in expected.items()}
+
+    def test_bounds_print_heis_k_a_only_for_nonneg_states(self, capsys):
+        # seed 0 draws one symmetric state: heis_k_a applies to none
+        assert cli.main(["verify", "bounds", "--states", "1", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS state_heis_k_a_median " in out
+        assert "state_heis_k_a " not in out
 
     def test_small_povm_suite_passes(self, capsys):
         code = cli.main(
