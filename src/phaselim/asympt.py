@@ -52,31 +52,20 @@ class Constants:
     """Scaling constants of the accuracy bounds.
 
     k_A bounds every covariant estimate; k_C and k_C_prime are the sharp
-    constants of the nonnegative and symmetric optimal states.  gamma and
-    gamma_prime are |z_A| / 2^{1/3} and |z'_A| / 2^{1/3}, the combinations
-    entering the turning-point expansions.
+    constants of the nonnegative and symmetric optimal states.
     """
 
     k_A: float
     k_C: float
     k_C_prime: float
-    gamma: float
-    gamma_prime: float
-    z_a: float
-    z_a_prime: float
 
 
 def constants() -> Constants:
     zeros = specfun.airy_first_zeros()
-    gamma, gamma_prime = specfun._gammas()
     return Constants(
         k_A=canonical.K_A,
         k_C=2.0 * (abs(zeros.z_a) / 3.0) ** 1.5,
         k_C_prime=4.0 * (abs(zeros.z_a_prime) / 3.0) ** 1.5,
-        gamma=gamma,
-        gamma_prime=gamma_prime,
-        z_a=zeros.z_a,
-        z_a_prime=zeros.z_a_prime,
     )
 
 

@@ -12,7 +12,7 @@ bounds:
 
 * entropic uncertainty  H(Theta) + H(G) >= ln 2pi,
 * delta >= (2 pi e)^{-1/2} e^{H(Theta)}  (entropic-length bound),
-* delta >= k_A / <N+1>  and the median form with <2|G-g|+1>,
+* delta >= k_A / <N+1>  and the median form with <2|G-m|+1> (m the median),
 * Holevo variance >= tan^2(pi / (width + 2)) for bounded support,
 * the arccos sandwich between delta_1 and delta.
 
@@ -375,16 +375,15 @@ def bound_reports(states: Iterable[ProbeState]) -> list[BoundReport]:
 
     * ``entropic_ur``      H(Theta) + H(G) - ln 2pi
     * ``heis_k_a``         delta - k_A / <N+1>            (nonneg spectra)
-    * ``heis_k_a_median``  delta - k_A / <2|G-g*|+1>      (g* = best median scan)
+    * ``heis_k_a_median``  delta - k_A / <2|G-m|+1>       (m = median of G)
     * ``tan_bound``        delta_H - tan(pi / (width + 2))
     * ``entropic_length``  delta - (2 pi e)^{-1/2} L
     * ``arccos_lower``     delta - arccos(1 - delta1^2 / 2)
     * ``quadratic_upper``  (pi^2/2)(1 - <cos Theta>) - delta^2
 
-    The median scan takes the median of G (ties broken low) together with
-    g +- 1 and a 0.1 grid across that interval, since the minimizing g of a
-    discrete distribution need not be unique; the first smallest <|G - g|>
-    wins.
+    The median m (ties broken low) minimises <|G - g|> over all g: left of
+    m its slope P(G < m) - P(G >= m) is negative, right of m it is
+    2 P(G <= m) - 1 >= 0.  ``g_best`` reports m.
 
     The states of each window (``_windows``) that share a grid size are
     evaluated together on padded arrays.  Every sum runs over a row's own
@@ -420,17 +419,8 @@ def _batch_reports(states: list[ProbeState]) -> list[BoundReport]:
     lowest = np.array([state.spectrum.values()[0] for state in states])
     values = lowest[:, None] + np.arange(psi.shape[1])
     median = lowest + np.argmax(np.cumsum(p, axis=1) >= 0.5, axis=1)
-    g_best = np.empty(len(states))
-    dev_best = np.full(len(states), math.inf)
-    work = np.empty_like(p)
-    for offset in np.concatenate(([-1.0, 0.0, 1.0], np.arange(-10, 11) * 0.1)):
-        g = median + offset
-        np.abs(np.subtract(values, g[:, None], out=work), out=work)
-        work *= p
-        # cumsum adds a row's terms in order, so its padding adds exact zeros
-        dev = np.cumsum(work, axis=1, out=work)[:, -1]
-        better = dev < dev_best
-        g_best[better], dev_best[better] = g[better], dev[better]
+    # cumsum adds a row's terms in order, so its padding adds exact zeros
+    mean_abs_dev = np.cumsum(np.abs(values - median[:, None]) * p, axis=1)[:, -1]
 
     support = psi != 0.0
     widths = psi.shape[1] - 1 - np.argmax(support[:, ::-1], axis=1) - np.argmax(support, axis=1)
@@ -440,19 +430,18 @@ def _batch_reports(states: list[ProbeState]) -> list[BoundReport]:
         metrics = state_metrics(state)
         delta = math.sqrt(metrics["amse"])
         h = float(h_theta[row])
-        dev = float(dev_best[row])
+        dev = float(mean_abs_dev[row])
         margins = {
             "entropic_ur": h + _shannon(p[row, : state.dimension]) - math.log(2.0 * math.pi),
             "heis_k_a_median": delta - K_A / (2.0 * dev + 1.0),
         }
-        details = {"g_best": float(g_best[row]), "mean_abs_dev": dev}
+        details = {"g_best": float(median[row]), "mean_abs_dev": dev}
         if state.spectrum.kind == "nonneg":
             n_plus_1 = state.mean_weight() + 1.0
             margins["heis_k_a"] = delta - K_A / n_plus_1
             details["n_plus_1"] = n_plus_1
         width = int(widths[row])
-        delta_h = math.sqrt(metrics["holevo"]) if math.isfinite(metrics["holevo"]) else math.inf
-        margins["tan_bound"] = delta_h - math.tan(math.pi / (width + 2.0))
+        margins["tan_bound"] = math.sqrt(metrics["holevo"]) - math.tan(math.pi / (width + 2.0))
         details["support_width"] = float(width)
         margins["entropic_length"] = delta - math.exp(h) / math.sqrt(2.0 * math.pi * math.e)
         q1 = metrics["delta1"] ** 2 / 2.0

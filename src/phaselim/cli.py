@@ -22,13 +22,12 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__, asympt, canonical, estimators, povm, variational
 
-__all__ = ["RunConfig", "main", "parse_range"]
+__all__ = ["main", "parse_range"]
 
 _EXIT_OK = 0
 _EXIT_VERIFICATION = 1
@@ -36,24 +35,6 @@ _EXIT_CONFIG = 2
 _EXIT_SOLVER = 3
 
 _GRID_CHUNK = 1 << 15  # verify inequalities: grid points evaluated at once
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: one command plus every knob it may read."""
-
-    command: str
-    metric: str = "holevo"
-    spectrum: str = "nonneg"
-    targets: list[float] = field(default_factory=list)
-    grid_points: int = 1_000_000
-    instances: int = 100
-    states: int = 1000
-    max_dimension: int = 200
-    seed: int = 20240901
-    visibility: float = 0.99
-    suite: str = "inequalities"
-    output: str = "-"
 
 
 def parse_range(spec: str) -> list[float]:
@@ -97,11 +78,8 @@ def _emit(output: str, metadata: dict, header: list[str], rows: list[list]) -> N
             handle.write(text)
 
 
-def _base_metadata(config: RunConfig) -> dict:
-    return {
-        "version": __version__,
-        "command": config.command,
-    }
+def _base_metadata(config: argparse.Namespace) -> dict:
+    return {"version": __version__, "command": config.command}
 
 
 # curve metric -> (cost it is solved for, OptimalPoint field it reports)
@@ -112,8 +90,22 @@ _METRICS = {
     "amse": ("theta_sq", "delta"),
 }
 
+# curve CSV columns, each the OptimalPoint field of its name except mean (the
+# landed mean_constraint) and scaled (the metric's field times scale_factor)
+_CURVE_COLUMNS = (
+    "mean", "delta", "delta_H", "delta_1", "delta_2", "delta_3",
+    "scaled", "beta", "cutoff", "residual", "tail_mass",
+)
 
-def cmd_curve(config: RunConfig) -> int:
+# series spectrum -> (its expansion, the f1 optimum's field that is squared,
+# the series that value is compared with)
+_SERIES = {
+    "nonneg": (asympt.nonneg_series_expansion, "delta_H", asympt.holevo_series),
+    "symmetric": (asympt.symmetric_series_expansion, "delta_1", asympt.symmetric_series),
+}
+
+
+def cmd_curve(config: argparse.Namespace) -> int:
     cost_name, column = _METRICS[config.metric]
     cost = variational.cost_function(cost_name)
     metadata = _base_metadata(config)
@@ -128,78 +120,29 @@ def cmd_curve(config: RunConfig) -> int:
             "targets": len(config.targets),
         }
     )
-    header = [
-        "mean",
-        "delta",
-        "delta_H",
-        "delta_1",
-        "delta_2",
-        "delta_3",
-        "scaled",
-        "beta",
-        "cutoff",
-        "residual",
-        "tail_mass",
-    ]
-    if not config.targets:
-        _emit(config.output, metadata, header, [])
-        return _EXIT_OK
-    points = variational.sweep_curve(cost, config.spectrum, sorted(config.targets))
     rows = []
-    for point in points:
-        metric_value = getattr(point, column)
-        rows.append(
-            [
-                point.mean_constraint,
-                point.delta,
-                point.delta_H,
-                point.delta_1,
-                point.delta_2,
-                point.delta_3,
-                point.scale_factor * metric_value,
-                point.beta,
-                point.cutoff,
-                point.residual,
-                point.tail_mass,
-            ]
-        )
-    _emit(config.output, metadata, header, rows)
+    for point in variational.sweep_curve(cost, config.spectrum, sorted(config.targets)):
+        own = {"mean": point.mean_constraint, "scaled": point.scale_factor * getattr(point, column)}
+        rows.append([own[name] if name in own else getattr(point, name) for name in _CURVE_COLUMNS])
+    _emit(config.output, metadata, list(_CURVE_COLUMNS), rows)
     return _EXIT_OK
 
 
-def cmd_series(config: RunConfig) -> int:
-    if any(t < asympt._SERIES_REGIME for t in config.targets):
-        print(
-            f"series targets must be >= {asympt._SERIES_REGIME:g} (series regime)",
-            file=sys.stderr,
-        )
-        return _EXIT_CONFIG
-    nonneg = config.spectrum == "nonneg"
-    expansion = (
-        asympt.nonneg_series_expansion()
-        if nonneg
-        else asympt.symmetric_series_expansion()
-    )
+def cmd_series(config: argparse.Namespace) -> int:
+    expand, column, series = _SERIES[config.spectrum]
+    expansion = expand()
     metadata = _base_metadata(config)
     metadata["spectrum"] = config.spectrum
     metadata["series_variable"] = expansion.variable
     for exponent, coeff in zip(expansion.exponents, expansion.coefficients):
         metadata[f"coefficient_{exponent}"] = f"{coeff:.10g}"
     cost = variational.cost_function("f1")
-    points = variational.sweep_curve(cost, config.spectrum, sorted(config.targets))
     rows = []
-    for point in points:
-        numeric = point.delta_H**2 if nonneg else point.delta_1**2
+    for point in variational.sweep_curve(cost, config.spectrum, sorted(config.targets)):
         mean = point.mean_constraint
-        series_value = (
-            asympt.holevo_series(mean)
-            if nonneg
-            else asympt.symmetric_series(mean)
-        )
-        gap = numeric - series_value
-        rows.append([mean, numeric, series_value, gap, gap / series_value])
-    header = ["mean", "numeric", "series", "abs_gap", "rel_gap"]
-    _emit(config.output, metadata, header, rows)
+        numeric, value = getattr(point, column) ** 2, series(mean)
+        rows.append([mean, numeric, value, numeric - value, (numeric - value) / value])
+    _emit(config.output, metadata, ["mean", "numeric", "series", "abs_gap", "rel_gap"], rows)
     return _EXIT_OK
 
 
@@ -215,19 +158,19 @@ def _grid_chunks(points: int):
         yield chunk
 
 
-def _verify_inequalities(config: RunConfig) -> list[tuple[str, float]]:
+def _verify_inequalities(config: argparse.Namespace) -> list[tuple[str, float]]:
     costs = [variational.cost_function(name) for name in ("f1", "f2", "f3")]
     worst = np.full(4, math.inf)
     for theta in _grid_chunks(config.grid_points):
-        theta_sq = theta**2
-        f1, f2, f3 = (cost.evaluate(theta) for cost in costs)
+        theta_sq, cosines = theta**2, [np.cos(theta), np.cos(2 * theta)]
+        f1, f2, f3 = (cost.cosine_sum(cosines) for cost in costs)
         margins = [theta_sq - f1, theta_sq - f2, f3 - theta_sq, f2]
         np.minimum(worst, [np.min(margin) for margin in margins], out=worst)
     names = ("theta_sq_minus_f1", "theta_sq_minus_f2", "f3_minus_theta_sq", "f2_nonnegative")
     return [(name, float(margin)) for name, margin in zip(names, worst)]
 
 
-def _verify_povm(config: RunConfig) -> list[tuple[str, float]]:
+def _verify_povm(config: argparse.Namespace) -> list[tuple[str, float]]:
     rng = np.random.default_rng(config.seed)
     seeds = rng.integers(0, 2**63 - 1, size=config.instances)
     lemma1 = lemma2 = generator = 0.0
@@ -265,7 +208,7 @@ def _random_state(
     )
 
 
-def _verify_bounds(config: RunConfig) -> list[tuple[str, float]]:
+def _verify_bounds(config: argparse.Namespace) -> list[tuple[str, float]]:
     rng = np.random.default_rng(config.seed)
     states = (_random_state(rng, config.max_dimension) for _ in range(config.states))
     worst: dict[str, float] = {}
@@ -278,7 +221,7 @@ def _verify_bounds(config: RunConfig) -> list[tuple[str, float]]:
     return rows
 
 
-def _verify_mzi(config: RunConfig) -> list[tuple[str, float]]:
+def _verify_mzi(config: argparse.Namespace) -> list[tuple[str, float]]:
     from scipy.integrate import quad  # the only user; keeps it out of import time
 
     model = estimators.MziModel(visibility=config.visibility)
@@ -311,7 +254,7 @@ def _verify_mzi(config: RunConfig) -> list[tuple[str, float]]:
     ]
 
 
-def _verify_probe(config: RunConfig) -> list[tuple[str, float]]:
+def _verify_probe(config: argparse.Namespace) -> list[tuple[str, float]]:
     k_c = asympt.constants().k_C
     m_values = [100, 10_000, 1_000_000]
     scaled = []
@@ -338,18 +281,19 @@ _SUITES = {
     "probe": _verify_probe,
 }
 
-# The suite-specific ``verify`` flags (RunConfig fields) and the suite that
-# reads each; given to any other suite, a flag is a configuration error.
+# Each suite-specific ``verify`` flag: the suite that reads it (given to any
+# other suite, it is a configuration error), its default and its least valid
+# value.  The visibility must lie in (0, 1] instead, and --seed be >= 0.
 _SUITE_FLAGS = {
-    "instances": "povm",
-    "states": "bounds",
-    "max_dimension": "bounds",
-    "grid_points": "inequalities",
-    "visibility": "mzi",
+    "instances": ("povm", 100, 1),
+    "states": ("bounds", 1000, 1),
+    "max_dimension": ("bounds", 200, 2),
+    "grid_points": ("inequalities", 1_000_000, 2),
+    "visibility": ("mzi", 0.99, None),
 }
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: argparse.Namespace) -> int:
     checks = _SUITES[config.suite](config)
     rows = []
     failures = 0
@@ -372,7 +316,6 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    defaults = RunConfig(command="")
     parser = argparse.ArgumentParser(
         prog="phaselim",
         description="Optimal phase-estimation accuracy: curves, series, verification.",
@@ -381,26 +324,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--spectrum", choices=["nonneg", "symmetric"], default=defaults.spectrum
-        )
+        p.add_argument("--spectrum", choices=["nonneg", "symmetric"], default="nonneg")
         group = p.add_mutually_exclusive_group()
         group.add_argument(
             "--range",
             dest="range_spec",
             help="target grid as min:max:COUNTlog or min:max:COUNTlin",
         )
-        group.add_argument(
-            "--targets", help="explicit comma-separated target mean values"
-        )
-        p.add_argument(
-            "--output", default=defaults.output, help="output CSV path ('-' = stdout)"
-        )
+        group.add_argument("--targets", help="explicit comma-separated target mean values")
+        p.add_argument("--output", default="-", help="output CSV path ('-' = stdout)")
 
     curve = sub.add_parser("curve", help="trace a constrained-optimum curve")
-    curve.add_argument(
-        "--metric", choices=sorted(_METRICS), default=defaults.metric
-    )
+    curve.add_argument("--metric", choices=sorted(_METRICS), default="holevo")
     add_common(curve)
 
     series = sub.add_parser("series", help="eigensolver versus asymptotic series")
@@ -408,10 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=sorted(_SUITES))
-    verify.add_argument("--output", default=defaults.output, help="CSV report path")
-    verify.add_argument("--seed", type=int, default=defaults.seed)
-    for name, suite in _SUITE_FLAGS.items():
-        default = getattr(defaults, name)
+    verify.add_argument("--output", default="-", help="CSV report path")
+    verify.add_argument("--seed", type=int, default=20240901)
+    for name, (suite, default, _) in _SUITE_FLAGS.items():
         verify.add_argument(
             f"--{name.replace('_', '-')}",
             type=type(default),
@@ -430,43 +364,46 @@ def _check_writable(path: str) -> None:
         raise ValueError(f"cannot write {path}: {os.strerror(errno.EACCES)}")
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for name, suite in _SUITE_FLAGS.items():
-        if getattr(args, name, None) is not None and args.suite != suite:
-            flag = name.replace("_", "-")
-            raise ValueError(f"--{flag} does not apply to verify {args.suite}")
-    for name in vars(config):
-        if getattr(args, name, None) is not None:
-            setattr(config, name, getattr(args, name))
-    if getattr(args, "range_spec", None):
-        config.targets = parse_range(args.range_spec)
-    elif getattr(args, "targets", None):
-        config.targets = [float(t) for t in str(args.targets).split(",") if t]
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check the parsed arguments and complete them in place: the target
+    means become a list, an unset verify flag takes its default.  Raise
+    ValueError on a configuration error, before any work is done."""
+    if args.command == "verify":
+        for name, (suite, default, _) in _SUITE_FLAGS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif args.suite != suite:
+                flag = name.replace("_", "-")
+                raise ValueError(f"--{flag} does not apply to verify {args.suite}")
+        if not 0.0 < args.visibility <= 1.0:
+            raise ValueError(f"visibility must be in (0, 1], got {args.visibility}")
+        lows = [(name, low) for name, (_, _, low) in _SUITE_FLAGS.items() if low is not None]
+        for name, low in [*lows, ("seed", 0)]:
+            if getattr(args, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(args, name)}")
     else:
-        config.targets = []
-    targets = config.targets
-    if not all(math.isfinite(t) and t > 0.0 for t in targets):
-        raise ValueError(f"target means must be finite and positive, got {targets}")
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"target means must be distinct, got {targets}")
-    if targets:
-        cutoff = variational.default_cutoff(config.spectrum, max(targets))
-        try:
-            variational.check_dimension(
-                canonical.Spectrum(kind=config.spectrum, cutoff=cutoff)
+        if args.range_spec:
+            targets = parse_range(args.range_spec)
+        else:
+            targets = [float(t) for t in (args.targets or "").split(",") if t]
+        args.targets = targets
+        if not all(math.isfinite(t) and t > 0.0 for t in targets):
+            raise ValueError(f"target means must be finite and positive, got {targets}")
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"target means must be distinct, got {targets}")
+        if args.command == "series" and any(t < asympt._SERIES_REGIME for t in targets):
+            raise ValueError(
+                f"series targets must be >= {asympt._SERIES_REGIME:g} (series regime)"
             )
-        except ValueError as exc:
-            raise ValueError(f"target mean {max(targets)}: {exc}") from None
-    if not 0.0 < config.visibility <= 1.0:
-        raise ValueError(f"visibility must be in (0, 1], got {config.visibility}")
-    minimums = {"instances": 1, "states": 1, "max_dimension": 2, "grid_points": 2, "seed": 0}
-    for name, low in minimums.items():
-        if getattr(config, name) < low:
-            raise ValueError(f"{name} must be >= {low}, got {getattr(config, name)}")
-    if config.output != "-":
-        _check_writable(config.output)
-    return config
+        if targets:
+            cutoff = variational.default_cutoff(args.spectrum, max(targets))
+            try:
+                variational.check_dimension(canonical.Spectrum(kind=args.spectrum, cutoff=cutoff))
+            except ValueError as exc:
+                raise ValueError(f"target mean {max(targets)}: {exc}") from None
+    if args.output != "-":
+        _check_writable(args.output)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -481,11 +418,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     try:
-        if config.command == "curve":
-            return cmd_curve(config)
-        if config.command == "series":
-            return cmd_series(config)
-        return cmd_verify(config)
+        commands = {"curve": cmd_curve, "series": cmd_series, "verify": cmd_verify}
+        return commands[config.command](config)
     except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return _EXIT_SOLVER

@@ -117,9 +117,14 @@ class CostFunction:
         theta = np.asarray(theta, dtype=float)
         if self.cosine_coeffs is None:
             return theta**2
-        result = np.full_like(theta, self.cosine_coeffs[0])
-        for m in range(1, self.cosine_coeffs.size):
-            result += self.cosine_coeffs[m] * np.cos(m * theta)
+        return self.cosine_sum([np.cos(m * theta) for m in range(1, self.cosine_coeffs.size)])
+
+    def cosine_sum(self, cosines: list[np.ndarray]) -> np.ndarray:
+        """a_0 + sum_m a_m cosines[m - 1], given cosines[m - 1] = cos(m theta)
+        for m = 1 up to at least the series' order, added term by term."""
+        result = np.full_like(cosines[0], self.cosine_coeffs[0])
+        for coeff, cosine in zip(self.cosine_coeffs[1:], cosines):
+            result += coeff * cosine
         return result
 
 
@@ -313,9 +318,7 @@ def _truncated_solve(
         alpha=pair.value,
         mean_constraint=state.mean_weight(),
         delta=math.sqrt(metrics["amse"]),
-        delta_H=math.sqrt(metrics["holevo"])
-        if math.isfinite(metrics["holevo"])
-        else math.inf,
+        delta_H=math.sqrt(metrics["holevo"]),
         delta_1=metrics["delta1"],
         delta_2=metrics["delta2"],
         delta_3=metrics["delta3"],
@@ -469,15 +472,15 @@ def _root_find_mean(
 
 def sweep_curve(
     cost: CostFunction,
-    spectrum_kind: str | Spectrum,
+    kind: str,
     targets: list[float],
 ) -> list[OptimalPoint]:
     """Solve the constrained optimum at each requested mean value.
 
-    ``spectrum_kind`` is 'nonneg' or 'symmetric' (or a Spectrum whose kind
-    is used).  Each target starts at ``default_cutoff``, or at the last
-    point's cutoff if that is larger, and its root-found point passes the
-    same truncation test as ``solve_point`` (``_truncated_solve``).
+    ``kind`` is the spectrum kind, 'nonneg' or 'symmetric'.  Each target
+    starts at ``default_cutoff``, or at the last point's cutoff if that is
+    larger, and its root-found point passes the same truncation test as
+    ``solve_point`` (``_truncated_solve``).
     Targets must be positive and sorted ascending; each mean lands within
     relative 1e-6 of its target.  The first target is seeded from the
     asymptote of its regime (``_first_seed``).  Each later one is seeded
@@ -495,9 +498,6 @@ def sweep_curve(
     starting matrix would exceed ``_MAX_DIMENSION`` rows raises ValueError
     before any solve.
     """
-    kind = (
-        spectrum_kind.kind if isinstance(spectrum_kind, Spectrum) else spectrum_kind
-    )
     targets = [float(t) for t in targets]
     if any(t <= 0.0 for t in targets):
         raise ValueError("targets must be positive")

@@ -33,15 +33,9 @@ class TestConstants:
     def test_closed_forms(self):
         c = asympt.constants()
         assert c.k_A == pytest.approx(math.sqrt(2.0 * math.pi / math.e**3), rel=0.0)
-        assert c.z_a == pytest.approx(Z_A, abs=1e-12)
-        assert c.z_a_prime == pytest.approx(Z_A_PRIME, abs=1e-12)
         assert c.k_C == pytest.approx(2.0 * (abs(Z_A) / 3.0) ** 1.5, rel=1e-14)
         assert c.k_C_prime == pytest.approx(
             4.0 * (abs(Z_A_PRIME) / 3.0) ** 1.5, rel=1e-14
-        )
-        assert c.gamma == pytest.approx(abs(Z_A) / 2.0 ** (1.0 / 3.0), rel=1e-14)
-        assert c.gamma_prime == pytest.approx(
-            abs(Z_A_PRIME) / 2.0 ** (1.0 / 3.0), rel=1e-14
         )
 
     def test_four_decimal_values(self):

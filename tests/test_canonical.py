@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phaselim import canonical, variational
@@ -423,24 +423,20 @@ def single_level_states(draw, max_cutoff=60):
 
 
 def reference_report(state: ProbeState) -> tuple[dict, dict]:
-    """Margins and details of one state from the one-state primitives; the
-    median scan sums each <|G - g|> in level order."""
+    """Margins and details of one state from the one-state primitives;
+    <|G - m|> at the median m is summed in level order."""
     h_theta = entropy_and_length(canonical_distribution(state))
     gen = generator_distribution(state)
     metrics = state_metrics(state)
     delta = math.sqrt(metrics["amse"])
     values, p = state.spectrum.values(), gen.probabilities
     median = values[np.searchsorted(np.cumsum(p), 0.5)]
-    candidates = np.concatenate(
-        ([median - 1.0, median, median + 1.0], median + np.arange(-10, 11) * 0.1)
-    )
-    deviations = [float(np.cumsum(np.abs(values - g) * p)[-1]) for g in candidates]
-    best = int(np.argmin(deviations))
+    mean_abs_dev = float(np.cumsum(np.abs(values - median) * p)[-1])
     width = state.support_width()
     q1 = metrics["delta1"] ** 2 / 2.0
     margins = {
         "entropic_ur": h_theta["H"] + entropy_generator(gen) - math.log(2.0 * math.pi),
-        "heis_k_a_median": delta - K_A / (2.0 * deviations[best] + 1.0),
+        "heis_k_a_median": delta - K_A / (2.0 * mean_abs_dev + 1.0),
         "tan_bound": math.sqrt(metrics["holevo"]) - math.tan(math.pi / (width + 2.0)),
         "entropic_length": delta - h_theta["L"] / math.sqrt(2.0 * math.pi * math.e),
         "arccos_lower": delta - math.acos(max(min(1.0 - q1, 1.0), -1.0)),
@@ -448,8 +444,8 @@ def reference_report(state: ProbeState) -> tuple[dict, dict]:
     }
     details = {
         "delta": delta,
-        "g_best": float(candidates[best]),
-        "mean_abs_dev": deviations[best],
+        "g_best": float(median),
+        "mean_abs_dev": mean_abs_dev,
         "support_width": float(width),
         "holevo": metrics["holevo"],
     }
@@ -483,6 +479,20 @@ class TestBoundReports:
                 assert details["support_width"] == 0.0
                 assert details["holevo"] == math.inf
                 assert abs(margins["entropic_ur"]) <= 1e-15
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(state=st.one_of(random_states(), single_level_states()))
+    @example(state=make_state("nonneg", [1.0, 0.0, 1.0]))  # flat CDF on [0, 2]
+    @example(state=make_state("symmetric", [1.0, 1.0, 1.0, 1.0, 0.0]))
+    def test_median_minimises_mean_abs_deviation(self, state):
+        # g_best is the median with ties broken low, and no g of the grid
+        # around it (step 0.1 over +-1) has a smaller <|G - g|>
+        details = verify_bounds(state).details
+        values, p = state.spectrum.values(), generator_distribution(state).probabilities
+        assert details["g_best"] == values[np.searchsorted(np.cumsum(p), 0.5)]
+        for offset in np.concatenate(([-1.0, 0.0, 1.0], np.arange(-10, 11) * 0.1)):
+            deviation = np.cumsum(np.abs(values - (details["g_best"] + offset)) * p)[-1]
+            assert details["mean_abs_dev"] <= deviation * (1.0 + 1e-15)
 
     @settings(max_examples=50, derandomize=True, deadline=None, database=None)
     @given(cutoffs=st.lists(st.integers(1, 1 << 17), max_size=24))

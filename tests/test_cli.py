@@ -94,9 +94,14 @@ class TestExitCodes:
         assert cli.main(["curve", "--range", "5:1:3lin"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-    def test_series_target_below_regime_exits_2(self, capsys):
+    def test_series_target_below_regime_exits_2(self, capsys, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("sweep_curve called for a target below the regime")
+
+        monkeypatch.setattr(variational, "sweep_curve", unexpected)
         assert cli.main(["series", "--targets", "5,1000"]) == 2
-        assert ">= 10" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error: series targets must be >= 10" in err
 
     @pytest.mark.parametrize("targets", ["-1", "nan", "inf", "5,5"])
     def test_invalid_targets_exit_2(self, capsys, targets):
@@ -161,6 +166,19 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"configuration error: {flag} does not apply to verify {suite}" in err
+
+    @pytest.mark.parametrize("suite", sorted({suite for suite, _, _ in cli._SUITE_FLAGS.values()}))
+    def test_unset_verify_flags_take_the_table_defaults(self, capsys, monkeypatch, suite):
+        seen = []
+        monkeypatch.setitem(cli._SUITES, suite, lambda config: seen.append(config) or [])
+        assert cli.main(["verify", suite]) == 0
+        capsys.readouterr()
+        (config,) = seen
+        assert config.seed == 20240901
+        for name, (flag_suite, default, _) in cli._SUITE_FLAGS.items():
+            if flag_suite == suite:
+                assert getattr(config, name) == default
+                assert type(getattr(config, name)) is type(default)
 
     @pytest.mark.parametrize("command", ["curve", "series"])
     def test_target_over_dimension_limit_exits_2(self, capsys, command):

@@ -97,6 +97,17 @@ class TestCostFunctions:
         direct = 2.5 - (8.0 / 3.0) * np.cos(theta) + np.cos(2 * theta) / 6.0
         assert f2 == pytest.approx(direct, abs=1e-14)
 
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3"])
+    def test_series_is_summed_in_term_order(self, name):
+        # a_0 + a_1 cos t + a_2 cos 2t, left to right: the bits every verify
+        # inequalities margin is printed from
+        a = canonical.COSINE_COSTS[name]
+        theta = np.linspace(-math.pi, math.pi, 2001)
+        expected = a[0] + a[1] * np.cos(theta)
+        if len(a) == 3:
+            expected = expected + a[2] * np.cos(2 * theta)
+        assert np.array_equal(cost_function(name).evaluate(theta), expected)
+
     def test_f3_is_weighted_combination(self):
         theta = np.linspace(-math.pi, math.pi, 20001)
         f3 = cost_function("f3").evaluate(theta)
@@ -515,13 +526,6 @@ class TestSweepCurve:
         with pytest.raises(ValueError):
             sweep_curve(cost, "nonneg", [3.0, 2.0])
         assert sweep_curve(cost, "nonneg", []) == []
-
-    def test_spectrum_instance_selects_kind(self):
-        points = sweep_curve(
-            cost_function("f1"), Spectrum(kind="symmetric", cutoff=5), [0.5]
-        )
-        assert points[0].state.spectrum.kind == "symmetric"
-        assert points[0].scale_factor == pytest.approx(2.0, rel=1e-6)
 
     def test_symmetric_sweep(self):
         targets = [0.5, 3.0]
