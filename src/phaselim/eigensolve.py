@@ -13,8 +13,9 @@ Z(f) + p diag(W), so that pair is the only one solved for.
   D' Z(g) D, applied via FFT circulant embedding, plus an arbitrary
   diagonal, solved by locally optimal preconditioned conjugate gradients
   (LOPCG, Knyazev 2001) with the banded Cholesky factor of a spectrally
-  equivalent surrogate supplied by the caller.  A step costs one FFT
-  mat-vec, one banded solve and O(d) vector work, so the dense
+  equivalent surrogate supplied by the caller.  A cold solve starts from
+  the Sturm vector of D'D + diag, tridiag(-1, 2 + d_k, -1).  A step costs
+  one FFT mat-vec, one banded solve and O(d) vector work, so the dense
   quadratic-cost problems reach dimension 1e6.
 """
 
@@ -216,8 +217,6 @@ def _banded_cholesky_apply(banded: BandedSymmetric):
 
 
 def _tridiagonal_smallest(banded: BandedSymmetric) -> np.ndarray:
-    if banded.bandwidth > 1:
-        raise ValueError(f"bandwidth {banded.bandwidth} is not tridiagonal")
     main = banded.diagonals[0]
     off = banded.diagonals[1] if banded.bandwidth else np.zeros(main.size - 1)
     _, vecs = eigh_tridiagonal(main, off, select="i", select_range=(0, 0))
@@ -403,9 +402,12 @@ def extremal_eigenpair(
 
     A ``ToeplitzPlusDiagonal`` solve requires ``preconditioner``, a positive
     definite banded matrix spectrally equivalent to ``matrix``: its banded
-    Cholesky solve preconditions LOPCG, and its smallest eigenvector (cold
-    banded path) is the start without ``start_vector``.  LOPCG stops only
-    once the preconditioned residual is <= 1e-9, so a warm start is refined.
+    Cholesky solve preconditions LOPCG.  Without ``start_vector`` LOPCG
+    starts from the Sturm-bisection eigenvector of D'D + diag, the matrix
+    with its kernel replaced by (1, 0, 0, ...): tridiag(-1, 2 + d_k, -1),
+    the f1 matrix Z(2 - 2 cos t) + diag when the diagonal is a penalty
+    term.  LOPCG stops only once the preconditioned residual is <= 1e-9, so
+    a warm start is refined.
 
     Every path ends with the same check, residual <= 1e-10 ||A||.
     Deterministic for fixed inputs; raises ``EigsolveError`` on
@@ -423,8 +425,9 @@ def extremal_eigenpair(
         start_vector = np.asarray(start_vector, dtype=float)
     if isinstance(matrix, ToeplitzPlusDiagonal):
         prec = _banded_cholesky_apply(preconditioner)
-        if start_vector is None:
-            start_vector = extremal_eigenpair(preconditioner).vector
+        if start_vector is None:  # the Sturm vector of D'D + diag
+            difference = [2.0 + matrix.diagonal, np.full(n - 1, -1.0)]
+            start_vector = _tridiagonal_smallest(BandedSymmetric(difference))
         return _finish(matrix, _lopcg_smallest(matrix, prec, start_vector, maxiter))
 
     if start_vector is not None:

@@ -173,10 +173,6 @@ class DensityMatrix:
             raise ValueError(f"not positive semidefinite (min eig {min_eig})")
         object.__setattr__(self, "entries", mat)
 
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
     def mean_abs_generator(self, system: DegenerateSystem) -> float:
         probs = np.real(np.diag(self.entries))
         return float(np.abs(np.asarray(system.eigenvalues, float)) @ probs)
@@ -288,6 +284,21 @@ def _covariant_seed_checked(povm: PovmSet, system: DegenerateSystem) -> np.ndarr
     return seed
 
 
+def _embedding(system: DegenerateSystem) -> tuple[Spectrum, np.ndarray]:
+    """The contiguous spectrum holding the system's distinct eigenvalues
+    (nonneg 0..max, or symmetric -c..c once a value is negative), and the
+    index in it of each basis vector's eigenvalue."""
+    values = system.distinct_values()
+    if min(values) >= 0:
+        spectrum = Spectrum(kind="nonneg", cutoff=max(max(values), 1))
+        offset = 0
+    else:
+        cutoff = max(max(abs(v) for v in values), 1)
+        spectrum = Spectrum(kind="symmetric", cutoff=cutoff)
+        offset = cutoff
+    return spectrum, np.asarray(system.eigenvalues) + offset
+
+
 def lemma2_reduction(
     covariant: PovmSet, rho0: DensityMatrix, system: DegenerateSystem
 ) -> dict:
@@ -303,16 +314,8 @@ def lemma2_reduction(
     (nonneg 0..max or symmetric -c..c); missing values get zero rows.
     """
     seed = _covariant_seed_checked(covariant, system)
-    values = system.distinct_values()
-    if min(values) >= 0:
-        spectrum = Spectrum(kind="nonneg", cutoff=max(max(values), 1))
-        offset = 0
-    else:
-        cutoff = max(max(abs(v) for v in values), 1)
-        spectrum = Spectrum(kind="symmetric", cutoff=cutoff)
-        offset = cutoff
+    spectrum, slots = _embedding(system)
     dim = spectrum.dimension
-    slots = np.asarray(system.eigenvalues) + offset
     rho_s = np.zeros((dim, dim), dtype=complex)
     # term [j, i] = <j|rho0|i><i|M0|j> lands on rho_s[n_j, n_i]
     np.add.at(rho_s, (slots[:, None], slots[None, :]), rho0.entries * seed.T)
@@ -460,14 +463,14 @@ def verify_random_instance(seed: int) -> dict[str, float]:
     * ``continuity_margin``: worst margin of the mean-estimate bound over
       the shifts _EPS_GRID.
 
-    The estimate grid is sized from the embedded nondegenerate spectrum so
-    every phase sum involved is exact.
+    The estimate grid is sized from the embedded nondegenerate spectrum,
+    whose span dimension - 1 is at least the system's, so every phase sum
+    involved is exact.
     """
     rng = np.random.default_rng(seed)
     system = random_degenerate_system(rng)
-    values = system.distinct_values()
-    embedded_span = max(values) if min(values) >= 0 else 2 * max(abs(v) for v in values)
-    grid_size = _exact_grid_size(max(system.span, embedded_span, 1))
+    spectrum, slots = _embedding(system)
+    grid_size = _exact_grid_size(spectrum.dimension - 1)
     rho = random_density(rng, system.dimension)
     povm = random_povm(rng, system.dimension, grid_size)
 
@@ -478,18 +481,13 @@ def verify_random_instance(seed: int) -> dict[str, float]:
 
     reduction = lemma2_reduction(averaged, rho, system)
     rho_s: DensityMatrix = reduction["rho_s"]
-    spectrum: Spectrum = reduction["spectrum"]
-    reduced_system = DegenerateSystem.from_degeneracies(
-        [int(v) for v in spectrum.values()], [1] * spectrum.dimension
-    )
+    reduced_system = DegenerateSystem(tuple(int(v) for v in spectrum.values()))
     canonical = canonical_povm(reduced_system, grid_size)
     reduced_masses = error_density(canonical, rho_s, reduced_system)
     lemma2_gap = float(np.max(np.abs(reduced_masses - covariant_masses)))
 
     generator_reduced = np.real(np.diag(rho_s.entries))
     generator_original = np.zeros(spectrum.dimension)
-    offset = 0 if spectrum.kind == "nonneg" else spectrum.cutoff
-    slots = np.asarray(system.eigenvalues) + offset
     np.add.at(generator_original, slots, np.real(np.diag(rho.entries)))
     generator_gap = float(np.max(np.abs(generator_reduced - generator_original)))
 

@@ -55,19 +55,12 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import asympt, canonical
-from .eigensolve import (
-    BandedSymmetric,
-    EigenPair,
-    ToeplitzPlusDiagonal,
-    _tridiagonal_smallest,
-    extremal_eigenpair,
-)
+from .eigensolve import BandedSymmetric, EigenPair, ToeplitzPlusDiagonal, extremal_eigenpair
 from .states import ProbeState, Spectrum
 
 __all__ = [
@@ -142,16 +135,16 @@ def cost_function(name: str) -> CostFunction:
 class OptimalPoint:
     """One solved variational point with all error metrics.
 
-    ``beta`` is the public multiplier c * p (module docstring), ``alpha``
-    the smallest eigenvalue <f> + p <W> of Z(f) + p diag(W), and
-    ``residual`` the norm ||A v - alpha v|| for that matrix A, and
-    ``tail_mass`` the probability on the top 1% of |eigenvalue| indices,
-    the number the truncation test compares with _TAIL_RTOL * q_1.
+    ``penalty`` is the p >= 0 of Z(f) + p diag(W) and ``beta`` the public
+    multiplier c * p read from it (module docstring).  ``residual`` is the
+    norm ||A v - rho v|| for that matrix A, rho being the state's Rayleigh
+    quotient, and ``tail_mass`` the probability on the top 1% of
+    |eigenvalue| indices, the number the truncation test compares with
+    _TAIL_RTOL * q_1.
     """
 
     cost: str
-    beta: float
-    alpha: float
+    penalty: float
     mean_constraint: float
     delta: float
     delta_H: float
@@ -176,21 +169,21 @@ class OptimalPoint:
             raise ValueError("metric chain violated: delta > (pi/2) delta_1")
 
     @property
+    def beta(self) -> float:
+        """The public multiplier c * penalty (module docstring)."""
+        return _BETA_PER_PENALTY[self.cost] * self.penalty
+
+    @property
     def scale_factor(self) -> float:
         """<N+1> for nonneg spectra, <2|J|+1> for symmetric ones."""
         return _scale(self.state.spectrum.kind, self.mean_constraint)
 
 
-def _beta_per_penalty(cost: CostFunction) -> float:
-    """The factor c of beta = c * p for the cost (module docstring)."""
+def _penalty(cost: CostFunction, beta: float) -> float:
+    """Penalty p >= 0 of the public multiplier beta = c * p (module docstring)."""
     if cost.name not in _BETA_PER_PENALTY:
         raise ValueError(f"no beta convention for cost {cost.name!r}")
-    return _BETA_PER_PENALTY[cost.name]
-
-
-def _penalty(cost: CostFunction, beta: float) -> float:
-    """Penalty p >= 0 of the public multiplier beta."""
-    factor = _beta_per_penalty(cost)
+    factor = _BETA_PER_PENALTY[cost.name]
     penalty = beta / factor
     if penalty < 0.0:
         bound = ">=" if factor > 0.0 else "<="
@@ -264,15 +257,13 @@ def _solve_eigen(
 
     A Toeplitz (theta_sq) matrix is preconditioned by the f3 matrix at the
     same penalty: 0.6919 f3 <= theta^2 <= f3 on [-pi, pi] makes the two
-    spectrally equivalent with condition number <= 1.445.  A cold LOPCG
-    solve starts from the f1 matrix's eigenvector (Sturm bisection).
+    spectrally equivalent with condition number <= 1.445.  A cold start is
+    ``extremal_eigenpair``'s own: the Sturm vector of D'D + diag(p W),
+    which is the f1 matrix at the same penalty.
     """
     matrix = _matrix(cost, spectrum, penalty)
     if isinstance(matrix, BandedSymmetric):
         return extremal_eigenpair(matrix, start_vector=start_vector)
-    if start_vector is None:
-        f1 = _matrix(cost_function("f1"), spectrum, penalty)
-        start_vector = _tridiagonal_smallest(f1)
     f3 = _matrix(cost_function("f3"), spectrum, penalty)
     return extremal_eigenpair(matrix, start_vector=start_vector, preconditioner=f3)
 
@@ -282,23 +273,31 @@ def _truncated_solve(
     spectrum: Spectrum,
     penalty: float,
     start: np.ndarray | None,
-    solve: Callable[[Spectrum, float, np.ndarray | None], tuple[float, EigenPair]],
-) -> OptimalPoint:
+    target: float | None = None,
+    slope: float = 0.0,
+) -> tuple[OptimalPoint, float]:
     """The one truncation loop: solve, test the tail, double the cutoff.
 
-    ``solve(spectrum, penalty, start)`` returns the penalty it settled on
-    and its eigenpair.  The truncation is accepted when the top 1% of
+    Each cutoff is one eigensolve at ``penalty`` (``_solve_eigen``), or
+    without one, with a mean ``target``, a root-find of the penalty that
+    lands on it (``_root_find_mean``, seeded at ``penalty`` with Newton
+    slope ``slope``).  The truncation is accepted when the top 1% of
     |eigenvalue| indices carry at most ``_TAIL_RTOL * q_1`` probability
-    (module docstring); otherwise the cutoff is doubled and ``solve``
-    resumes at the settled penalty from the zero-padded vector.  At p = 0
-    the cutoff itself is the constraint (hard-box optimum), so no test
-    applies.  A spectrum over ``_MAX_DIMENSION`` rows raises ValueError
-    before it is allocated; a tail still too heavy after
-    ``_MAX_CUTOFF_DOUBLINGS`` doublings raises RuntimeError.
+    (module docstring); otherwise the cutoff is doubled and the solve
+    resumes at the settled penalty and slope from the zero-padded vector.
+    At p = 0 the cutoff itself is the constraint (hard-box optimum), so no
+    test applies.  A spectrum over ``_MAX_DIMENSION`` rows raises
+    ValueError before it is allocated; a tail still too heavy after
+    ``_MAX_CUTOFF_DOUBLINGS`` doublings raises RuntimeError.  Returns the
+    point and the root finder's last slope d log mean / d log penalty
+    (``slope`` unchanged without a target).
     """
     for _ in range(_MAX_CUTOFF_DOUBLINGS):
         check_dimension(spectrum)
-        penalty, pair = solve(spectrum, penalty, start)
+        if target is None:
+            pair = _solve_eigen(cost, spectrum, penalty, start)
+        else:
+            penalty, pair, slope = _root_find_mean(cost, spectrum, target, penalty, slope, start)
         state = ProbeState(spectrum=spectrum, amplitudes=pair.vector)
         edge = spectrum.weights() >= 0.99 * spectrum.cutoff
         tail = float((state.amplitudes[edge] ** 2).sum())
@@ -314,8 +313,7 @@ def _truncated_solve(
         )
     return OptimalPoint(
         cost=cost.name,
-        beta=_beta_per_penalty(cost) * penalty,
-        alpha=pair.value,
+        penalty=penalty,
         mean_constraint=state.mean_weight(),
         delta=math.sqrt(metrics["amse"]),
         delta_H=math.sqrt(metrics["holevo"]),
@@ -326,7 +324,7 @@ def _truncated_solve(
         residual=pair.residual,
         tail_mass=tail,
         state=state,
-    )
+    ), slope
 
 
 def solve_point(
@@ -339,18 +337,11 @@ def solve_point(
 
     The state is the smallest eigenvector of Z(f) + p diag(weight), p the
     penalty of ``beta`` (module docstring; a beta of the wrong sign raises
-    ValueError), and ``alpha`` its eigenvalue <f> + p <W>.  One eigensolve
-    per cutoff; for p > 0 the truncation is tested, and the cutoff doubled,
-    by ``_truncated_solve``.  ``start_vector`` must match the spectrum's
-    dimension.
+    ValueError).  One eigensolve per cutoff; for p > 0 the truncation is
+    tested, and the cutoff doubled, by ``_truncated_solve``.
+    ``start_vector`` must match the spectrum's dimension.
     """
-    return _truncated_solve(
-        cost,
-        spectrum,
-        _penalty(cost, beta),
-        start_vector,
-        lambda spectrum, p, start: (p, _solve_eigen(cost, spectrum, p, start)),
-    )
+    return _truncated_solve(cost, spectrum, _penalty(cost, beta), start_vector)[0]
 
 
 def _scale(kind: str, mean: float) -> float:
@@ -492,8 +483,9 @@ def sweep_curve(
     (f1) matrix the first eigensolve of each later target starts from the
     last point's vector, zero-padded to the new cutoff; a wider band (f2,
     f3) starts from the Sturm vector of its tridiagonal part, and a Toeplitz
-    (theta_sq) solve from the f1 matrix's eigenvector (3 % fewer mat-vecs
-    than the padded vector, same time).  Later trials of one target, and
+    (theta_sq) solve from ``extremal_eigenpair``'s cold start, the f1
+    matrix's eigenvector (3 % fewer mat-vecs than the padded vector, same
+    time).  Later trials of one target, and
     cutoff doublings, start from the previous vector.  A target whose
     starting matrix would exceed ``_MAX_DIMENSION`` rows raises ValueError
     before any solve.
@@ -508,7 +500,6 @@ def sweep_curve(
         check_dimension(spectrum)
 
     points: list[OptimalPoint] = []
-    penalties: list[float] = []
     slope = 0.0  # d log mean / d log penalty at the last point
     for target, spectrum in zip(targets, spectra):
         start = None
@@ -519,7 +510,7 @@ def sweep_curve(
             shape_last, inverse_last = _penalty_shape(kind, mean)
             shape_next, inverse_next = _penalty_shape(kind, target)
             rise = math.log(target / mean)
-            seed = penalties[-1] * math.exp(
+            seed = points[-1].penalty * math.exp(
                 rise / slope + shape_next - shape_last - rise * inverse_last
             )
             slope = 1.0 / (1.0 / slope + inverse_next - inverse_last)
@@ -533,23 +524,14 @@ def sweep_curve(
                 start = points[-1].state.with_cutoff(spectrum.cutoff).amplitudes
         else:
             seed, slope = _first_seed(cost, spectrum, target)
-
-        def root_find(spectrum, penalty, start, target=target):
-            nonlocal slope
-            penalty, pair, slope = _root_find_mean(
-                cost, spectrum, target, penalty, slope, start
-            )
-            return penalty, pair
-
-        point = _truncated_solve(cost, spectrum, seed, start, root_find)
+        point, slope = _truncated_solve(cost, spectrum, seed, start, target, slope)
         if abs(point.mean_constraint - target) > _MEAN_RTOL * target:
             raise RuntimeError(
                 f"assembled mean {point.mean_constraint} missed target {target}"
             )
         points.append(point)
-        penalties.append(_penalty(cost, point.beta))
 
-    if any(b2 >= b1 for b1, b2 in zip(penalties, penalties[1:])):
+    if any(b.penalty >= a.penalty for a, b in zip(points, points[1:])):
         raise RuntimeError("penalty failed to decrease along the sweep")
     return points
 

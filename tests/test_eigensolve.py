@@ -225,8 +225,9 @@ class TestPreconditionedToeplitz:
     )
     @pytest.mark.parametrize("start", ["f1", "f3", "warm"])
     def test_f3_preconditioned_theta_sq_vs_dense(self, kind, cutoff, penalty, start):
-        # f1: the cold solve of variational._solve_eigen (f1 Sturm start);
-        # f3: extremal_eigenpair's own cold start (f3's smallest eigenvector)
+        # f1: the cold solve of variational._solve_eigen; f3: extremal_eigenpair
+        # called directly, without a start.  Both start from the Sturm vector
+        # of D'D + diag, the f1 matrix at the same penalty.
         spectrum = Spectrum(kind=kind, cutoff=cutoff)
         cost = cost_function("theta_sq")
         matrix = build_matrix(cost, spectrum, -penalty)
@@ -252,6 +253,23 @@ class TestPreconditionedToeplitz:
         assert pair.residual <= 1e-10 * matrix.norm_bound()
         assert again.value == pair.value
         assert np.array_equal(again.vector, pair.vector)
+
+    @pytest.mark.parametrize(
+        "kind, cutoff, penalty", [("nonneg", 500, 3e-5), ("symmetric", 300, 1e-4)]
+    )
+    def test_cold_start_is_the_f1_sturm_vector(self, kind, cutoff, penalty):
+        # D'D + diag(p W) = tridiag(-1, 2 + p W, -1) is the f1 matrix at
+        # penalty p with the same bits, so a cold solve equals one started
+        # from the f1 matrix's Sturm vector
+        spectrum = Spectrum(kind=kind, cutoff=cutoff)
+        matrix = build_matrix(cost_function("theta_sq"), spectrum, -penalty)
+        f3 = build_matrix(cost_function("f3"), spectrum, -penalty)
+        f1 = build_matrix(cost_function("f1"), spectrum, 0.5 * penalty)
+        sturm = eigensolve._tridiagonal_smallest(f1)
+        cold = extremal_eigenpair(matrix, preconditioner=f3)
+        started = extremal_eigenpair(matrix, start_vector=sturm, preconditioner=f3)
+        assert np.array_equal(cold.vector, started.vector)
+        assert cold.value == started.value
 
     def test_cold_f3_solve_within_matvec_budget(self, monkeypatch):
         # nonneg cutoff 1000 near mean 100: 12 mat-vecs with the f3
@@ -514,13 +532,6 @@ class TestValidation:
         )
         with pytest.raises(ValueError, match="requires a preconditioner"):
             extremal_eigenpair(matrix)
-
-    def test_tridiagonal_solve_rejects_a_wider_band(self):
-        matrix = BandedSymmetric(
-            [np.full(5, 2.0), np.full(4, -0.5), np.full(3, 0.1)]
-        )
-        with pytest.raises(ValueError, match="not tridiagonal"):
-            eigensolve._tridiagonal_smallest(matrix)
 
     def test_finish_rejects_a_nan_residual(self):
         matrix = BandedSymmetric([[1.0, math.nan, 3.0], [0.5, 0.5]])

@@ -70,6 +70,13 @@ def reference_eigenpair(matrix):
     return value, vector
 
 
+def rayleigh_quotient(point: OptimalPoint) -> float:
+    """psi' A psi at the point's state, A = Z(f) + p diag(W) at its cutoff."""
+    psi = point.state.amplitudes
+    matrix = build_matrix(cost_function(point.cost), point.state.spectrum, point.beta)
+    return float(psi @ matrix.matvec(psi))
+
+
 class TestCostFunctions:
     def test_f1_coefficients(self):
         cost = cost_function("f1")
@@ -219,7 +226,7 @@ class TestSolvePoint:
         ref_value, ref_vector = reference_eigenpair(build_matrix(cost, spectrum, beta))
         point = solve_point(cost, spectrum, beta)
         assert point.cutoff == cutoff  # no doubling for these settings
-        assert point.alpha == pytest.approx(ref_value, abs=1e-11)
+        assert rayleigh_quotient(point) == pytest.approx(ref_value, abs=1e-11)
         assert point.state.amplitudes == pytest.approx(ref_vector, abs=1e-9)
 
     def test_toeplitz_route_matches_dense_reference(self):
@@ -227,7 +234,7 @@ class TestSolvePoint:
         cost = cost_function("theta_sq")
         point = solve_point(cost, spectrum, -0.5)
         values = np.linalg.eigvalsh(densify(build_matrix(cost, spectrum, -0.5)))
-        assert point.alpha == pytest.approx(values[0], abs=1e-11)
+        assert rayleigh_quotient(point) == pytest.approx(values[0], abs=1e-11)
 
     def test_two_level_closed_form(self):
         point = solve_point(
@@ -334,12 +341,12 @@ class TestSinglePosing:
 
     @settings(max_examples=50, derandomize=True, deadline=None, database=None)
     @given(problem=posed_problems())
-    def test_alpha_is_smallest_dense_eigenvalue(self, problem):
+    def test_rayleigh_quotient_is_smallest_dense_eigenvalue(self, problem):
         cost, spectrum, beta = problem
         point = solve_point(cost, spectrum, beta)
         matrix = build_matrix(cost, point.state.spectrum, beta)
         assert point.beta == beta
-        assert point.alpha == pytest.approx(
+        assert rayleigh_quotient(point) == pytest.approx(
             np.linalg.eigvalsh(densify(matrix))[0], abs=1e-11
         )
         assert point.residual <= 1e-10 * matrix.norm_bound()
@@ -351,8 +358,7 @@ class TestOptimalPoint:
         spectrum = Spectrum(kind="nonneg", cutoff=1)
         fields = dict(
             cost="f1",
-            beta=0.0,
-            alpha=0.5,
+            penalty=0.0,
             mean_constraint=0.5,
             delta=1.14,
             delta_H=math.sqrt(3.0),
@@ -388,6 +394,15 @@ class TestOptimalPoint:
     def test_delta_above_half_pi_delta1_rejected(self):
         with pytest.raises(ValueError):
             self._point(delta=1.6, delta_1=1.0)
+
+    @pytest.mark.parametrize("name", sorted(PENALTY_PER_BETA))
+    def test_beta_is_c_times_the_stored_penalty(self, name):
+        c = {"f1": 0.5, "f2": 1.0, "f3": -1.0, "theta_sq": -1.0}[name]
+        assert self._point(cost=name, penalty=0.3).beta == c * 0.3
+        spectrum = Spectrum(kind="nonneg", cutoff=8)
+        point = solve_point(cost_function(name), spectrum, 0.3 / PENALTY_PER_BETA[name])
+        assert point.penalty == 0.3
+        assert point.beta == c * point.penalty
 
     def test_symmetric_scale_factor(self):
         spectrum = Spectrum(kind="symmetric", cutoff=1)
@@ -621,12 +636,11 @@ class TestThetaSqDifferenceForm:
 
     @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
     def test_eigenvalue_minus_penalty_term_is_delta_squared(self, kind):
-        # alpha = <theta^2> + p <W> from the operator, delta^2 from
+        # psi' A psi = <theta^2> + p <W> from the operator, delta^2 from
         # state_metrics: both free of cancellation, so they agree to rounding
         targets = [0.01, 1.0, 30.0, 300.0, 1000.0]
         for point in sweep_curve(cost_function("theta_sq"), kind, targets):
-            penalty = -point.beta
-            excess = point.alpha - penalty * point.mean_constraint
+            excess = rayleigh_quotient(point) - point.penalty * point.mean_constraint
             assert excess == pytest.approx(point.delta**2, rel=1e-13, abs=0.0)
 
     def test_mean_1e5_nonneg_solve_converges_without_doubling(self):
