@@ -1,14 +1,14 @@
-"""Canonical-measurement error distributions, metrics, and entropy bounds.
+"""Canonical-measurement metrics and entropy bounds.
 
 For a probe state with amplitudes psi_n the canonical covariant measurement
 has error density p(theta) = |sum_n psi_n e^{i n theta}|^2 / 2pi, a
 band-limited function whose trigonometric moments <e^{im Theta}> equal
-sum_n psi_{n+m} psi_n*.  This module builds those densities on power-of-two
-grids, computes the standard error metrics at full relative precision
-(average mean-square error over the circle from the difference kernel of
-theta^2, Holevo variance and the cosine-surrogate metrics from the moment
-deficits of the same differences), and verifies the entropy-based accuracy
-bounds:
+sum_n psi_{n+m} psi_n*.  ``state_metrics`` computes the standard error
+metrics of a state at full relative precision (average mean-square error
+over the circle from the difference kernel of theta^2, Holevo variance and
+the cosine-surrogate metrics from the moment deficits of the same
+differences).  ``bound_reports`` samples the densities of a batch of states
+on power-of-two grids and checks the entropy-based accuracy bounds on each:
 
 * entropic uncertainty  H(Theta) + H(G) >= ln 2pi,
 * delta >= (2 pi e)^{-1/2} e^{H(Theta)}  (entropic-length bound),
@@ -33,23 +33,16 @@ from scipy.fft import ifft, irfft, next_fast_len, rfft
 from .states import ProbeState, Spectrum
 
 __all__ = [
-    "ErrorDistribution",
-    "GeneratorDistribution",
     "MaxEntropyFamily",
     "BoundReport",
     "COSINE_COSTS",
     "MARGIN_TOL",
     "bound_reports",
-    "canonical_distribution",
     "default_grid_size",
-    "entropy_and_length",
-    "entropy_generator",
-    "generator_distribution",
     "max_entropy_bound_checks",
     "state_metrics",
     "theta_sq_entries",
     "theta_sq_kernel",
-    "verify_bounds",
 ]
 
 K_A = math.sqrt(2.0 * math.pi / math.e**3)
@@ -75,48 +68,6 @@ _BETA_GRID = np.logspace(-3, 1.5, 28)
 _R_GRID = np.linspace(0.0, 0.5, 6)
 
 _kernel = np.empty(0)  # the cached prefix of theta_sq_kernel
-
-
-@dataclass(frozen=True)
-class ErrorDistribution:
-    """Error density on a uniform theta grid over [-pi, pi)."""
-
-    grid: np.ndarray
-    density: np.ndarray
-    normalization_check: float
-
-    def __post_init__(self) -> None:
-        if self.grid.shape != self.density.shape:
-            raise ValueError("grid and density must have the same shape")
-        if np.any(self.density < -1e-12):
-            raise ValueError("density has negative entries")
-        if abs(self.normalization_check - 1.0) > 1e-10:
-            raise ValueError(
-                f"density integrates to {self.normalization_check}, not 1"
-            )
-
-    @property
-    def step(self) -> float:
-        return 2.0 * math.pi / self.grid.size
-
-
-@dataclass(frozen=True)
-class GeneratorDistribution:
-    """Probability distribution over the generator eigenvalues."""
-
-    spectrum: Spectrum
-    probabilities: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probabilities, dtype=float)
-        if p.size != self.spectrum.dimension:
-            raise ValueError("probabilities do not match the spectrum")
-        if np.any(p < -1e-14):
-            raise ValueError("negative probability")
-        total = p.sum()
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "probabilities", np.maximum(p, 0.0))
 
 
 @dataclass(frozen=True)
@@ -173,25 +124,6 @@ def default_grid_size(spectrum: Spectrum) -> int:
     return 1 << max(8 * (spectrum.cutoff + 1) - 1, 1).bit_length()
 
 
-def canonical_distribution(
-    state: ProbeState, grid_size: int | None = None
-) -> ErrorDistribution:
-    """Canonical error density p(theta) = |sum psi_n e^{in theta}|^2 / 2pi.
-
-    The density is a trigonometric polynomial of degree equal to the support
-    width, so the uniform grid sum integrates it exactly; grid_size must be a
-    power of two >= ``default_grid_size`` to rule out aliasing.
-    """
-    minimum = default_grid_size(state.spectrum)
-    size = minimum if grid_size is None else int(grid_size)
-    if size & (size - 1) or size < minimum:
-        raise ValueError(f"grid size {size} would alias: need a power of two >= {minimum}")
-    density = _densities(state.amplitudes[None, :], size)[0]
-    grid = -math.pi + 2.0 * math.pi * np.arange(size) / size
-    check = float(density.sum() * (2.0 * math.pi / size))
-    return ErrorDistribution(grid=grid, density=density, normalization_check=check)
-
-
 def _densities(psi: np.ndarray, size: int) -> np.ndarray:
     """Canonical densities, one row per row of amplitudes (zero padded on
     the right), on the grid theta_k = -pi + 2 pi k / size: one inverse FFT
@@ -205,13 +137,6 @@ def _densities(psi: np.ndarray, size: int) -> np.ndarray:
     density += transform.imag**2
     density /= 2.0 * math.pi
     return density
-
-
-def generator_distribution(state: ProbeState) -> GeneratorDistribution:
-    """Distribution of the generator eigenvalues, p_n = psi_n^2."""
-    return GeneratorDistribution(
-        spectrum=state.spectrum, probabilities=state.amplitudes**2
-    )
 
 
 def theta_sq_entries(m: np.ndarray) -> np.ndarray:
@@ -310,21 +235,6 @@ def _periodic_entropy(density: np.ndarray, step: float) -> np.ndarray:
     return -terms.sum(axis=-1) * step
 
 
-def entropy_and_length(dist: ErrorDistribution) -> dict[str, float]:
-    """Differential entropy H(Theta) and entropic length L = e^H.
-
-    Trapezoid rule on the periodic extension of the grid (equal to the
-    uniform Riemann sum, which is exact for band-limited integrands).
-    """
-    h = float(_periodic_entropy(dist.density, dist.step))
-    return {"H": h, "L": math.exp(h)}
-
-
-def entropy_generator(dist: GeneratorDistribution) -> float:
-    """Shannon entropy H(G) of the generator distribution."""
-    return _shannon(dist.probabilities)
-
-
 def _shannon(p: np.ndarray) -> float:
     """-sum p ln p over the nonzero p."""
     mask = p > 0.0
@@ -345,11 +255,6 @@ class BoundReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def verify_bounds(state: ProbeState) -> BoundReport:
-    """Check every accuracy bound on one probe state (``bound_reports``)."""
-    return bound_reports([state])[0]
 
 
 def _windows(states: Iterable[ProbeState]) -> Iterator[list[ProbeState]]:

@@ -355,8 +355,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_writable(path: str) -> None:
-    """Raise ValueError unless the directory of ``path`` exists and is
-    writable; the file is neither created nor truncated before the end."""
+    """Raise ValueError unless ``path`` names no directory and its directory
+    exists and is writable; the file is neither created nor truncated
+    before the end."""
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
     folder = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(folder):
         raise ValueError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")

@@ -239,17 +239,14 @@ class ProbeScalingPlan:
         return (self.m * self.mu) ** (1.0 / (1.0 + self.delta_exp))
 
 
-def probe_scaling_uncertainty(
-    plan: ProbeScalingPlan, k: float | None = None
-) -> dict[str, float]:
+def probe_scaling_uncertainty(plan: ProbeScalingPlan) -> dict[str, float]:
     """Certified accuracy of the plan versus the mean-floor bound.
 
     ``upper_bound`` is the root of: the asymptotic upper bound on the
     squared error of the optimal state at mean n - 1 (unchanged by the
     shift up by one), plus, in the small-mu regime, the all-vacuum failure
     probability exp(-(m mu)^{delta/(1+delta)}) times the worst-case
-    pi^2/3.  ``heis_floor`` is k / <mN + 1> with k = k_A by default
-    (k_C is the conjectured sharp constant).
+    pi^2/3.  ``heis_floor`` is k_A / <mN + 1>.
     """
     if plan.n < 2.0:
         raise ValueError(f"plan needs n >= 2, got {plan.n}")
@@ -261,10 +258,9 @@ def probe_scaling_uncertainty(
     if plan.regime == "small-mu":
         p_fail = math.exp(-((plan.m * plan.mu) ** (plan.delta_exp / (1.0 + plan.delta_exp))))
         squared += p_fail * math.pi**2 / 3.0
-    floor_constant = canonical.K_A if k is None else float(k)
     return {
         "upper_bound": math.sqrt(squared),
-        "heis_floor": floor_constant / (plan.m * plan.mu + 1.0),
+        "heis_floor": canonical.K_A / (plan.m * plan.mu + 1.0),
         "n": plan.n,
         "p_fail": p_fail,
     }

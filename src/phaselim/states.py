@@ -94,10 +94,3 @@ class ProbeState:
     def mean_weight(self) -> float:
         """<N> for nonneg spectra, <|J|> for symmetric ones."""
         return float(self.spectrum.weights() @ self.amplitudes**2)
-
-    def support_width(self) -> int:
-        """Index span of the nonzero amplitudes (0 for a single eigenstate)."""
-        nz = np.nonzero(self.amplitudes)[0]
-        if nz.size == 0:
-            raise ValueError("state has no nonzero amplitude")
-        return int(nz[-1] - nz[0])

@@ -19,22 +19,18 @@ from phaselim import canonical, variational
 from phaselim.canonical import (
     COSINE_COSTS,
     BoundReport,
-    ErrorDistribution,
-    GeneratorDistribution,
     MaxEntropyFamily,
+    _densities,
     _laplace_direct,
+    _periodic_entropy,
+    _shannon,
     _thermal_entropy_direct,
     bound_reports,
-    canonical_distribution,
     default_grid_size,
-    entropy_and_length,
-    entropy_generator,
-    generator_distribution,
     max_entropy_bound_checks,
     state_metrics,
     theta_sq_entries,
     theta_sq_kernel,
-    verify_bounds,
 )
 from phaselim.states import ProbeState, Spectrum
 
@@ -53,6 +49,16 @@ def make_state(kind: str, amplitudes) -> ProbeState:
     )
 
 
+def density(state: ProbeState, size: int) -> np.ndarray:
+    """The canonical density of one state on the grid of ``size`` points."""
+    return _densities(state.amplitudes[None, :], size)[0]
+
+
+def theta_grid(size: int) -> np.ndarray:
+    """The grid theta_k = -pi + 2 pi k / size that the densities sample."""
+    return -math.pi + 2.0 * math.pi * np.arange(size) / size
+
+
 def density_oracle(state: ProbeState, grid: np.ndarray) -> np.ndarray:
     """Direct pointwise |sum psi_n e^{in theta}|^2 / 2pi, no transforms."""
     values = state.spectrum.values().astype(float)
@@ -61,40 +67,36 @@ def density_oracle(state: ProbeState, grid: np.ndarray) -> np.ndarray:
 
 
 class TestCanonicalDistribution:
+    """Densities on the ``default_grid_size`` grid, as the bound reports
+    sample them."""
+
     def test_single_eigenstate_uniform(self):
         state = make_state("nonneg", [0.0, 0.0, 1.0, 0.0])
-        dist = canonical_distribution(state)
-        assert dist.density == pytest.approx(
-            np.full(dist.grid.size, 1.0 / (2.0 * math.pi)), abs=1e-14
+        size = default_grid_size(state.spectrum)
+        assert density(state, size) == pytest.approx(
+            np.full(size, 1.0 / (2.0 * math.pi)), abs=1e-14
         )
 
     def test_two_level_closed_form(self):
         state = make_state("nonneg", [1.0, 1.0])
-        dist = canonical_distribution(state)
-        expected = (1.0 + np.cos(dist.grid)) / (2.0 * math.pi)
-        assert dist.density == pytest.approx(expected, abs=1e-13)
+        size = default_grid_size(state.spectrum)
+        expected = (1.0 + np.cos(theta_grid(size))) / (2.0 * math.pi)
+        assert density(state, size) == pytest.approx(expected, abs=1e-13)
 
     def test_matches_pointwise_oracle(self):
         rng = np.random.default_rng(21)
         for kind in ("nonneg", "symmetric"):
             state = make_state(kind, rng.standard_normal(9))
-            dist = canonical_distribution(state)
-            assert dist.density == pytest.approx(
-                density_oracle(state, dist.grid), abs=1e-12
+            size = default_grid_size(state.spectrum)
+            assert density(state, size) == pytest.approx(
+                density_oracle(state, theta_grid(size)), abs=1e-12
             )
 
     def test_normalization_invariant(self):
         rng = np.random.default_rng(22)
         state = make_state("nonneg", rng.standard_normal(33))
-        dist = canonical_distribution(state)
-        assert abs(dist.normalization_check - 1.0) <= 1e-10
-
-    def test_grid_size_validation(self):
-        state = make_state("nonneg", np.ones(17))
-        with pytest.raises(ValueError):
-            canonical_distribution(state, 64)  # too small: aliases
-        with pytest.raises(ValueError):
-            canonical_distribution(state, 300)  # not a power of two
+        size = default_grid_size(state.spectrum)
+        assert abs(density(state, size).sum() * (2.0 * math.pi / size) - 1.0) <= 1e-10
 
     def test_default_grid_size(self):
         assert default_grid_size(Spectrum(kind="nonneg", cutoff=1)) == 16
@@ -137,7 +139,7 @@ class TestMomentDeficits:
         # even a width-0 state meets tan(pi / (width + 2)) = tan(pi/2)
         state = make_state(kind, amplitudes)
         assert state_metrics(state)["holevo"] == math.inf
-        assert verify_bounds(state).margins["tan_bound"] >= 0.0
+        assert bound_reports([state])[0].margins["tan_bound"] >= 0.0
 
 
 def theta_sq_dense(n: int) -> np.ndarray:
@@ -264,8 +266,8 @@ class TestMetrics:
         state = make_state(kind, rng.standard_normal(7))
         metrics = state_metrics(state)
         # theta^2 is not band-limited: use a dense grid for the oracle
-        dist = canonical_distribution(state, 1 << 21)
-        quad = float((dist.grid**2) @ dist.density * dist.step)
+        size = 1 << 21
+        quad = float((theta_grid(size) ** 2) @ density(state, size) * (2.0 * math.pi / size))
         assert metrics["amse"] == pytest.approx(quad, abs=1e-10)
 
     @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
@@ -303,52 +305,45 @@ class TestCostTable:
         assert np.array_equal(theta_sq_entries(np.arange(1, 12)), dense[0, 1:])
 
 
+def error_entropy(state: ProbeState, size: int) -> float:
+    """H(Theta) by the uniform grid sum of ``size`` points."""
+    return float(_periodic_entropy(density(state, size), 2.0 * math.pi / size))
+
+
 class TestEntropy:
     def test_uniform(self):
         state = make_state("nonneg", [1.0, 0.0])
-        result = entropy_and_length(canonical_distribution(state))
-        assert result["H"] == pytest.approx(math.log(2.0 * math.pi), abs=1e-13)
-        assert result["L"] == pytest.approx(2.0 * math.pi, abs=1e-12)
+        h = error_entropy(state, default_grid_size(state.spectrum))
+        assert h == pytest.approx(math.log(2.0 * math.pi), abs=1e-13)
+        assert math.exp(h) == pytest.approx(2.0 * math.pi, abs=1e-12)
 
     def test_two_level_analytic(self):
         # analytic oracle: H = ln(4 pi) - 1 for (1 + cos)/2pi
-        state = make_state("nonneg", [1.0, 1.0])
-        result = entropy_and_length(canonical_distribution(state, 1 << 20))
-        assert result["H"] == pytest.approx(math.log(4.0 * math.pi) - 1.0, abs=1e-10)
-        assert result["L"] == pytest.approx(4.0 * math.pi / math.e, rel=1e-10)
+        h = error_entropy(make_state("nonneg", [1.0, 1.0]), 1 << 20)
+        assert h == pytest.approx(math.log(4.0 * math.pi) - 1.0, abs=1e-10)
+        assert math.exp(h) == pytest.approx(4.0 * math.pi / math.e, rel=1e-10)
 
     def test_generator_entropy(self):
-        point = GeneratorDistribution(
-            spectrum=Spectrum(kind="nonneg", cutoff=3),
-            probabilities=np.array([0.0, 1.0, 0.0, 0.0]),
-        )
-        assert entropy_generator(point) == 0.0
-        flat = GeneratorDistribution(
-            spectrum=Spectrum(kind="nonneg", cutoff=4),
-            probabilities=np.full(5, 0.2),
-        )
-        assert entropy_generator(flat) == pytest.approx(math.log(5.0), abs=1e-14)
+        assert _shannon(np.array([0.0, 1.0, 0.0, 0.0])) == 0.0
+        assert _shannon(np.full(5, 0.2)) == pytest.approx(math.log(5.0), abs=1e-14)
 
     def test_truncated_thermal_matches_family(self):
         nbar = 1.0
         n = np.arange(80, dtype=float)
         p = (nbar / (nbar + 1.0)) ** n / (nbar + 1.0)
-        dist = GeneratorDistribution(
-            spectrum=Spectrum(kind="nonneg", cutoff=79), probabilities=p / p.sum()
-        )
         family = MaxEntropyFamily(kind="thermal", parameter=nbar)
         assert family.entropy() == pytest.approx(2.0 * math.log(2.0), abs=1e-14)
-        assert entropy_generator(dist) == pytest.approx(family.entropy(), abs=1e-12)
+        assert _shannon(p / p.sum()) == pytest.approx(family.entropy(), abs=1e-12)
 
 
 class TestVerifyBounds:
     def test_single_eigenstate_equality(self):
-        report = verify_bounds(make_state("nonneg", [0.0, 0.0, 1.0]))
+        report = bound_reports([make_state("nonneg", [0.0, 0.0, 1.0])])[0]
         assert report.ok
         assert report.margins["entropic_ur"] == pytest.approx(0.0, abs=1e-12)
 
     def test_two_level_tan_equality(self):
-        report = verify_bounds(make_state("nonneg", [1.0, 1.0]))
+        report = bound_reports([make_state("nonneg", [1.0, 1.0])])[0]
         assert report.ok
         assert report.margins["tan_bound"] == pytest.approx(0.0, abs=1e-12)
 
@@ -359,12 +354,12 @@ class TestVerifyBounds:
             dim = int(rng.integers(2, 40))
             if kind == "symmetric":
                 dim = 2 * dim + 1
-            report = verify_bounds(make_state(kind, rng.standard_normal(dim)))
+            report = bound_reports([make_state(kind, rng.standard_normal(dim))])[0]
             assert report.ok, report.margins
 
     def test_heis_margin_positive_nonneg(self):
         state = make_state("nonneg", [2.0, 1.0, 0.5])
-        report = verify_bounds(state)
+        report = bound_reports([state])[0]
         assert "heis_k_a" in report.margins
         assert report.margins["heis_k_a"] > 0.0
         delta = report.details["delta"]
@@ -408,7 +403,7 @@ class TestMetricChain:
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(state=random_states())
     def test_verify_bounds_margins(self, state):
-        report = verify_bounds(state)
+        report = bound_reports([state])[0]
         assert min(report.margins.values()) >= -1e-12, report.margins
 
 
@@ -425,20 +420,20 @@ def single_level_states(draw, max_cutoff=60):
 def reference_report(state: ProbeState) -> tuple[dict, dict]:
     """Margins and details of one state from the one-state primitives;
     <|G - m|> at the median m is summed in level order."""
-    h_theta = entropy_and_length(canonical_distribution(state))
-    gen = generator_distribution(state)
+    h_theta = error_entropy(state, default_grid_size(state.spectrum))
     metrics = state_metrics(state)
     delta = math.sqrt(metrics["amse"])
-    values, p = state.spectrum.values(), gen.probabilities
+    values, p = state.spectrum.values(), state.amplitudes**2
     median = values[np.searchsorted(np.cumsum(p), 0.5)]
     mean_abs_dev = float(np.cumsum(np.abs(values - median) * p)[-1])
-    width = state.support_width()
+    support = np.nonzero(state.amplitudes)[0]
+    width = int(support[-1] - support[0])
     q1 = metrics["delta1"] ** 2 / 2.0
     margins = {
-        "entropic_ur": h_theta["H"] + entropy_generator(gen) - math.log(2.0 * math.pi),
+        "entropic_ur": h_theta + _shannon(p) - math.log(2.0 * math.pi),
         "heis_k_a_median": delta - K_A / (2.0 * mean_abs_dev + 1.0),
         "tan_bound": math.sqrt(metrics["holevo"]) - math.tan(math.pi / (width + 2.0)),
-        "entropic_length": delta - h_theta["L"] / math.sqrt(2.0 * math.pi * math.e),
+        "entropic_length": delta - math.exp(h_theta) / math.sqrt(2.0 * math.pi * math.e),
         "arccos_lower": delta - math.acos(max(min(1.0 - q1, 1.0), -1.0)),
         "quadratic_upper": (math.pi**2 / 2.0) * q1 - metrics["amse"],
     }
@@ -474,7 +469,7 @@ class TestBoundReports:
             margins, details = reference_report(state)
             assert report.margins == margins
             assert report.details == details
-            assert verify_bounds(state) == report
+            assert bound_reports([state])[0] == report
             if np.count_nonzero(state.amplitudes) == 1:
                 assert details["support_width"] == 0.0
                 assert details["holevo"] == math.inf
@@ -487,8 +482,8 @@ class TestBoundReports:
     def test_median_minimises_mean_abs_deviation(self, state):
         # g_best is the median with ties broken low, and no g of the grid
         # around it (step 0.1 over +-1) has a smaller <|G - g|>
-        details = verify_bounds(state).details
-        values, p = state.spectrum.values(), generator_distribution(state).probabilities
+        details = bound_reports([state])[0].details
+        values, p = state.spectrum.values(), state.amplitudes**2
         assert details["g_best"] == values[np.searchsorted(np.cumsum(p), 0.5)]
         for offset in np.concatenate(([-1.0, 0.0, 1.0], np.arange(-10, 11) * 0.1)):
             deviation = np.cumsum(np.abs(values - (details["g_best"] + offset)) * p)[-1]
@@ -555,26 +550,6 @@ class TestMaxEntropyChecks:
 
 
 class TestTypeInvariants:
-    def test_error_distribution_checks(self):
-        grid = np.linspace(-math.pi, math.pi, 16, endpoint=False)
-        with pytest.raises(ValueError):
-            ErrorDistribution(
-                grid=grid, density=np.full(16, -1.0), normalization_check=1.0
-            )
-        with pytest.raises(ValueError):
-            ErrorDistribution(
-                grid=grid,
-                density=np.full(16, 1.0 / (2 * math.pi)),
-                normalization_check=0.9,
-            )
-
-    def test_generator_distribution_checks(self):
-        spectrum = Spectrum(kind="nonneg", cutoff=2)
-        with pytest.raises(ValueError):
-            GeneratorDistribution(
-                spectrum=spectrum, probabilities=np.array([0.5, 0.2, 0.2])
-            )
-
     def test_bound_report_flags_violations(self):
         report = BoundReport(margins={"good": 1.0, "bad": -1.0})
         assert report.violations == ["bad"]

@@ -210,18 +210,29 @@ class TestExitCodes:
         assert f"configuration error: cannot write {path}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["curve", "--targets", "1000"], ["verify", "bounds", "--states", "3"]],
+        ids=["curve", "verify"],
+    )
+    @pytest.mark.parametrize("target", ["missing-parent", "directory"])
     def test_unwritable_output_exits_2_before_solving(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path, monkeypatch, argv, target
     ):
+        # verify has no sweep to trap: an empty stdout shows that no suite ran
         def unexpected(*args, **kwargs):
             raise AssertionError("sweep_curve called for an unwritable output")
 
         monkeypatch.setattr(variational, "sweep_curve", unexpected)
-        path = tmp_path / "missing" / "x.csv"
-        assert cli.main(["curve", "--targets", "1000", "--output", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert f"configuration error: cannot write {path}: No such file" in err
-        assert not path.parent.exists()
+        if target == "directory":
+            path, reason = tmp_path, "Is a directory"
+        else:
+            path, reason = tmp_path / "missing" / "x.csv", "No such file"
+        assert cli.main([*argv, "--output", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"configuration error: cannot write {path}: {reason}" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_of_memory_is_solver_failure(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

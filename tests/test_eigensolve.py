@@ -208,9 +208,8 @@ class TestColdBanded:
 
 
 class TestPreconditionedToeplitz:
-    """theta^2 matrices preconditioned by the f3 matrix at the same penalty
-    (as ``variational`` solves them) or by the f1 surrogate
-    2 - 2cos(t) + penalty*weight, at dimensions small enough for dense eigh."""
+    """theta^2 matrices preconditioned by the f3 matrix at the same penalty,
+    as ``variational`` solves them, at dimensions small enough for dense eigh."""
 
     @pytest.mark.parametrize(
         "kind, cutoff, penalty",
@@ -223,11 +222,10 @@ class TestPreconditionedToeplitz:
             ("symmetric", 300, 1e-2),
         ],
     )
-    @pytest.mark.parametrize("start", ["f1", "f3", "warm"])
+    @pytest.mark.parametrize("start", ["f1", "warm"])
     def test_f3_preconditioned_theta_sq_vs_dense(self, kind, cutoff, penalty, start):
-        # f1: the cold solve of variational._solve_eigen; f3: extremal_eigenpair
-        # called directly, without a start.  Both start from the Sturm vector
-        # of D'D + diag, the f1 matrix at the same penalty.
+        # f1: the cold solve of variational._solve_eigen, which starts from
+        # the Sturm vector of D'D + diag, the f1 matrix at the same penalty
         spectrum = Spectrum(kind=kind, cutoff=cutoff)
         cost = cost_function("theta_sq")
         matrix = build_matrix(cost, spectrum, -penalty)
@@ -240,12 +238,8 @@ class TestPreconditionedToeplitz:
             rng = np.random.default_rng(cutoff)
             vector = vectors[:, 0] + 1e-2 * rng.standard_normal(n) / math.sqrt(n)
 
-        def solve():
-            if start == "f3":
-                return extremal_eigenpair(matrix, preconditioner=f3)
-            return variational._solve_eigen(cost, spectrum, penalty, vector)
-
-        pair, again = solve(), solve()
+        pair = variational._solve_eigen(cost, spectrum, penalty, vector)
+        again = variational._solve_eigen(cost, spectrum, penalty, vector)
         assert pair.value == pytest.approx(values[0], rel=1e-11)
         assert pair.vector == pytest.approx(
             signed_like(vectors[:, 0], pair.vector), abs=1e-9
@@ -260,9 +254,11 @@ class TestPreconditionedToeplitz:
     def test_cold_start_is_the_f1_sturm_vector(self, kind, cutoff, penalty):
         # D'D + diag(p W) = tridiag(-1, 2 + p W, -1) is the f1 matrix at
         # penalty p with the same bits, so a cold solve equals one started
-        # from the f1 matrix's Sturm vector
+        # from the f1 matrix's Sturm vector, and variational's cold solve is
+        # that same call
         spectrum = Spectrum(kind=kind, cutoff=cutoff)
-        matrix = build_matrix(cost_function("theta_sq"), spectrum, -penalty)
+        cost = cost_function("theta_sq")
+        matrix = build_matrix(cost, spectrum, -penalty)
         f3 = build_matrix(cost_function("f3"), spectrum, -penalty)
         f1 = build_matrix(cost_function("f1"), spectrum, 0.5 * penalty)
         sturm = eigensolve._tridiagonal_smallest(f1)
@@ -270,6 +266,10 @@ class TestPreconditionedToeplitz:
         started = extremal_eigenpair(matrix, start_vector=sturm, preconditioner=f3)
         assert np.array_equal(cold.vector, started.vector)
         assert cold.value == started.value
+        solved = variational._solve_eigen(cost, spectrum, penalty, None)
+        assert np.array_equal(solved.vector, cold.vector)
+        assert solved.value == cold.value
+        assert solved.residual == cold.residual
 
     def test_cold_f3_solve_within_matvec_budget(self, monkeypatch):
         # nonneg cutoff 1000 near mean 100: 12 mat-vecs with the f3

@@ -276,12 +276,6 @@ class TestProbeScalingUncertainty:
         result = estimators.probe_scaling_uncertainty(plan)
         assert result["heis_floor"] == pytest.approx(K_A / 6.0, rel=1e-15)
 
-    def test_floor_constant_override(self):
-        plan = estimators.ProbeScalingPlan(m=4, mu=5.0, delta_exp=1.0)
-        k_c = constants().k_C
-        result = estimators.probe_scaling_uncertainty(plan, k=k_c)
-        assert result["heis_floor"] == pytest.approx(k_c / 21.0, rel=1e-15)
-
     def test_upper_bound_above_floor(self):
         for m in (100, 10_000):
             plan = estimators.ProbeScalingPlan(m=m, mu=1.0, delta_exp=1.0)

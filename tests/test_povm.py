@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from phaselim import canonical, povm, variational
-from phaselim.states import ProbeState, Spectrum
 
 
 def nondegenerate(count: int) -> povm.DegenerateSystem:
@@ -297,13 +296,8 @@ class TestCovariantAverage:
         grid = 32
         can = povm.canonical_povm(four_level, grid)
         masses = povm.error_density(can, pure_density(real_probe), four_level)
-        state = ProbeState(
-            spectrum=Spectrum(kind="nonneg", cutoff=3), amplitudes=real_probe
-        )
-        dist = canonical.canonical_distribution(state, grid)
-        assert np.max(
-            np.abs(masses - dist.density * 2.0 * math.pi / grid)
-        ) <= 1e-10
+        density = canonical._densities(real_probe[None], grid)[0]
+        assert np.max(np.abs(masses - density * 2.0 * math.pi / grid)) <= 1e-10
 
     def test_dimension_mismatch(self, four_level):
         rng = np.random.default_rng(3)
