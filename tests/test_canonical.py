@@ -550,6 +550,15 @@ class TestMaxEntropyChecks:
 
 
 class TestTypeInvariants:
+    def test_density_normalisation_guard(self):
+        # a density that does not integrate to 1 is an error, not margins
+        def scaled(psi, size):
+            return (1.0 + 1e-8) * _densities(psi, size)
+
+        with mock.patch.object(canonical, "_densities", scaled):
+            with pytest.raises(ValueError, match="does not integrate to 1"):
+                bound_reports([make_state("nonneg", [1.0, 1.0])])
+
     def test_bound_report_flags_violations(self):
         report = BoundReport(margins={"good": 1.0, "bad": -1.0})
         assert report.violations == ["bad"]

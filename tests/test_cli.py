@@ -212,8 +212,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [["curve", "--targets", "1000"], ["verify", "bounds", "--states", "3"]],
-        ids=["curve", "verify"],
+        [
+            ["curve", "--targets", "1000"],
+            ["series", "--targets", "1000"],
+            *[["verify", suite] for suite in sorted(cli._SUITES)],
+        ],
+        ids=["curve", "series", *[f"verify-{suite}" for suite in sorted(cli._SUITES)]],
     )
     @pytest.mark.parametrize("target", ["missing-parent", "directory"])
     def test_unwritable_output_exits_2_before_solving(
