@@ -37,9 +37,7 @@ __all__ = [
     "bessel_state_nonneg",
     "bessel_state_symmetric",
     "constants",
-    "holevo_series",
     "nonneg_series_expansion",
-    "symmetric_series",
     "symmetric_series_expansion",
 ]
 
@@ -61,11 +59,10 @@ class Constants:
 
 
 def constants() -> Constants:
-    zeros = specfun.airy_first_zeros()
     return Constants(
         k_A=canonical.K_A,
-        k_C=2.0 * (abs(zeros.z_a) / 3.0) ** 1.5,
-        k_C_prime=4.0 * (abs(zeros.z_a_prime) / 3.0) ** 1.5,
+        k_C=2.0 * (abs(specfun.Z_A) / 3.0) ** 1.5,
+        k_C_prime=4.0 * (abs(specfun.Z_A_PRIME) / 3.0) ** 1.5,
     )
 
 
@@ -97,11 +94,11 @@ class SeriesExpansion:
 def nonneg_series_expansion() -> SeriesExpansion:
     """Holevo-variance series in <N+1>: coefficients b_2, b_4, ..., b_10.
 
-    Exact rationals in a = |z_A|^3, evaluated from the Airy zero at runtime:
+    Exact rationals in a = |z_A|^3, evaluated from ``specfun.Z_A``:
     b_2 = 4a/27, b_4 = 16a^2/1215, b_6 = 16a^2(27+40a)/688905,
     b_8 = 256a^3(3+a)/4428675, b_10 = 64a^3(2673+9252a+1120a^2)/21483502425.
     """
-    a = abs(specfun.airy_first_zeros().z_a) ** 3
+    a = abs(specfun.Z_A) ** 3
     coefficients = np.array(
         [
             4.0 * a / 27.0,
@@ -125,7 +122,7 @@ def symmetric_series_expansion() -> SeriesExpansion:
     d_4 = 16p(111-4p)/1215, d_5 = 64p(21-4p)/1215,
     d_6 = 16p(-63 - 40488p + 160p^2)/1148175.
     """
-    p = abs(specfun.airy_first_zeros().z_a_prime) ** 3
+    p = abs(specfun.Z_A_PRIME) ** 3
     coefficients = np.array(
         [
             16.0 * p / 27.0,
@@ -140,28 +137,6 @@ def symmetric_series_expansion() -> SeriesExpansion:
         exponents=(2, 3, 4, 5, 6),
         coefficients=coefficients,
     )
-
-
-def _regime_warning(value: float, label: str) -> None:
-    if value < _SERIES_REGIME:
-        warnings.warn(
-            f"{label} = {value} is below the series regime (>= {_SERIES_REGIME}); "
-            "the truncation error is uncontrolled",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def holevo_series(nbar: float) -> float:
-    """Minimal Holevo variance at mean value <N> = nbar, from the series."""
-    _regime_warning(nbar, "nbar")
-    return nonneg_series_expansion().evaluate(nbar + 1.0)
-
-
-def symmetric_series(jbar_abs: float) -> float:
-    """Minimal delta_1^2 at mean value <|J|> = jbar_abs, from the series."""
-    _regime_warning(jbar_abs, "jbar_abs")
-    return symmetric_series_expansion().evaluate(2.0 * jbar_abs + 1.0)
 
 
 def _truncated_orders(x: float, z: float, start_offset: float) -> np.ndarray:
@@ -244,7 +219,13 @@ def asymptotic_bounds_on_delta(
         lower = d_2/L^2
         upper = d_2/L^2 + d_3/L^3
     """
-    _regime_warning(nbar_or_jbar, "mean value")
+    if nbar_or_jbar < _SERIES_REGIME:
+        warnings.warn(
+            f"mean value = {nbar_or_jbar} is below the series regime "
+            f"(>= {_SERIES_REGIME}); the truncation error is uncontrolled",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     if spectrum_kind == "nonneg":
         b_2 = float(nonneg_series_expansion().coefficients[0])
         length = nbar_or_jbar + 1.0

@@ -1,14 +1,12 @@
 """Worked estimator examples: biased Cramér-Rao analysis and scaling claims.
 
-Three groups of results:
+Two groups of results:
 
 * The single-photon Mach-Zehnder example with outcome probabilities
   p(+-|phi) = (1 +- v cos phi)/2 and estimates {0, pi}: the exact
   mean-square error, the (misleading) uncorrected Cramér-Rao bound, the
   bias-corrected bound that reproduces the error exactly, and the
   error-propagation value.
-* Reference curves for schemes claiming sub-Heisenberg accuracy at
-  isolated phase values, compared against the k_A and k_C floors.
 * The m-probe scaling construction: splitting the probe budget into a
   vacuum branch and an optimal state of mean n - 1 shifted up by one
   gives a certified accuracy k_C/(m mu)^{1/(1+delta)} to leading order,
@@ -36,7 +34,6 @@ __all__ = [
     "mzi_bias",
     "mzi_curves",
     "probe_scaling_uncertainty",
-    "reference_curves",
 ]
 
 
@@ -184,30 +181,6 @@ def mzi_curves(model: MziModel, phi_grid: np.ndarray) -> dict:
         "delta_n": delta_n,
     }
     return {"table": table, "scalars": scalars}
-
-
-def reference_curves(nbar_grid: np.ndarray, nu_exponent: float = 0.5) -> dict:
-    """Claimed-violation RMSE curves against the Heisenberg floors.
-
-    Per <N>: the two-mode superposition minimum 1/sqrt(<N>(<N>+2)), which
-    exceeds 1/<N+1> identically since <N>(<N>+2) + 1 = <N+1>^2; and the
-    vacuum-plus-number-state error-propagation value nu/(2<N>) with
-    nu = <N>^(1 - p), which scales as <N>^-p.  Compared against 1/<N+1>
-    and the k_A, k_C floors.
-    """
-    nbar = np.asarray(nbar_grid, dtype=float)
-    if np.any(nbar <= 0.0):
-        raise ValueError("nbar grid must be positive")
-    k_c = asympt.constants().k_C
-    nu = nbar ** (1.0 - nu_exponent)
-    return {
-        "nbar": nbar,
-        "anisimov": 1.0 / np.sqrt(nbar * (nbar + 2.0)),
-        "rivas_luis": nu / (2.0 * nbar),
-        "inverse_mean": 1.0 / (nbar + 1.0),
-        "heis_k_a": canonical.K_A / (nbar + 1.0),
-        "heis_k_c": k_c / (nbar + 1.0),
-    }
 
 
 @dataclass(frozen=True)

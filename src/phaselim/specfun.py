@@ -1,10 +1,9 @@
-"""Special-function kernel: Airy functions and zeros, real-order Bessel J.
+"""Special-function kernel: the first Airy zeros, real-order Bessel J.
 
-Provides the Airy function Ai and its first zeros, Bessel functions of
+Provides the first zeros of Ai and Ai' as constants, Bessel functions of
 arbitrary real order J_x(z), the derivative of J_x(z) with respect to the
-order x, the largest zeros of J_x(z) and J'_x(z) regarded as functions of
-the order at fixed argument, and closed-form values of the Bessel product
-sums that appear in the analytic solutions of the variational problems.
+order x, and the largest zeros of J_x(z) and J'_x(z) regarded as functions
+of the order at fixed argument.
 
 The order-zero solvers work in the turning-point regime x ~ z, where the
 large-z zero is located at x = z - gamma z^{1/3} + ... with
@@ -13,21 +12,15 @@ gamma = |z_A| / 2^{1/3} and z_A the first zero of Ai.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special
 
 __all__ = [
-    "AiryZeros",
     "BracketError",
-    "airy_ai",
-    "airy_ai_prime",
-    "airy_first_zeros",
+    "Z_A",
+    "Z_A_PRIME",
     "bessel_j",
     "bessel_j_dorder",
-    "bessel_product_sums",
     "bessel_zero_in_order",
     "bessel_zero_in_order_deriv",
     "order_zero_seed",
@@ -35,77 +28,22 @@ __all__ = [
 ]
 
 _MAX_ARGUMENT = 1.0e7
-_PRODUCT_SUM_TOL = 1e-8  # bessel_product_sums: largest accepted |J_x / J_{x+1}|
+
+# First zeros of Ai and Ai'.  Z_A is the nearest double to z_A; Z_A_PRIME is
+# 1 ulp from the nearest double to z'_A, kept because k'_C and every seeded
+# symmetric root-finder path were built on these bits.
+Z_A = -2.338107410459767
+Z_A_PRIME = -1.0187929716474713
 
 
 class BracketError(RuntimeError):
     """No sign change found when bracketing a root (bad asymptotic seed)."""
 
 
-@dataclass(frozen=True)
-class AiryZeros:
-    """First zeros of Ai and Ai', both negative."""
-
-    z_a: float
-    z_a_prime: float
-
-    def __post_init__(self) -> None:
-        if not (-2.4 < self.z_a < -2.3):
-            raise ValueError(f"z_a out of the expected interval: {self.z_a}")
-        if not (-1.1 < self.z_a_prime < -1.0):
-            raise ValueError(
-                f"z_a_prime out of the expected interval: {self.z_a_prime}"
-            )
-
-
-def airy_ai(t):
-    """Airy function Ai(t); accepts scalars or arrays."""
-    return special.airy(t)[0]
-
-
-def airy_ai_prime(t):
-    """Derivative Ai'(t); accepts scalars or arrays."""
-    return special.airy(t)[1]
-
-
-def _refine_zero(f, fprime, lo: float, hi: float) -> float:
-    """Bisection to machine-width bracket, then one Newton polish."""
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    d = fprime(root)
-    if d != 0.0:
-        root -= f(root) / d
-    return root
-
-
-@functools.lru_cache(maxsize=1)
-def airy_first_zeros() -> AiryZeros:
-    """First zeros of Ai and Ai' by bisection plus Newton polish."""
-    z_a = _refine_zero(airy_ai, airy_ai_prime, -3.0, -2.0)
-    # Ai''(t) = t Ai(t) from the Airy equation.
-    z_ap = _refine_zero(airy_ai_prime, lambda t: t * airy_ai(t), -1.1, -1.0)
-    return AiryZeros(z_a=z_a, z_a_prime=z_ap)
-
-
-@functools.lru_cache(maxsize=1)
 def _gammas() -> tuple[float, float]:
     """(gamma, gamma') = (|z_A|, |z'_A|) / 2^{1/3}."""
-    zeros = airy_first_zeros()
     scale = 2.0 ** (1.0 / 3.0)
-    return abs(zeros.z_a) / scale, abs(zeros.z_a_prime) / scale
+    return abs(Z_A) / scale, abs(Z_A_PRIME) / scale
 
 
 def _check_domain(order: float, z: float) -> None:
@@ -238,8 +176,7 @@ def _largest_root_in_order(f, seed: float, z: float, label: str) -> float:
 
 def bessel_zero_in_order(z: float) -> float:
     """Largest x with J_x(z) = 0, for fixed argument z > |z_A|."""
-    zeros = airy_first_zeros()
-    if not z > abs(zeros.z_a):
+    if not z > abs(Z_A):
         raise ValueError(f"argument must exceed |z_A| ~ 2.3381, got {z}")
     _check_domain(0.0, z)
     return _largest_root_in_order(
@@ -249,8 +186,7 @@ def bessel_zero_in_order(z: float) -> float:
 
 def bessel_zero_in_order_deriv(z: float) -> float:
     """Largest x with J'_x(z) = 0 (derivative in argument), z > |z'_A|."""
-    zeros = airy_first_zeros()
-    if not z > abs(zeros.z_a_prime):
+    if not z > abs(Z_A_PRIME):
         raise ValueError(f"argument must exceed |z'_A| ~ 1.0188, got {z}")
     _check_domain(0.0, z)
 
@@ -260,31 +196,3 @@ def bessel_zero_in_order_deriv(z: float) -> float:
     return _largest_root_in_order(
         j_prime, order_deriv_zero_seed(z), z, "bessel_zero_in_order_deriv"
     )
-
-
-def bessel_product_sums(x: float, z: float) -> dict[str, float]:
-    """Closed-form Bessel product sums, valid where J_x(z) = 0.
-
-    S_11 = sum_{k>=1} J_{x+k} J_{x+k+1} = (z/2) J_{x+1}^2
-    S_sq = sum_{k>=1} J_{x+k}^2        = (z/2) J_{x+1} dJ_x/dx
-    S_12 = sum_{k>=1} J_{x+k} J_{x+k+2} = (z/4) J_{x+1} J_{x+2}
-
-    Raises if |J_x(z)| exceeds _PRODUCT_SUM_TOL relative to the local scale
-    |J_{x+1}(z)|, since the closed forms drop terms proportional to J_x(z).
-    """
-    _check_domain(x, z)
-    j0 = special.jv(x, z)
-    j1 = special.jv(x + 1.0, z)
-    j2 = special.jv(x + 2.0, z)
-    scale = max(abs(j1), 1e-300)
-    if abs(j0) > _PRODUCT_SUM_TOL * scale:
-        raise ValueError(
-            f"J_x(z) = {j0:.3e} is not zero at (x={x}, z={z}); "
-            "product-sum closed forms do not apply"
-        )
-    djdx = bessel_j_dorder(x, z)
-    return {
-        "S_11": 0.5 * z * j1 * j1,
-        "S_sq": 0.5 * z * j1 * djdx,
-        "S_12": 0.25 * z * j1 * j2,
-    }

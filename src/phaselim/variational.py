@@ -423,6 +423,11 @@ def _root_find_mean(
         pair = _solve_eigen(cost, spectrum, math.exp(t), start)
         start = pair.vector
         mean = float(weights @ pair.vector**2)
+        if mean == 0.0:  # the eigenvector's excited amplitudes flushed to 0
+            raise RuntimeError(
+                f"mean target {target} is below reach: "
+                f"the mean underflows to 0 at penalty {math.exp(t):.3g}"
+            )
         f = math.log(mean / target)
         if previous is not None and t != previous[0]:
             secant = (f - previous[1]) / (t - previous[0])

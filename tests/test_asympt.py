@@ -129,19 +129,15 @@ class TestSeriesExpansions:
 
 class TestSeriesRegime:
     def test_warns_below_regime(self):
-        with pytest.warns(RuntimeWarning):
-            asympt.holevo_series(9.99)
-        with pytest.warns(RuntimeWarning):
-            asympt.symmetric_series(5.0)
-        with pytest.warns(RuntimeWarning):
-            asympt.asymptotic_bounds_on_delta(3.0, "nonneg")
+        for kind in ("nonneg", "symmetric"):
+            with pytest.warns(RuntimeWarning, match="below the series regime"):
+                asympt.asymptotic_bounds_on_delta(9.99, kind)
 
     def test_silent_in_regime(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            asympt.holevo_series(10.0)
-            asympt.symmetric_series(10.0)
-            asympt.asymptotic_bounds_on_delta(10.0, "symmetric")
+            for kind in ("nonneg", "symmetric"):
+                asympt.asymptotic_bounds_on_delta(10.0, kind)
 
 
 class TestBesselStateNonneg:
@@ -261,13 +257,13 @@ class TestSeriesVsSolver:
     def test_nonneg_at_mean_1000(self, f1_cost):
         point = variational.sweep_curve(f1_cost, "nonneg", [1000.0])[0]
         numeric = point.delta_H**2
-        series = asympt.holevo_series(point.mean_constraint)
+        series = asympt.nonneg_series_expansion().evaluate(point.scale_factor)
         assert numeric == pytest.approx(series, rel=1e-9, abs=0.0)
 
     def test_symmetric_at_mean_1000(self, f1_cost):
         point = variational.sweep_curve(f1_cost, "symmetric", [1000.0])[0]
         numeric = point.delta_1**2
-        series = asympt.symmetric_series(point.mean_constraint)
+        series = asympt.symmetric_series_expansion().evaluate(point.scale_factor)
         assert numeric == pytest.approx(series, rel=1e-8, abs=0.0)
 
 

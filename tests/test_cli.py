@@ -270,6 +270,12 @@ class TestExitCodes:
         assert "solver failure: Unable to allocate 74.5 GiB" in err
         assert "Traceback" not in err
 
+    def test_mean_below_reach_is_solver_failure(self, capsys):
+        assert cli.main(["curve", "--targets", "1e-300"]) == 3
+        err = capsys.readouterr().err
+        assert "solver failure: mean target 1e-300 is below reach" in err
+        assert "math domain" not in err
+
     def test_help_exits_0(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "curve" in capsys.readouterr().out

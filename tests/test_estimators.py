@@ -172,35 +172,6 @@ class TestMziCurves:
             estimators.mzi_curves(estimators.MziModel(visibility=0.0), PHI_GRID)
 
 
-class TestReferenceCurves:
-    def test_two_mode_minimum_exceeds_inverse_mean(self):
-        """<N>(<N>+2) + 1 = <N+1>^2, so 1/sqrt(<N>(<N>+2)) > 1/<N+1>."""
-        nbar = np.logspace(-2, 4, 200)
-        curves = estimators.reference_curves(nbar)
-        assert np.all(curves["anisimov"] > curves["inverse_mean"])
-        identity = nbar * (nbar + 2.0) + 1.0 - (nbar + 1.0) ** 2
-        assert np.max(np.abs(identity)) <= 1e-9
-
-    def test_two_mode_minimum_below_sharp_floor_for_large_mean(self):
-        nbar = np.logspace(0, 4, 100)
-        curves = estimators.reference_curves(nbar)
-        assert np.all(curves["anisimov"] < curves["heis_k_c"])
-        ratio = curves["anisimov"] * (nbar + 1.0)
-        assert ratio[-1] == pytest.approx(1.0, abs=1e-6)
-
-    def test_error_propagation_power_law(self):
-        nbar = np.logspace(1, 5, 5)
-        for p in (0.5, 1.0, 1.5):
-            curves = estimators.reference_curves(nbar, nu_exponent=p)
-            values = curves["rivas_luis"]
-            expected = nbar**-p / 2.0
-            assert np.max(np.abs(values / expected - 1.0)) <= 1e-12
-
-    def test_positive_grid_required(self):
-        with pytest.raises(ValueError):
-            estimators.reference_curves(np.array([1.0, 0.0]))
-
-
 class TestProbeScalingPlan:
     def test_small_mu_regime(self):
         plan = estimators.ProbeScalingPlan(m=10_000, mu=1.0, delta_exp=1.0)

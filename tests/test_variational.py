@@ -249,6 +249,19 @@ class TestSolvePoint:
             math.pi**2 / 8.0 + 0.5, abs=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "kind, cutoff",
+        [("nonneg", c) for c in (10, 100, 1000, 10000)]
+        + [("symmetric", c) for c in (5, 50, 500, 5000)],
+    )
+    def test_hard_box_is_the_zero_penalty_end(self, kind, cutoff):
+        # at p = 0 only the cutoff constrains the state: the sine state on
+        # d levels, with delta_H = tan(pi / (d + 1))
+        point = solve_point(cost_function("f1"), Spectrum(kind=kind, cutoff=cutoff), 0.0)
+        assert point.cutoff == cutoff
+        expected = math.tan(math.pi / (point.state.dimension + 1))
+        assert point.delta_H == pytest.approx(expected, rel=1e-15, abs=0.0)
+
     def test_beta_sign_regime(self):
         nonneg = Spectrum(kind="nonneg", cutoff=8)
         with pytest.raises(ValueError):
@@ -552,6 +565,15 @@ class TestSweepCurve:
         points = sweep_curve(cost_function(name), kind, targets)
         for point, target in zip(points, targets):
             assert abs(point.mean_constraint - target) <= variational._MEAN_RTOL * target
+
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    @pytest.mark.parametrize("name", ["f1", "theta_sq"])
+    def test_mean_that_underflows_to_zero_raises(self, name, kind):
+        # far below the reachable means the excited amplitudes flush to 0
+        message = "mean target 1e-300 is below reach: the mean underflows to 0 at penalty"
+        with pytest.raises(RuntimeError, match=message):
+            sweep_curve(cost_function(name), kind, [1e-300])
 
 
 class TestSweepSeeding:
