@@ -16,7 +16,10 @@ Z(f) + p diag(W), so that pair is the only one solved for.
   equivalent surrogate supplied by the caller.  A cold solve starts from
   the Sturm vector of D'D + diag, tridiag(-1, 2 + d_k, -1).  A step costs
   one FFT mat-vec, one banded solve and O(d) vector work, so the dense
-  quadratic-cost problems reach dimension 1e6.
+  quadratic-cost problems reach dimension 1e6.  A trial of a root-find on
+  the mean x'Wx may stop as soon as its mean lies certainly on one side of
+  the target (inexact Newton, Dembo, Eisenstat & Steihaug 1982); the pair
+  a root-find returns is solved to the same tolerances as any other.
 """
 
 from __future__ import annotations
@@ -38,6 +41,12 @@ __all__ = [
 _RESIDUAL_FACTOR = 1e-10  # residual invariant: ||Av - av|| <= factor * ||A||
 _VECTOR_TOL = 1e-9  # LOPCG stop on the preconditioned residual ||M r||
 _STALL_STEPS = 10  # steps without halving the distance to the stop: stalled
+# A LOPCG iterate x with eigenvector error e has mean x'Wx off by at most
+# 2 ||(W - m) x|| ||e|| to first order, and ||e|| <= 1.445 ||M r|| / (1 - l1/l2)
+# with 1.445 the f3 preconditioner's equivalence constant and l1/l2 <= 0.572,
+# the ratio of the first two Airy zeros that the large-mean nonneg spectrum
+# approaches: 2 * 1.445 / 0.428 = 6.8.  A trial stops at 1/100 of |m - target|.
+_MEAN_ERROR_FACTOR = 7.0
 # Warm banded path (see _warm_banded_smallest)
 _RQI_TOL = 1e-4  # Rayleigh-quotient iteration stops at ||r|| <= tol * |rho|
 _RQI_STEPS = 10
@@ -149,7 +158,10 @@ class ToeplitzPlusDiagonal:
         and its FFT instead of transforming them again."""
         diag = np.asarray(diagonal, dtype=float)
         if diag.shape != self.diagonal.shape:
-            raise ValueError("kernel must be one longer than the diagonal")
+            raise ValueError(
+                f"diagonal shape {diag.shape} does not match the matrix's "
+                f"{self.diagonal.shape}"
+            )
         other = object.__new__(ToeplitzPlusDiagonal)
         object.__setattr__(other, "diagonal", diag)
         for name in ("kernel", "_fft_size", "_fft_kernel", "_toeplitz_norm"):
@@ -177,11 +189,17 @@ class ToeplitzPlusDiagonal:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Extremal eigenvalue with unit eigenvector and residual norm."""
+    """Extremal eigenvalue with unit eigenvector and residual norm.
+
+    ``converged`` is False only for a LOPCG trial stopped once its mean was
+    resolved (``extremal_eigenpair``'s ``mean_target``): its value is the
+    Rayleigh quotient and its residual the iterate's, above the tolerance.
+    """
 
     value: float
     vector: np.ndarray
     residual: float
+    converged: bool = True
 
 
 Matrix = BandedSymmetric | ToeplitzPlusDiagonal
@@ -326,8 +344,9 @@ def _lopcg_smallest(
     apply_prec,
     x: np.ndarray,
     maxiter: int,
-) -> np.ndarray:
-    """Smallest eigenvector by single-vector LOPCG.
+    mean_target: tuple[np.ndarray, float, float] | None = None,
+) -> EigenPair:
+    """Smallest eigenpair by single-vector LOPCG.
 
     Each step is a Rayleigh-Ritz projection onto span{x, M r, p}, where
     r = A x - (x'Ax) x, M is the preconditioner and p is the previous
@@ -336,10 +355,18 @@ def _lopcg_smallest(
     a table of dot products; p is kept orthogonal to the old x, and one that
     is zero or dependent on the other two (norm < 1e-8 left) is dropped.
     It stops at ||r|| <= 1e-12 ||A|| and ||M r|| <= _VECTOR_TOL: as M ~ A^-1,
-    ||M r|| tracks the eigenvector error; ||r|| alone leaves it loose.
-    Both measures have a rounding floor (||M r|| one near eps ||A|| /
-    lambda_min); a solve whose distance to the stop has not halved in
-    _STALL_STEPS steps raises instead of running on to ``maxiter``.
+    ||M r|| tracks the eigenvector error; ||r|| alone leaves it loose.  That
+    pair passes ``_finish``.  Both measures have a rounding floor (||M r||
+    one near eps ||A|| / lambda_min); a solve whose distance to the stop has
+    not halved in _STALL_STEPS steps raises instead of running on to
+    ``maxiter``.
+
+    With ``mean_target`` = (W, target, tolerance), a trial of a mean
+    root-find stops earlier, once the unit iterate's mean m = x'Wx misses
+    the target by more than ``tolerance`` and by over 100 times its error
+    bound _MEAN_ERROR_FACTOR ||(W - m) x|| ||M r||, so the side of the target
+    it lies on is certain.  That pair has ``converged`` False and skips
+    ``_finish``.
     """
     tol = 1e-2 * _RESIDUAL_FACTOR * matrix.norm_bound()
     x = x / np.linalg.norm(x)
@@ -353,7 +380,16 @@ def _lopcg_smallest(
         w_norm = np.linalg.norm(w)
         distances.append(max(np.linalg.norm(r) / tol, w_norm / _VECTOR_TOL))
         if distances[-1] <= 1.0:
-            return x
+            return _finish(matrix, x)
+        if mean_target is not None:
+            weights, target, tolerance = mean_target
+            unit = x / np.linalg.norm(x)
+            mean = float(weights @ unit**2)
+            miss = abs(mean - target)
+            spread = np.linalg.norm((weights - mean) * unit)
+            if miss > tolerance and 100.0 * _MEAN_ERROR_FACTOR * spread * w_norm <= miss:
+                residual = float(np.linalg.norm(r))
+                return EigenPair(value, _canonical_sign(unit), residual, converged=False)
         if _stalled(distances):
             raise EigsolveError(
                 f"LOPCG stalled at residual {np.linalg.norm(r):.3e} and "
@@ -389,6 +425,7 @@ def extremal_eigenpair(
     *,
     start_vector: np.ndarray | None = None,
     preconditioner: BandedSymmetric | None = None,
+    mean_target: tuple[np.ndarray, float, float] | None = None,
 ) -> EigenPair:
     """Smallest eigenpair of a real symmetric matrix.
 
@@ -409,12 +446,21 @@ def extremal_eigenpair(
     term.  LOPCG stops only once the preconditioned residual is <= 1e-9, so
     a warm start is refined.
 
-    Every path ends with the same check, residual <= 1e-10 ||A||.
+    ``mean_target`` = (W, target, tolerance), for a Toeplitz solve only,
+    marks a trial of a root-find on the mean x'Wx: LOPCG may return it
+    early, with ``converged`` False, once its mean lies certainly on one
+    side of the target and outside ``tolerance`` of it
+    (``_lopcg_smallest``).  A pair the root-find can accept, within
+    ``tolerance`` of the target, is always solved in full.
+
+    Every other pair ends with the same check, residual <= 1e-10 ||A||.
     Deterministic for fixed inputs; raises ``EigsolveError`` on
     non-convergence (LOPCG also when its progress stalls).
     """
     if isinstance(matrix, ToeplitzPlusDiagonal) and preconditioner is None:
         raise ValueError("a ToeplitzPlusDiagonal solve requires a preconditioner")
+    if isinstance(matrix, BandedSymmetric) and mean_target is not None:
+        raise ValueError("a BandedSymmetric solve takes no mean_target")
     n = matrix.dimension
     maxiter = max(200, int(50.0 * np.sqrt(n)))
     if start_vector is not None:
@@ -424,7 +470,7 @@ def extremal_eigenpair(
         if start_vector is None:  # the Sturm vector of D'D + diag
             difference = [2.0 + matrix.diagonal, np.full(n - 1, -1.0)]
             start_vector = _tridiagonal_smallest(BandedSymmetric(difference))
-        return _finish(matrix, _lopcg_smallest(matrix, prec, start_vector, maxiter))
+        return _lopcg_smallest(matrix, prec, start_vector, maxiter, mean_target)
 
     if start_vector is not None:
         vec = _warm_banded_smallest(matrix, start_vector, maxiter)

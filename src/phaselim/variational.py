@@ -243,6 +243,7 @@ def _solve_eigen(
     spectrum: Spectrum,
     penalty: float,
     start_vector: np.ndarray | None,
+    target: float | None = None,
 ) -> EigenPair:
     """Smallest eigenpair of Z(f) + penalty * diag(weight).
 
@@ -250,13 +251,21 @@ def _solve_eigen(
     same penalty: 0.6919 f3 <= theta^2 <= f3 on [-pi, pi] makes the two
     spectrally equivalent with condition number <= 1.445.  A cold start is
     ``extremal_eigenpair``'s own: the Sturm vector of D'D + diag(p W),
-    which is the f1 matrix at the same penalty.
+    which is the f1 matrix at the same penalty.  With a mean ``target`` a
+    Toeplitz solve may stop early, once its mean lies certainly on one side
+    of the target and off it by more than _MEAN_RTOL (a pair with
+    ``converged`` False); a banded solve is direct and ignores it.
     """
     matrix = build_matrix(cost, spectrum, penalty)
     if isinstance(matrix, BandedSymmetric):
         return extremal_eigenpair(matrix, start_vector=start_vector)
     f3 = build_matrix(cost_function("f3"), spectrum, penalty)
-    return extremal_eigenpair(matrix, start_vector=start_vector, preconditioner=f3)
+    mean_target = None
+    if target is not None:
+        mean_target = (spectrum.weights(), target, _MEAN_RTOL * target)
+    return extremal_eigenpair(
+        matrix, start_vector=start_vector, preconditioner=f3, mean_target=mean_target
+    )
 
 
 def _truncated_solve(
@@ -408,19 +417,30 @@ def _root_find_mean(
     lands.  Steps are capped at log 8, and a step leaving the bracket, once
     both signs are seen, is replaced by bisection.  A target beyond this
     cutoff's reach raises RuntimeError as soon as a capped step down in
-    penalty raises a mean still below it by less than _MEAN_RTOL relative:
-    the mean has saturated near its hard-box (p -> 0) value.  One eigensolve
-    per trial, the first from ``start``, each later one from the previous
-    vector.  Only the returned pair's truncation is tested
-    (``_truncated_solve``); the trial iterates at other penalties are not.
+    penalty raises a fully solved mean still below it by less than
+    _MEAN_RTOL relative: the mean has saturated near its hard-box (p -> 0)
+    value.  A bracket narrower than _BETA_RTOL in log penalty raises
+    RuntimeError too: the mean jumps across the target there, which is
+    below the resolution of the solve.
+
+    One eigensolve per trial, the first from ``start``, each later one from
+    the previous vector.  A Toeplitz (theta_sq) trial stops once its mean
+    lies certainly on one side of the target (``_solve_eigen``), except the
+    trial after a capped step down, which the saturation test reads; only a
+    pair within _MEAN_RTOL of the target is returned, and it is solved to
+    the full tolerances of ``extremal_eigenpair``.  Only the returned
+    pair's truncation is tested (``_truncated_solve``); the trial iterates
+    at other penalties are not.
     """
     weights = spectrum.weights()
-    above = below = None  # latest t with the mean above / below the target
-    previous: tuple[float, float, float] | None = None  # t, f and mean
+    above = below = None  # latest t and mean with the mean above / below the target
+    previous: tuple[float, float, float, bool] | None = None  # t, f, mean, converged
     capped_down = False  # the step to this trial was a capped step down
     t = math.log(seed_penalty)
     for _ in range(_MAX_TRIALS):
-        pair = _solve_eigen(cost, spectrum, math.exp(t), start)
+        pair = _solve_eigen(
+            cost, spectrum, math.exp(t), start, None if capped_down else target
+        )
         start = pair.vector
         mean = float(weights @ pair.vector**2)
         if mean == 0.0:  # the eigenvector's excited amplitudes flushed to 0
@@ -435,21 +455,30 @@ def _root_find_mean(
                 slope = secant
         if abs(mean - target) <= _MEAN_RTOL * target:
             break
-        if capped_down and above is None and mean - previous[2] < _MEAN_RTOL * mean:
+        if (
+            capped_down
+            and above is None
+            and previous[3]  # the previous mean was solved in full too
+            and mean - previous[2] < _MEAN_RTOL * mean
+        ):
             raise RuntimeError(
                 f"mean target {target} is beyond reach at cutoff {spectrum.cutoff}: "
                 f"the mean saturates at {mean}"
             )
         if f > 0.0:
-            above = t
+            above = (t, mean)
         else:
-            below = t
+            below = (t, mean)
         bracketed = above is not None and below is not None
-        if bracketed and abs(below - above) <= _BETA_RTOL:
-            break
-        previous = (t, f, mean)
+        if bracketed and abs(below[0] - above[0]) <= _BETA_RTOL:
+            raise RuntimeError(
+                f"mean target {target} is below the resolution of the solve: "
+                f"the mean jumps from {below[1]:.3g} to {above[1]:.3g} "
+                f"at penalty {math.exp(t):.3g}"
+            )
+        previous = (t, f, mean, pair.converged)
         step = min(max(-f / slope, -_MAX_LOG_STEP), _MAX_LOG_STEP)
-        lo, hi = sorted((above, below)) if bracketed else (-math.inf, math.inf)
+        lo, hi = sorted((above[0], below[0])) if bracketed else (-math.inf, math.inf)
         capped_down = step == -_MAX_LOG_STEP
         t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
     else:

@@ -341,6 +341,32 @@ class TestPreconditionedToeplitz:
         cold = solve(penalty_b)
         assert weights @ warm**2 == pytest.approx(weights @ cold**2, rel=1e-9)
 
+    def test_mean_target_stops_a_trial_only_off_target(self):
+        spectrum = Spectrum(kind="nonneg", cutoff=500)
+        cost = cost_function("theta_sq")
+        penalty = 3e-5
+        matrix = build_matrix(cost, spectrum, penalty)
+        f3 = build_matrix(cost_function("f3"), spectrum, penalty)
+        weights = spectrum.weights()
+        full = extremal_eigenpair(matrix, preconditioner=f3)
+        mean = float(weights @ full.vector**2)
+        # far off target: an early pair with its iterate's value and residual
+        early = extremal_eigenpair(
+            matrix, preconditioner=f3, mean_target=(weights, 2.0 * mean, 1e-6 * mean)
+        )
+        assert not early.converged
+        image = matrix.matvec(early.vector)
+        assert early.value == pytest.approx(early.vector @ image, rel=1e-12)
+        residual = np.linalg.norm(image - early.value * early.vector)
+        assert early.residual == pytest.approx(residual, rel=1e-6)
+        assert early.residual > 1e-10 * matrix.norm_bound()
+        assert weights @ early.vector**2 < 2.0 * mean
+        # on target: solved in full, the same pair as without a target
+        landed = extremal_eigenpair(
+            matrix, preconditioner=f3, mean_target=(weights, mean, 1e-6 * mean)
+        )
+        assert landed.converged and landed.value == full.value
+        assert np.array_equal(landed.vector, full.vector)
 
     def test_stall_raises_within_100_matvecs(self, monkeypatch):
         # ||M r|| cannot reach 1e-18 (its rounding floor, about 1e-15 with
@@ -520,6 +546,16 @@ class TestValidation:
     def test_toeplitz_shape_mismatch(self):
         with pytest.raises(ValueError):
             ToeplitzPlusDiagonal(kernel=np.zeros(4), diagonal=np.zeros(4))
+
+    def test_with_diagonal_shape_mismatch(self):
+        matrix = ToeplitzPlusDiagonal(kernel=np.zeros(4), diagonal=np.zeros(3))
+        with pytest.raises(ValueError, match=r"diagonal shape \(4,\) does not match"):
+            matrix.with_diagonal(np.zeros(4))
+
+    def test_banded_takes_no_mean_target(self):
+        matrix = BandedSymmetric([np.ones(3), np.full(2, 0.5)])
+        with pytest.raises(ValueError, match="no mean_target"):
+            extremal_eigenpair(matrix, mean_target=(np.arange(3.0), 1.0, 1e-6))
 
     def test_toeplitz_requires_preconditioner(self):
         matrix = ToeplitzPlusDiagonal(

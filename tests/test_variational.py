@@ -500,18 +500,20 @@ class TestTruncation:
             before, after = getattr(reference, metric), getattr(point, metric)
             assert after == pytest.approx(before, rel=1e-10, abs=0.0), metric
 
-    def test_target_beyond_the_cutoff_raises_fast(self, monkeypatch):
-        # at cutoff 100 the symmetric f1 mean saturates at its hard-box
-        # value 30.03 as the penalty falls, so a mean of 40 is out of reach
+    @pytest.mark.parametrize("name, hard_box", [("f1", "30.03"), ("theta_sq", "29.99")])
+    def test_target_beyond_the_cutoff_raises_fast(self, name, hard_box, monkeypatch):
+        # at cutoff 100 the symmetric mean saturates at its hard-box value
+        # as the penalty falls, so a mean of 40 is out of reach; theta_sq
+        # trials stop early, but the saturation test reads full solves only
         monkeypatch.setattr(variational, "_CUTOFF_PER_L", 1.0)
         solve = variational._solve_eigen
         calls = []
         monkeypatch.setattr(
             variational, "_solve_eigen", lambda *a: calls.append(1) or solve(*a)
         )
-        saturated = r"cutoff 100: the mean saturates at 30\.03"
+        saturated = rf"cutoff 100: the mean saturates at {hard_box}"
         with pytest.raises(RuntimeError, match=saturated):
-            sweep_curve(cost_function("f1"), "symmetric", [40.0])
+            sweep_curve(cost_function(name), "symmetric", [40.0])
         assert len(calls) <= 20
 
     def test_heavy_tail_raises_after_the_last_doubling(self, monkeypatch):
@@ -589,8 +591,7 @@ class TestSweepSeeding:
         assert slope < 0.0
 
     def test_eigensolves_per_sweep(self, monkeypatch):
-        # 30 + 28 + 6 = 64 solves with the large-mean seed 3.8 / (t + 1)^3
-        # and the default slope -1/3
+        # 18 + 20 + 6 = 44 solves: theta_sq nonneg, theta_sq symmetric, f1
         solve = variational._solve_eigen
         calls = []
         monkeypatch.setattr(
@@ -626,6 +627,87 @@ class TestSweepSeeding:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
+
+
+class TestMeanResolvedTrials:
+    """theta_sq root-find trials stop once their mean's side of the target
+    is certain; only fully solved pairs are returned."""
+
+    TARGETS = [0.01, 0.1, 1.0, 10.0, 100.0]
+
+    @staticmethod
+    def record_trials(monkeypatch):
+        solve = variational._solve_eigen
+        trials = []
+
+        def recorded(*args):
+            pair = solve(*args)
+            trials.append((args, pair))
+            return pair
+
+        monkeypatch.setattr(variational, "_solve_eigen", recorded)
+        return trials
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    def test_matvec_budget_per_sweep(self, kind, monkeypatch):
+        # 97 (nonneg) and 86 (symmetric) mat-vecs; 173 and 162 with every
+        # trial solved in full
+        matvecs = []
+        apply = ToeplitzPlusDiagonal.matvec
+        monkeypatch.setattr(
+            ToeplitzPlusDiagonal, "matvec", lambda self, x: matvecs.append(1) or apply(self, x)
+        )
+        sweep_curve(cost_function("theta_sq"), kind, self.TARGETS)
+        assert len(matvecs) <= 110
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    def test_returned_pairs_are_fully_solved(self, kind, monkeypatch):
+        root_find = variational._root_find_mean
+        returned = []
+
+        def recorded(cost, spectrum, *args):
+            penalty, pair, slope = root_find(cost, spectrum, *args)
+            returned.append((spectrum, penalty, pair))
+            return penalty, pair, slope
+
+        monkeypatch.setattr(variational, "_root_find_mean", recorded)
+        trials = self.record_trials(monkeypatch)
+        cost = cost_function("theta_sq")
+        sweep_curve(cost, kind, self.TARGETS)
+        assert len(returned) == len(self.TARGETS)
+        assert any(not pair.converged for _, pair in trials)
+        for spectrum, penalty, pair in returned:
+            assert pair.converged
+            norm = build_matrix(cost, spectrum, penalty).norm_bound()
+            assert pair.residual <= 1e-10 * norm
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    def test_early_trial_mean_is_on_the_converged_side(self, kind, monkeypatch):
+        trials = self.record_trials(monkeypatch)
+        cost = cost_function("theta_sq")
+        sweep_curve(cost, kind, self.TARGETS)
+        early = [(args, pair) for args, pair in trials if not pair.converged]
+        assert len(early) >= 3
+        for (_, spectrum, penalty, _, target), pair in early:
+            weights = spectrum.weights()
+            mean = float(weights @ pair.vector**2)
+            full = variational._solve_eigen(cost, spectrum, penalty, pair.vector)
+            exact = float(weights @ full.vector**2)
+            assert full.converged
+            assert (mean > target) == (exact > target)
+            assert abs(mean - target) > variational._MEAN_RTOL * target
+            # the stop's margin: the mean error is under 1 % of the miss
+            assert abs(mean - exact) <= 1e-2 * abs(mean - target)
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    def test_target_below_the_rounding_floor_is_named(self, kind):
+        # the mean sits at 2.41e-31 down to p ~ 3e10, then jumps to 3.18e-20
+        message = (
+            r"mean target 1e-30 is below the resolution of the solve: "
+            r"the mean jumps from 2\.41e-31 to 3\.18e-20 at penalty"
+        )
+        with pytest.raises(RuntimeError, match=message):
+            sweep_curve(cost_function("theta_sq"), kind, [1e-30])
 
 
 class TestDelta3OnF1State:
