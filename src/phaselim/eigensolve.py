@@ -5,30 +5,34 @@ Z(f) + p diag(W), so that pair is the only one solved for.
 
 * ``BandedSymmetric`` -- main diagonal plus superdiagonals.  A start vector
   is refined on a certified warm path of O(d) banded work (Rayleigh-quotient
-  iteration, a Cholesky certificate of a shift below lambda_min, inverse
-  iteration).  A cold solve starts from the Sturm-bisection eigenvector of
-  the tridiagonal part, the answer for bandwidth <= 1 and the warm path's
-  start for a wider band.
+  iteration, a factor certifying a shift below lambda_min, inverse
+  iteration).  Every factor is LAPACK's definite kernel for the band: the
+  tridiagonal L D L' (dpttrf) or the Cholesky factor in lower band storage
+  (dpbtrf).
 * ``ToeplitzPlusDiagonal`` -- symmetric Toeplitz part in difference form
   D' Z(g) D, applied via FFT circulant embedding, plus an arbitrary
   diagonal, solved by locally optimal preconditioned conjugate gradients
-  (LOPCG, Knyazev 2001) with the banded Cholesky factor of a spectrally
-  equivalent surrogate supplied by the caller.  A cold solve starts from
-  the Sturm vector of D'D + diag, tridiag(-1, 2 + d_k, -1).  A step costs
+  (LOPCG, Knyazev 2001) with the banded factor of a spectrally equivalent
+  surrogate supplied by the caller.  A step costs
   one FFT mat-vec, one banded solve and O(d) vector work, so the dense
   quadratic-cost problems reach dimension 1e6.  A trial of a root-find on
   the mean x'Wx may stop as soon as its mean lies certainly on one side of
   the target (inexact Newton, Dembo, Eisenstat & Steihaug 1982); the pair
   a root-find returns is solved to the same tolerances as any other.
+
+A cold solve of either structure starts from the ground state of the f1
+matrix tridiag(-1, 2 + d_k, -1), d_k the penalty term of its diagonal, to
+a few digits (``_f1_start``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal, solve_banded
+from scipy.linalg import lapack
 
 __all__ = [
     "BandedSymmetric",
@@ -101,15 +105,6 @@ class BandedSymmetric:
             rows[:-k] += d
             rows[k:] += d
         return float(rows.max(initial=0.0))
-
-    def to_upper_banded(self) -> np.ndarray:
-        """LAPACK upper-banded storage (row u-k holds superdiagonal k)."""
-        n, u = self.dimension, self.bandwidth
-        ab = np.zeros((u + 1, n))
-        ab[u] = self.diagonals[0]
-        for k in range(1, u + 1):
-            ab[u - k, k:] = self.diagonals[k]
-        return ab
 
 
 @dataclass(frozen=True)
@@ -229,30 +224,70 @@ def _finish(matrix: Matrix, vector: np.ndarray) -> EigenPair:
     return EigenPair(value=value, vector=_canonical_sign(vector), residual=residual)
 
 
-def _banded_cholesky_apply(banded: BandedSymmetric):
-    factor = cholesky_banded(banded.to_upper_banded(), lower=False)
-    return lambda b: cho_solve_banded((factor, False), b)
+def _factor_below(banded: BandedSymmetric, sigma: float):
+    """The solve x -> (A - sigma I)^-1 x, or None when A - sigma I is not
+    positive definite, that is when sigma >= lambda_min (Sylvester).
+
+    A tridiagonal band is factored as L D L' (dpttrf): its pivots are the
+    Sturm sequence of A - sigma I, so a factor certifies sigma < lambda_min
+    with the backward-error bound of Sturm bisection.  Any other band,
+    dimension 1 included, gets its Cholesky factor in lower band storage
+    (dpbtrf).
+    """
+    main = banded.diagonals[0] - sigma
+    if banded.bandwidth == 1 and main.size > 1:
+        d, e, info = lapack.dpttrf(main, banded.diagonals[1], overwrite_d=1)
+        return None if info else lambda b: lapack.dpttrs(d, e, b)[0]
+    lower = np.zeros((banded.bandwidth + 1, main.size))  # row k: subdiagonal k
+    lower[0] = main
+    for k in range(1, banded.bandwidth + 1):
+        lower[k, :-k] = banded.diagonals[k]
+    factor, info = lapack.dpbtrf(lower, lower=1, overwrite_ab=1)
+    return None if info else lambda b: lapack.dpbtrs(factor, b, lower=1)[0]
 
 
-def _tridiagonal_smallest(banded: BandedSymmetric) -> np.ndarray:
-    main = banded.diagonals[0]
-    off = banded.diagonals[1] if banded.bandwidth else np.zeros(main.size - 1)
-    _, vecs = eigh_tridiagonal(main, off, select="i", select_range=(0, 0))
-    return vecs[:, 0]
+def _f1_start(diagonal: np.ndarray) -> np.ndarray:
+    """The ground state, to a few digits, of the f1 matrix tridiag(-1, 2 + d,
+    -1), d = ``diagonal`` - min(``diagonal``): the cold start of every solve.
+
+    d is the penalty term p W of every matrix ``variational.build_matrix``
+    makes, as W vanishes at n = 0 and at j = 0.  lambda_min lies between
+    4 sin^2(pi / (2 n + 2)), that of tridiag(-1, 2, -1), and the Rayleigh
+    quotient (2 + sum d) / n of the vector of ones, so a shift is bisected
+    geometrically on the L D L' test to within 1 % of lambda_min, and three
+    steps of inverse iteration from the ones vector follow, with no mat-vec.
+    """
+    n = diagonal.size
+    d = diagonal - diagonal.min()
+    f1 = BandedSymmetric([2.0 + d, np.full(n - 1, -1.0)])
+    lo, hi = 4.0 * math.sin(0.5 * math.pi / (n + 1)) ** 2, (2.0 + float(d.sum())) / n
+    # 0.99 lo < lambda_min is the shift kept if none in (lo, hi) factors,
+    # as at d = 0; the f1 matrix itself is definite should rounding fail it
+    solve = _factor_below(f1, 0.99 * lo) or _factor_below(f1, 0.0)
+    while hi > 1.01 * lo:
+        sigma = math.sqrt(lo * hi)
+        below = _factor_below(f1, sigma)
+        if below is None:
+            hi = sigma
+        else:
+            lo, solve = sigma, below
+    x = np.ones(n)
+    for _ in range(3):
+        x = solve(x)
+        x /= np.linalg.norm(x)
+    return x
 
 
-def _inverse_iteration(
-    factor: np.ndarray, x: np.ndarray, maxiter: int
-) -> np.ndarray | None:
-    """Inverse iteration with the banded Cholesky factor of A - sigma I,
-    sigma < lambda_min: the smallest eigenvector once the unit vector moves
-    <= _MOVE_TOL, None if that movement stalls.  Stopping on ||r|| alone
-    would not do: at d ~ 1e5 the gap is ~4e-8, so ||r|| = 1e-12 ||A|| still
-    leaves a vector error ~ ||r|| / gap ~ 1e-4.
+def _inverse_iteration(solve, x: np.ndarray, maxiter: int) -> np.ndarray | None:
+    """Inverse iteration with ``solve`` = (A - sigma I)^-1 from
+    ``_factor_below``, sigma < lambda_min: the smallest eigenvector once the
+    unit vector moves <= _MOVE_TOL, None if that movement stalls.  Stopping
+    on ||r|| alone would not do: at d ~ 1e5 the gap is ~4e-8, so
+    ||r|| = 1e-12 ||A|| still leaves a vector error ~ ||r|| / gap ~ 1e-4.
     """
     moves: list[float] = []
     for _ in range(maxiter):
-        y = cho_solve_banded((factor, False), x, check_finite=False)
+        y = solve(x)
         y /= np.linalg.norm(y)
         moves.append(float(np.linalg.norm(y - x)))
         x = y
@@ -268,17 +303,19 @@ def _warm_banded_smallest(
 ) -> np.ndarray | None:
     """Smallest eigenvector from a nearby start, or None when not certified.
 
-    Rayleigh-quotient iteration (banded LU solves of (A - rho I) y = x)
-    runs until ||r|| <= _RQI_TOL |rho|.  The banded Cholesky factor of
-    A - sigma I, sigma = rho - _SHIFT_MARGIN |rho| - 2 ||r||, exists only if
+    Rayleigh-quotient iteration (LU solves of (A - rho I) y = x, dgtsv for a
+    tridiagonal band and dgbsv for a wider one) runs until
+    ||r|| <= _RQI_TOL |rho|.  A - sigma I, sigma = rho - _SHIFT_MARGIN |rho|
+    - 2 ||r||, has a definite factor (``_factor_below``) only if
     sigma < lambda_min, so ``_inverse_iteration`` with it reaches the
     smallest eigenvector whatever eigenvector RQI approached.
     """
-    u = banded.bandwidth
-    upper = banded.to_upper_banded()
-    general = np.vstack((upper, np.zeros((u, banded.dimension))))  # LU storage
-    for k in range(1, u + 1):
-        general[u + k, :-k] = banded.diagonals[k]
+    u, main = banded.bandwidth, banded.diagonals[0]
+    tridiagonal = u == 1 and main.size > 1
+    if not tridiagonal:
+        general = np.zeros((3 * u + 1, main.size))  # dgbsv storage: A_ij at row 2u + i - j
+        for k in range(1, u + 1):
+            general[2 * u - k, k:] = general[2 * u + k, :-k] = banded.diagonals[k]
     x = x / np.linalg.norm(x)
     for _ in range(_RQI_STEPS):
         ax = banded.matvec(x)
@@ -286,54 +323,44 @@ def _warm_banded_smallest(
         r_norm = float(np.linalg.norm(ax - rho * x))
         if r_norm <= _RQI_TOL * abs(rho):
             break
-        general[u] = upper[u] - rho
-        try:
-            y = solve_banded((u, u), general, x, check_finite=False)
-        except np.linalg.LinAlgError:
-            return None
+        if tridiagonal:
+            off = banded.diagonals[1]
+            *_, y, info = lapack.dgtsv(off, main - rho, off, x)
+        else:
+            general[2 * u] = main - rho
+            *_, y, info = lapack.dgbsv(u, u, general, x)
         y_norm = np.linalg.norm(y)
-        if not np.isfinite(y_norm) or y_norm == 0.0:
+        if info or not np.isfinite(y_norm) or y_norm == 0.0:
             return None
         x = y / y_norm
     else:
         return None
-    sigma = rho - _SHIFT_MARGIN * abs(rho) - 2.0 * r_norm
-    upper[u] -= sigma
-    try:
-        factor = cholesky_banded(upper, lower=False, check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
-    return _inverse_iteration(factor, x, maxiter)
+    solve = _factor_below(banded, rho - _SHIFT_MARGIN * abs(rho) - 2.0 * r_norm)
+    return None if solve is None else _inverse_iteration(solve, x, maxiter)
 
 
 def _bisected_smallest(
     banded: BandedSymmetric, x: np.ndarray, maxiter: int
 ) -> np.ndarray:
-    """Smallest eigenvector of any band, from a unit x the warm path rejected.
+    """Smallest eigenvector of any band, from a start x the warm path rejected.
 
-    A - sigma I has a Cholesky factor iff sigma < lambda_min (Sylvester), so
-    sigma is bisected on that test from [-2 ||A||, x'Ax] to a width of
-    _BISECT_TOL ||A||, and inverse iteration runs at the largest shift that
-    factored.
+    A - sigma I has a definite factor iff sigma < lambda_min
+    (``_factor_below``), so sigma is bisected on that test from
+    [-2 ||A||, x'Ax / x'x] to a width of _BISECT_TOL ||A||, and inverse
+    iteration runs at the largest shift that factored.
     """
-    u = banded.bandwidth
-    upper = banded.to_upper_banded()
-    main = upper[u].copy()
-
-    def factor_at(sigma: float) -> np.ndarray:
-        upper[u] = main - sigma
-        return cholesky_banded(upper, lower=False, check_finite=False)
-
+    x = x / np.linalg.norm(x)
     scale = max(banded.norm_bound(), 1e-300)
     lo, hi = -2.0 * scale, float(x @ banded.matvec(x))
-    factor = factor_at(lo)  # A - lo I >= ||A|| I
+    solve = _factor_below(banded, lo)  # A - lo I >= ||A|| I
     while hi - lo > _BISECT_TOL * scale:
         sigma = 0.5 * (lo + hi)
-        try:
-            factor, lo = factor_at(sigma), sigma
-        except np.linalg.LinAlgError:
+        below = _factor_below(banded, sigma)
+        if below is None:
             hi = sigma
-    vec = _inverse_iteration(factor, x, maxiter)
+        else:
+            lo, solve = sigma, below
+    vec = _inverse_iteration(solve, x, maxiter)
     if vec is None:
         raise EigsolveError(f"inverse iteration at the bisected shift {lo:.6e} stalled")
     return vec
@@ -378,6 +405,8 @@ def _lopcg_smallest(
         r = ax - value * x
         w = apply_prec(r)
         w_norm = np.linalg.norm(w)
+        if not np.isfinite(w_norm):  # a NaN in the matrix or the start
+            raise EigsolveError(f"preconditioned residual {w_norm} in LOPCG")
         distances.append(max(np.linalg.norm(r) / tol, w_norm / _VECTOR_TOL))
         if distances[-1] <= 1.0:
             return _finish(matrix, x)
@@ -429,22 +458,21 @@ def extremal_eigenpair(
 ) -> EigenPair:
     """Smallest eigenpair of a real symmetric matrix.
 
-    A ``BandedSymmetric`` solve refines ``start_vector`` on the certified
-    warm path (``_warm_banded_smallest``).  Without a start, or if that
-    fails, it starts from the Sturm-bisection eigenvector of the tridiagonal
-    part: the answer for bandwidth <= 1, refined on the warm path for a
-    wider band, and should that fail too, by inverse iteration at a shift
-    bisected on the Cholesky test (``_bisected_smallest``).  Any band is
-    solved, definite or not.
+    A ``BandedSymmetric`` solve refines ``start_vector``, or without one
+    the f1 start of its main diagonal (``_f1_start``), on the certified warm
+    path (``_warm_banded_smallest``).  Should that fail, it runs inverse
+    iteration at a shift bisected on the factor test of ``_factor_below``
+    (``_bisected_smallest``).  Any band is solved, definite or not.
 
     A ``ToeplitzPlusDiagonal`` solve requires ``preconditioner``, a positive
-    definite banded matrix spectrally equivalent to ``matrix``: its banded
-    Cholesky solve preconditions LOPCG.  Without ``start_vector`` LOPCG
-    starts from the Sturm-bisection eigenvector of D'D + diag, the matrix
-    with its kernel replaced by (1, 0, 0, ...): tridiag(-1, 2 + d_k, -1),
-    the f1 matrix Z(2 - 2 cos t) + diag when the diagonal is a penalty
-    term.  LOPCG stops only once the preconditioned residual is <= 1e-9, so
-    a warm start is refined.
+    definite banded matrix spectrally equivalent to ``matrix``: its definite
+    factor (``_factor_below``) preconditions LOPCG.  Without
+    ``start_vector`` LOPCG starts from the f1 start of the diagonal: the
+    ground state of D'D + diag, the matrix with its kernel replaced by
+    (1, 0, 0, ...), tridiag(-1, 2 + d_k, -1), the f1 matrix
+    Z(2 - 2 cos t) + diag when the diagonal is a penalty term.  LOPCG stops
+    only once the preconditioned residual is <= 1e-9, so any start is
+    refined.
 
     ``mean_target`` = (W, target, tolerance), for a Toeplitz solve only,
     marks a trial of a root-find on the mean x'Wx: LOPCG may return it
@@ -466,20 +494,16 @@ def extremal_eigenpair(
     if start_vector is not None:
         start_vector = np.asarray(start_vector, dtype=float)
     if isinstance(matrix, ToeplitzPlusDiagonal):
-        prec = _banded_cholesky_apply(preconditioner)
-        if start_vector is None:  # the Sturm vector of D'D + diag
-            difference = [2.0 + matrix.diagonal, np.full(n - 1, -1.0)]
-            start_vector = _tridiagonal_smallest(BandedSymmetric(difference))
+        prec = _factor_below(preconditioner, 0.0)
+        if prec is None:
+            raise EigsolveError("the preconditioner is not positive definite")
+        if start_vector is None:
+            start_vector = _f1_start(matrix.diagonal)
         return _lopcg_smallest(matrix, prec, start_vector, maxiter, mean_target)
 
-    if start_vector is not None:
-        vec = _warm_banded_smallest(matrix, start_vector, maxiter)
-        if vec is not None:
-            return _finish(matrix, vec)
-    sturm = _tridiagonal_smallest(BandedSymmetric(matrix.diagonals[:2]))
-    if matrix.bandwidth <= 1:
-        return _finish(matrix, sturm)
-    vec = _warm_banded_smallest(matrix, sturm, maxiter)
+    if start_vector is None:
+        start_vector = _f1_start(matrix.diagonals[0])
+    vec = _warm_banded_smallest(matrix, start_vector, maxiter)
     if vec is None:
-        vec = _bisected_smallest(matrix, sturm, maxiter)
+        vec = _bisected_smallest(matrix, start_vector, maxiter)
     return _finish(matrix, vec)

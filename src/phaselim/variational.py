@@ -249,12 +249,14 @@ def _solve_eigen(
 
     A Toeplitz (theta_sq) matrix is preconditioned by the f3 matrix at the
     same penalty: 0.6919 f3 <= theta^2 <= f3 on [-pi, pi] makes the two
-    spectrally equivalent with condition number <= 1.445.  A cold start is
-    ``extremal_eigenpair``'s own: the Sturm vector of D'D + diag(p W),
-    which is the f1 matrix at the same penalty.  With a mean ``target`` a
-    Toeplitz solve may stop early, once its mean lies certainly on one side
-    of the target and off it by more than _MEAN_RTOL (a pair with
-    ``converged`` False); a banded solve is direct and ignores it.
+    spectrally equivalent with condition number <= 1.445.  A cold start, of
+    a Toeplitz or a banded solve, is ``extremal_eigenpair``'s own: the
+    ground state, to a few digits, of the f1 matrix at the same penalty,
+    tridiag(-1, 2 + p W, -1), which for theta_sq is D'D + diag(p W).  With
+    a mean ``target`` a Toeplitz solve may stop early, once its mean lies
+    certainly on one side of the target and off it by more than _MEAN_RTOL
+    (a pair with ``converged`` False); a banded solve is direct and ignores
+    it.
     """
     matrix = build_matrix(cost, spectrum, penalty)
     if isinstance(matrix, BandedSymmetric):
@@ -379,7 +381,9 @@ def _first_seed(
     spectrum, from ``canonical.theta_sq_entries`` summed to the cutoff;
     twice that on a symmetric one).  Above it, the paper's
     p -> 2 k_C^2 / L^3 (nonneg) or 4 k'_C^2 / L^3 (symmetric), L = <N+1> or
-    <2|J|+1>.  The slope is that of ``_penalty_shape``.
+    <2|J|+1>.  The slope is that of ``_penalty_shape``.  A seed that
+    overflows (a target below about 1e-308) raises RuntimeError before any
+    matrix is built.
     """
     kind = spectrum.kind
     if target < _SMALL_MEAN:
@@ -389,6 +393,10 @@ def _first_seed(
             z = 0.5 * cost.cosine_coeffs[1 : spectrum.cutoff + 1]
         c_f = float((z**2 / np.arange(1, z.size + 1)).sum())
         seed = math.sqrt((c_f if kind == "nonneg" else 2.0 * c_f) / target)
+        if math.isinf(seed):
+            raise RuntimeError(
+                f"mean target {target} is below reach: its first penalty overflows"
+            )
     else:
         constants = asympt.constants()
         if kind == "nonneg":
@@ -421,7 +429,10 @@ def _root_find_mean(
     _MEAN_RTOL relative: the mean has saturated near its hard-box (p -> 0)
     value.  A bracket narrower than _BETA_RTOL in log penalty raises
     RuntimeError too: the mean jumps across the target there, which is
-    below the resolution of the solve.
+    below the resolution of the solve.  So does a mean still below the
+    target after _MAX_TRIALS trials: a theta_sq target under the mat-vec
+    floor, where a warm trial meets its tolerances at the start vector and
+    the mean stays where the first trial put it, is below the solve's reach.
 
     One eigensolve per trial, the first from ``start``, each later one from
     the previous vector.  A Toeplitz (theta_sq) trial stops once its mean
@@ -443,11 +454,6 @@ def _root_find_mean(
         )
         start = pair.vector
         mean = float(weights @ pair.vector**2)
-        if mean == 0.0:  # the eigenvector's excited amplitudes flushed to 0
-            raise RuntimeError(
-                f"mean target {target} is below reach: "
-                f"the mean underflows to 0 at penalty {math.exp(t):.3g}"
-            )
         f = math.log(mean / target)
         if previous is not None and t != previous[0]:
             secant = (f - previous[1]) / (t - previous[0])
@@ -482,7 +488,12 @@ def _root_find_mean(
         capped_down = step == -_MAX_LOG_STEP
         t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
     else:
-        if above is None or below is None:
+        if above is None:
+            raise RuntimeError(
+                f"mean target {target} is below reach: the mean stays at "
+                f"{mean:.3g} as the penalty falls to {math.exp(previous[0]):.3g}"
+            )
+        if below is None:
             raise RuntimeError(f"failed to bracket mean target {target}")
         raise RuntimeError(f"mean {mean} missed target {target} beyond tolerance")
     return math.exp(t), pair, slope
@@ -509,10 +520,10 @@ def sweep_curve(
     the bent s is the root finder's first Newton slope.  For a tridiagonal
     (f1) matrix the first eigensolve of each later target starts from the
     last point's vector, zero-padded to the new cutoff; a wider band (f2,
-    f3) starts from the Sturm vector of its tridiagonal part, and a Toeplitz
-    (theta_sq) solve from ``extremal_eigenpair``'s cold start, the f1
-    matrix's eigenvector (3 % fewer mat-vecs than the padded vector, same
-    time).  Later trials of one target, and
+    f3) and a Toeplitz (theta_sq) matrix start from ``extremal_eigenpair``'s
+    cold start, the ground state of the f1 matrix at the same penalty (for
+    theta_sq 3 % fewer mat-vecs than the padded vector, same time).  Later
+    trials of one target, and
     cutoff doublings, start from the previous vector.  A target whose
     starting matrix would exceed ``_MAX_DIMENSION`` rows raises ValueError
     before any solve.
@@ -542,11 +553,12 @@ def sweep_curve(
             )
             slope = 1.0 / (1.0 / slope + inverse_next - inverse_last)
             # Only a tridiagonal (f1) target starts from the last vector,
-            # zero-padded: its warm solve (~2 ms) beats Sturm bisection
-            # (~4 ms).  For a wider band (f2, f3) a widely spaced target's
-            # padded start often leads Rayleigh-quotient iteration to a
-            # higher pair, and the failed certificate costs up to five banded
-            # LU solves before the Sturm start the cold path takes anyway.
+            # zero-padded: its warm solve beats the cold f1 start by about a
+            # fifth (15 against 19 ms at d = 80,009, 0.19 against 0.25 ms at
+            # d = 809; 2-vCPU Xeon, one BLAS thread).  For a wider band (f2,
+            # f3) a widely spaced target's padded start often leads
+            # Rayleigh-quotient iteration to a higher pair, and the failed
+            # certificate sends the solve on to shift bisection.
             if cost.cosine_coeffs is not None and cost.cosine_coeffs.size == 2:
                 start = points[-1].state.with_cutoff(spectrum.cutoff).amplitudes
         else:

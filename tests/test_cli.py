@@ -271,10 +271,26 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_mean_below_reach_is_solver_failure(self, capsys):
-        assert cli.main(["curve", "--targets", "1e-300"]) == 3
+        assert cli.main(["curve", "--metric", "amse", "--targets", "1e-300"]) == 3
         err = capsys.readouterr().err
-        assert "solver failure: mean target 1e-300 is below reach" in err
+        assert "solver failure: mean target 1e-300 is below reach: the mean stays at" in err
         assert "math domain" not in err
+
+    def test_holevo_mean_of_1e_300_lands(self, capsys):
+        assert cli.main(["curve", "--targets", "1e-300"]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+        assert float(row[0]) == pytest.approx(1e-300, rel=1e-6)
+        assert float(row[2]) == math.inf  # delta_H
+
+    @pytest.mark.parametrize("spectrum", ["nonneg", "symmetric"])
+    @pytest.mark.parametrize("metric", ["holevo", "amse"])
+    def test_subnormal_target_is_solver_failure(self, capsys, metric, spectrum):
+        argv = ["curve", "--metric", metric, "--spectrum", spectrum, "--targets", "1e-310"]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        message = "mean target 1e-310 is below reach: its first penalty overflows"
+        assert f"solver failure: {message}" in err
+        assert "Warning" not in err
 
     def test_help_exits_0(self, capsys):
         assert cli.main(["--help"]) == 0

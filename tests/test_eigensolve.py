@@ -159,8 +159,9 @@ class TestDenseReference:
 
 
 class TestColdBanded:
-    """Cold wide-band solves: the Sturm vector of the tridiagonal part,
-    refined on the warm path, with shift bisection only when that fails."""
+    """Cold banded solves: the f1 start (the ground state, to a few digits,
+    of tridiag(-1, 2 + main - min(main), -1)) refined on the warm path,
+    with shift bisection only when that fails."""
 
     @staticmethod
     def spy_on_bisection(monkeypatch):
@@ -175,7 +176,7 @@ class TestColdBanded:
 
     def test_bisection_fallback_matches_dense(self, monkeypatch):
         # the n = 40 band of test_banded_vs_full_spectrum[smallest-40]: from
-        # its Sturm start, RQI settles on a higher eigenpair (7.42 against
+        # the f1 start, RQI settles on a higher eigenpair (9.98 against
         # 5.12), so the Cholesky certificate fails
         calls = self.spy_on_bisection(monkeypatch)
         rng = np.random.default_rng(140)
@@ -205,6 +206,72 @@ class TestColdBanded:
             matrix = build_matrix(cost, spectrum, penalty)
             assert pair.residual <= 1e-10 * matrix.norm_bound()
         assert calls == []
+
+    def test_cold_f2_at_dimension_80009_within_factor_budget(self, monkeypatch):
+        # the first seed of an f2 sweep to mean 1e4: 12 L D L' factors for
+        # the f1 start and 1 pentadiagonal Cholesky factor for the warm path
+        bisections = self.spy_on_bisection(monkeypatch)
+        factors = []
+        factor_below = eigensolve._factor_below
+        monkeypatch.setattr(
+            eigensolve,
+            "_factor_below",
+            lambda banded, sigma: factors.append(banded.bandwidth)
+            or factor_below(banded, sigma),
+        )
+        cost = cost_function("f2")
+        spectrum = Spectrum(kind="nonneg", cutoff=variational.default_cutoff("nonneg", 1e4))
+        assert spectrum.cutoff == 80_008
+        penalty, _ = variational._first_seed(cost, spectrum, 1e4)
+        pair = variational._solve_eigen(cost, spectrum, penalty, None)
+        assert pair.residual <= 1e-10 * build_matrix(cost, spectrum, penalty).norm_bound()
+        assert len(factors) <= 20
+        assert bisections == []
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 200])
+    @pytest.mark.parametrize("penalty", [0.0, 1e-3, 1.0, 1e3])
+    def test_f1_start_is_the_f1_ground_state_to_a_few_digits(self, n, penalty):
+        # the start of a diagonal d + c is that of d, here with min(d) = 0
+        d = penalty * np.arange(n, dtype=float)
+        start = eigensolve._f1_start(d - 1.5)
+        f1 = BandedSymmetric([2.0 + d, np.full(n - 1, -1.0)])
+        vector = dense_eigh(f1)[1][:, 0]
+        assert np.linalg.norm(start) == pytest.approx(1.0, abs=1e-14)
+        assert start == pytest.approx(signed_like(vector, start), abs=1e-6)
+
+    def test_no_full_precision_tridiagonal_eigensolver(self):
+        assert not hasattr(eigensolve, "eigh_tridiagonal")
+
+
+class TestFactorBelow:
+    """``_factor_below`` certifies a shift below lambda_min, definite band or
+    not: L D L' for a tridiagonal band, lower-band Cholesky otherwise."""
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 200])
+    @pytest.mark.parametrize("bandwidth", [1, 2])
+    @pytest.mark.parametrize("definite", [True, False], ids=["definite", "indefinite"])
+    def test_factor_exactly_below_the_smallest_eigenvalue(self, n, bandwidth, definite):
+        rng = np.random.default_rng(1000 * n + 10 * bandwidth + definite)
+        matrix = BandedSymmetric(
+            [rng.standard_normal(n - k) for k in range(min(bandwidth, n) + 1)]
+        )
+        if definite:
+            matrix = positive_definite(matrix)
+        else:  # centre the spectrum on 0 (a 1 x 1 band: move it to -1)
+            values = np.linalg.eigvalsh(banded_to_dense(matrix))
+            centre = 0.5 * (values[0] + values[-1]) if n > 1 else values[0] + 1.0
+            matrix = BandedSymmetric([matrix.diagonals[0] - centre, *matrix.diagonals[1:]])
+        lowest = np.linalg.eigvalsh(banded_to_dense(matrix))[0]
+        assert (lowest > 0.0) == definite
+        margin = 1e-8 * matrix.norm_bound()
+        assert eigensolve._factor_below(matrix, lowest + margin) is None
+        sigma = lowest - margin
+        solve = eigensolve._factor_below(matrix, sigma)
+        assert solve is not None
+        b = rng.standard_normal(n)
+        x = solve(b)
+        shifted = banded_to_dense(matrix) - sigma * np.eye(n)
+        assert np.linalg.norm(shifted @ x - b) <= 1e-9 * matrix.norm_bound() * np.linalg.norm(x)
 
 
 class TestPreconditionedToeplitz:
@@ -253,17 +320,16 @@ class TestPreconditionedToeplitz:
     )
     def test_cold_start_is_the_f1_sturm_vector(self, kind, cutoff, penalty):
         # D'D + diag(p W) = tridiag(-1, 2 + p W, -1) is the f1 matrix at
-        # penalty p with the same bits, so a cold solve equals one started
-        # from the f1 matrix's Sturm vector, and variational's cold solve is
-        # that same call
+        # penalty p, so a cold solve equals one started from the f1 start
+        # (that matrix's ground state to a few digits), and variational's
+        # cold solve is that same call
         spectrum = Spectrum(kind=kind, cutoff=cutoff)
         cost = cost_function("theta_sq")
         matrix = build_matrix(cost, spectrum, penalty)
         f3 = build_matrix(cost_function("f3"), spectrum, penalty)
-        f1 = build_matrix(cost_function("f1"), spectrum, penalty)
-        sturm = eigensolve._tridiagonal_smallest(f1)
+        start = eigensolve._f1_start(matrix.diagonal)
         cold = extremal_eigenpair(matrix, preconditioner=f3)
-        started = extremal_eigenpair(matrix, start_vector=sturm, preconditioner=f3)
+        started = extremal_eigenpair(matrix, start_vector=start, preconditioner=f3)
         assert np.array_equal(cold.vector, started.vector)
         assert cold.value == started.value
         solved = variational._solve_eigen(cost, spectrum, penalty, None)
@@ -563,6 +629,30 @@ class TestValidation:
         )
         with pytest.raises(ValueError, match="requires a preconditioner"):
             extremal_eigenpair(matrix)
+
+    def test_lopcg_raises_at_once_on_a_nan_preconditioned_residual(self, monkeypatch):
+        # the definite-kernel solve does not check its input for NaN, so
+        # LOPCG must stop at its first non-finite ||M r||
+        matvecs = []
+        apply = ToeplitzPlusDiagonal.matvec
+        monkeypatch.setattr(
+            ToeplitzPlusDiagonal,
+            "matvec",
+            lambda self, x: matvecs.append(1) or apply(self, x),
+        )
+        matrix = ToeplitzPlusDiagonal(kernel=np.array([2.0, 0.5, 0.0, 0.0]), diagonal=np.ones(3))
+        jacobi = BandedSymmetric([np.full(3, 4.0)])
+        with pytest.raises(EigsolveError, match="preconditioned residual nan"):
+            extremal_eigenpair(
+                matrix, start_vector=np.array([1.0, math.nan, 1.0]), preconditioner=jacobi
+            )
+        assert len(matvecs) == 1
+
+    def test_preconditioner_must_be_positive_definite(self):
+        matrix = ToeplitzPlusDiagonal(kernel=np.array([2.0, 0.5, 0.0]), diagonal=np.ones(2))
+        indefinite = BandedSymmetric([np.array([1.0, -1.0])])
+        with pytest.raises(EigsolveError, match="not positive definite"):
+            extremal_eigenpair(matrix, preconditioner=indefinite)
 
     def test_finish_rejects_a_nan_residual(self):
         matrix = BandedSymmetric([[1.0, math.nan, 3.0], [0.5, 0.5]])

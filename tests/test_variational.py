@@ -570,12 +570,32 @@ class TestSweepCurve:
 
 
     @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
-    @pytest.mark.parametrize("name", ["f1", "theta_sq"])
-    def test_mean_that_underflows_to_zero_raises(self, name, kind):
-        # far below the reachable means the excited amplitudes flush to 0
-        message = "mean target 1e-300 is below reach: the mean underflows to 0 at penalty"
+    def test_f1_mean_of_1e_300_lands(self, kind):
+        # the excited amplitudes, ~1e-150, are kept by the L D L' solves;
+        # the point passes the metric chain of OptimalPoint
+        (point,) = sweep_curve(cost_function("f1"), kind, [1e-300])
+        assert abs(point.mean_constraint - 1e-300) <= variational._MEAN_RTOL * 1e-300
+        assert point.delta == pytest.approx(math.pi / math.sqrt(3.0), rel=1e-12)
+        assert point.delta_H == math.inf
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    @pytest.mark.parametrize("target", ["1e-80", "1e-300"])
+    def test_theta_sq_mean_below_the_matvec_floor_is_below_reach(self, target, kind):
+        # each warm trial meets its tolerances at its start vector, so the
+        # mean stays where the cold trial put it, below the target
+        message = f"mean target {target} is below reach: the mean stays at .* as the penalty falls"
         with pytest.raises(RuntimeError, match=message):
-            sweep_curve(cost_function(name), kind, [1e-300])
+            sweep_curve(cost_function("theta_sq"), kind, [float(target)])
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    @pytest.mark.parametrize("name", ["f1", "theta_sq"])
+    def test_first_penalty_overflow_raises_before_any_solve(self, monkeypatch, name, kind):
+        # sqrt(C_f / 1e-310) is inf; inf * 0 in build_matrix would warn
+        # (an error under this suite's warning filter) and feed NaN onwards
+        monkeypatch.setattr(variational, "build_matrix", None)
+        message = "mean target 1e-310 is below reach: its first penalty overflows"
+        with pytest.raises(RuntimeError, match=message):
+            sweep_curve(cost_function(name), kind, [1e-310])
 
 
 class TestSweepSeeding:
