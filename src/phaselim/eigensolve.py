@@ -10,8 +10,9 @@ Z(f) + p diag(W), so that pair is the only one solved for.
   tridiagonal L D L' (dpttrf) or the Cholesky factor in lower band storage
   (dpbtrf).
 * ``ToeplitzPlusDiagonal`` -- symmetric Toeplitz part in difference form
-  D' Z(g) D, applied via FFT circulant embedding, plus an arbitrary
-  diagonal, solved by locally optimal preconditioned conjugate gradients
+  D' Z(g) D, applied via FFT circulant embedding (its even sector by DSTs
+  of half the length), plus an arbitrary diagonal, solved by locally
+  optimal preconditioned conjugate gradients
   (LOPCG, Knyazev 2001) with the banded factor of a spectrally equivalent
   surrogate supplied by the caller.  A step costs
   one FFT mat-vec, one banded solve and O(d) vector work, so the dense
@@ -22,7 +23,8 @@ Z(f) + p diag(W), so that pair is the only one solved for.
 
 A cold solve of either structure starts from the ground state of the f1
 matrix tridiag(-1, 2 + d_k, -1), d_k the penalty term of its diagonal, to
-a few digits (``_f1_start``).
+a few digits (``_f1_start``).  A matrix marked ``even`` is the even sector,
+basis e_0, (e_j + e_-j)/sqrt 2, of a problem symmetric under j -> -j.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft, irfft
+from scipy.fft import dct, dst, idst, irfft, next_fast_len, rfft
 from scipy.linalg import lapack
 
 __all__ = [
@@ -57,6 +59,8 @@ _RQI_STEPS = 10
 _SHIFT_MARGIN = 1e-3  # certified shift sigma = rho - margin * |rho| - 2 ||r||
 _MOVE_TOL = 1e-12  # inverse iteration stops once the unit vector moves this little
 _BISECT_TOL = 1e-10  # bisected shift: final bracket width relative to ||A||
+_SQRT_TWO = math.sqrt(2.0)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class EigsolveError(RuntimeError):
@@ -65,9 +69,11 @@ class EigsolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class BandedSymmetric:
-    """Symmetric banded matrix stored as [main, first super, ...]."""
+    """Symmetric banded matrix stored as [main, first super, ...]; ``even``
+    (module docstring) changes only the cold start."""
 
     diagonals: list[np.ndarray]
+    even: bool = False
 
     def __post_init__(self) -> None:
         diags = [np.asarray(d, dtype=float) for d in self.diagonals]
@@ -119,10 +125,19 @@ class ToeplitzPlusDiagonal:
     relative to ||D x|| rather than ||x||.  Z(kernel) is applied through an
     FFT circulant embedding, so a mat-vec costs O(d log d) however dense the
     symbol is.
+
+    With ``even`` it is Q' D' Z(g) D Q, the even sector of that of order
+    2d - 1, Q = [e_0, (e_j + e_-j)/sqrt 2], and ``kernel`` has 2d entries.
+    psi = Q x has an odd difference u = D psi, so Z(g) u on j >= 0 is
+    (T - H) h, h_m = psi_{m+1} - psi_m, T_mk = g_|m-k|, H_mk = g_{m+k+1}:
+    a DST-II of h times the DCT-I of g_0 .. g_M, then a DST-III (Martucci,
+    IEEE Trans. Signal Process. 42 (1994) 1038), exact at a fast M >= 2d.
+    Q' D' maps that y to -2 y_0 and sqrt 2 (y_{j-1} - y_j).
     """
 
     kernel: np.ndarray
     diagonal: np.ndarray
+    even: bool = False
     _fft_kernel: np.ndarray = field(init=False, repr=False, compare=False)
     _fft_size: int = field(init=False, repr=False, compare=False)
     _toeplitz_norm: float = field(init=False, repr=False, compare=False)
@@ -130,22 +145,29 @@ class ToeplitzPlusDiagonal:
     def __post_init__(self) -> None:
         g = np.asarray(self.kernel, dtype=float)
         diag = np.asarray(self.diagonal, dtype=float)
-        if g.ndim != 1 or diag.ndim != 1 or g.size != diag.size + 1:
-            raise ValueError("kernel must be one longer than the diagonal")
+        n = g.size
+        if g.ndim != 1 or diag.ndim != 1 or n != diag.size + (diag.size if self.even else 1):
+            raise ValueError("kernel must be one longer (even: twice as long) than the diagonal")
         if diag.size < 1:
             raise ValueError("dimension must be >= 1")
         object.__setattr__(self, "kernel", g)
         object.__setattr__(self, "diagonal", diag)
-        n = g.size
-        size = next_fast_len(2 * n)
-        embedded = np.zeros(size)
-        embedded[:n] = g
-        embedded[size - n + 1 :] = g[1:][::-1]
+        if self.even:
+            size = next_fast_len(n, real=True)
+            padded = np.zeros(size + 1)
+            padded[:n] = g
+            transformed = dct(padded, type=1)[1:]
+        else:
+            size = next_fast_len(2 * n, real=True)
+            embedded = np.zeros(size)
+            embedded[:n] = g
+            embedded[size - n + 1 :] = g[1:][::-1]
+            transformed = rfft(embedded)
         # D' Z(g) D has entries t_m = 2 g_m - g_{m-1} - g_{m+1} (g_{-1} = g_1)
         column = 2.0 * g[:-1] - g[1:] - np.concatenate((g[1:2], g[:-2]))
         norm = abs(column[0]) + 2.0 * np.abs(column[1:]).sum()
         object.__setattr__(self, "_fft_size", size)
-        object.__setattr__(self, "_fft_kernel", rfft(embedded))
+        object.__setattr__(self, "_fft_kernel", transformed)
         object.__setattr__(self, "_toeplitz_norm", float(norm))
 
     def with_diagonal(self, diagonal: np.ndarray) -> "ToeplitzPlusDiagonal":
@@ -159,7 +181,7 @@ class ToeplitzPlusDiagonal:
             )
         other = object.__new__(ToeplitzPlusDiagonal)
         object.__setattr__(other, "diagonal", diag)
-        for name in ("kernel", "_fft_size", "_fft_kernel", "_toeplitz_norm"):
+        for name in ("kernel", "even", "_fft_size", "_fft_kernel", "_toeplitz_norm"):
             object.__setattr__(other, name, getattr(self, name))
         return other
 
@@ -170,15 +192,27 @@ class ToeplitzPlusDiagonal:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         n = self.dimension
         u = np.zeros(self._fft_size)
-        u[0], u[n] = x[0], -x[-1]
-        np.subtract(x[1:], x[:-1], out=u[1:n])
-        y = irfft(rfft(u) * self._fft_kernel, self._fft_size)
-        out = y[:n] - y[1 : n + 1]
+        if self.even:
+            psi = x * _SQRT_HALF
+            psi[0] = x[0]
+            np.subtract(psi[1:], psi[:-1], out=u[: n - 1])
+            u[n - 1] = -psi[-1]
+            y = idst(dst(u, type=2, overwrite_x=True) * self._fft_kernel, type=2)
+            out = np.empty(n)
+            out[0] = -2.0 * y[0]
+            np.subtract(y[: n - 1], y[1:n], out=out[1:])
+            out[1:] *= _SQRT_TWO
+        else:
+            u[0], u[n] = x[0], -x[-1]
+            np.subtract(x[1:], x[:-1], out=u[1:n])
+            y = irfft(rfft(u) * self._fft_kernel, self._fft_size)
+            out = y[:n] - y[1 : n + 1]
         out += self.diagonal * x
         return out
 
     def norm_bound(self) -> float:
-        """The infinity norm of the Toeplitz part plus that of the diagonal."""
+        """The infinity norm of the Toeplitz part (of the full order if
+        ``even``) plus that of the diagonal."""
         return self._toeplitz_norm + float(np.abs(self.diagonal).max(initial=0.0))
 
 
@@ -189,21 +223,29 @@ class EigenPair:
     ``converged`` is False only for a LOPCG trial stopped once its mean was
     resolved (``extremal_eigenpair``'s ``mean_target``): its value is the
     Rayleigh quotient and its residual the iterate's, above the tolerance.
+    ``toeplitz_image``, the vector's image under a ``ToeplitzPlusDiagonal``'s
+    Toeplitz part, spares the first mat-vec of a solve started from the pair.
     """
 
     value: float
     vector: np.ndarray
     residual: float
     converged: bool = True
+    toeplitz_image: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 Matrix = BandedSymmetric | ToeplitzPlusDiagonal
 
 
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    """Make the largest component (the first within rel 1e-8 of it) positive."""
-    top = np.argmax(np.abs(v) >= (1.0 - 1e-8) * np.abs(v).max())
-    return -v if v[top] < 0.0 else v
+def _canonical_pair(matrix, value, x, image, residual, converged=True) -> EigenPair:
+    """The pair of unit vector x and its image A x, signed so that x's largest
+    component (the first within rel 1e-8 of it) is positive."""
+    top = np.argmax(np.abs(x) >= (1.0 - 1e-8) * np.abs(x).max())
+    sign = -1.0 if x[top] < 0.0 else 1.0
+    toeplitz_image = None
+    if isinstance(matrix, ToeplitzPlusDiagonal):
+        toeplitz_image = sign * (image - matrix.diagonal * x)
+    return EigenPair(value, sign * x, residual, converged, toeplitz_image)
 
 
 def _stalled(history: list[float]) -> bool:
@@ -221,7 +263,7 @@ def _finish(matrix: Matrix, vector: np.ndarray) -> EigenPair:
     bound = _RESIDUAL_FACTOR * max(matrix.norm_bound(), 1e-300)
     if not residual <= bound:  # a NaN residual or value fails too
         raise EigsolveError(f"residual {residual:.3e} exceeds tolerance {bound:.3e}")
-    return EigenPair(value=value, vector=_canonical_sign(vector), residual=residual)
+    return _canonical_pair(matrix, value, vector, image, residual)
 
 
 def _factor_below(banded: BandedSymmetric, sigma: float):
@@ -246,21 +288,31 @@ def _factor_below(banded: BandedSymmetric, sigma: float):
     return None if info else lambda b: lapack.dpbtrs(factor, b, lower=1)[0]
 
 
-def _f1_start(diagonal: np.ndarray) -> np.ndarray:
+def _f1_start(diagonal: np.ndarray, even: bool = False) -> np.ndarray:
     """The ground state, to a few digits, of the f1 matrix tridiag(-1, 2 + d,
     -1), d = ``diagonal`` - min(``diagonal``): the cold start of every solve.
+    With ``even`` it is the fold of that of order N = 2 n - 1 (first
+    coupling -sqrt 2), and d_j = p j with p read from the diagonal's ends:
+    a folded band's Hankel term z_2 at j = 1 would be a barrier.
 
-    d is the penalty term p W of every matrix ``variational.build_matrix``
-    makes, as W vanishes at n = 0 and at j = 0.  lambda_min lies between
-    4 sin^2(pi / (2 n + 2)), that of tridiag(-1, 2, -1), and the Rayleigh
-    quotient (2 + sum d) / n of the vector of ones, so a shift is bisected
+    d is the penalty term p W of every matrix ``variational`` solves, as W
+    vanishes at n = 0 and at j = 0.  lambda_min lies between
+    4 sin^2(pi / (2 N + 2)), that of tridiag(-1, 2, -1) (N = n if not
+    ``even``), and the Rayleigh quotient (2 + sum d) / N of the vector of
+    ones of order N, so a shift is bisected
     geometrically on the L D L' test to within 1 % of lambda_min, and three
     steps of inverse iteration from the ones vector follow, with no mat-vec.
     """
     n = diagonal.size
     d = diagonal - diagonal.min()
-    f1 = BandedSymmetric([2.0 + d, np.full(n - 1, -1.0)])
-    lo, hi = 4.0 * math.sin(0.5 * math.pi / (n + 1)) ** 2, (2.0 + float(d.sum())) / n
+    off, x = np.full(n - 1, -1.0), np.ones(n)
+    order, total = n, float(d.sum())
+    if even:
+        d = (diagonal[-1] - diagonal[0]) / max(n - 1, 1) * np.arange(n)
+        off[:1], x[1:] = -_SQRT_TWO, _SQRT_TWO
+        order, total = 2 * n - 1, 2.0 * float(d.sum())
+    f1 = BandedSymmetric([2.0 + d, off])
+    lo, hi = 4.0 * math.sin(0.5 * math.pi / (order + 1)) ** 2, (2.0 + total) / order
     # 0.99 lo < lambda_min is the shift kept if none in (lo, hi) factors,
     # as at d = 0; the f1 matrix itself is definite should rounding fail it
     solve = _factor_below(f1, 0.99 * lo) or _factor_below(f1, 0.0)
@@ -271,7 +323,6 @@ def _f1_start(diagonal: np.ndarray) -> np.ndarray:
             hi = sigma
         else:
             lo, solve = sigma, below
-    x = np.ones(n)
     for _ in range(3):
         x = solve(x)
         x /= np.linalg.norm(x)
@@ -372,6 +423,7 @@ def _lopcg_smallest(
     x: np.ndarray,
     maxiter: int,
     mean_target: tuple[np.ndarray, float, float] | None = None,
+    toeplitz_image: np.ndarray | None = None,
 ) -> EigenPair:
     """Smallest eigenpair by single-vector LOPCG.
 
@@ -393,11 +445,15 @@ def _lopcg_smallest(
     the target by more than ``tolerance`` and by over 100 times its error
     bound _MEAN_ERROR_FACTOR ||(W - m) x|| ||M r||, so the side of the target
     it lies on is certain.  That pair has ``converged`` False and skips
-    ``_finish``.
+    ``_finish``.  Given the start's ``toeplitz_image``, no mat-vec begins it.
     """
     tol = 1e-2 * _RESIDUAL_FACTOR * matrix.norm_bound()
-    x = x / np.linalg.norm(x)
-    ax = matrix.matvec(x)
+    x_norm = np.linalg.norm(x)
+    x = x / x_norm
+    if toeplitz_image is None:
+        ax = matrix.matvec(x)
+    else:
+        ax = toeplitz_image / x_norm + matrix.diagonal * x
     p = ap = np.zeros_like(x)
     distances: list[float] = []
     for _ in range(maxiter):
@@ -412,13 +468,14 @@ def _lopcg_smallest(
             return _finish(matrix, x)
         if mean_target is not None:
             weights, target, tolerance = mean_target
-            unit = x / np.linalg.norm(x)
+            x_norm = np.linalg.norm(x)
+            unit = x / x_norm
             mean = float(weights @ unit**2)
             miss = abs(mean - target)
             spread = np.linalg.norm((weights - mean) * unit)
             if miss > tolerance and 100.0 * _MEAN_ERROR_FACTOR * spread * w_norm <= miss:
                 residual = float(np.linalg.norm(r))
-                return EigenPair(value, _canonical_sign(unit), residual, converged=False)
+                return _canonical_pair(matrix, value, unit, ax / x_norm, residual, False)
         if _stalled(distances):
             raise EigsolveError(
                 f"LOPCG stalled at residual {np.linalg.norm(r):.3e} and "
@@ -452,11 +509,14 @@ def _lopcg_smallest(
 def extremal_eigenpair(
     matrix: Matrix,
     *,
-    start_vector: np.ndarray | None = None,
+    start_vector: np.ndarray | EigenPair | None = None,
     preconditioner: BandedSymmetric | None = None,
     mean_target: tuple[np.ndarray, float, float] | None = None,
 ) -> EigenPair:
     """Smallest eigenpair of a real symmetric matrix.
+
+    ``start_vector`` may be an earlier pair; one of a Toeplitz solve with
+    the same Toeplitz part spares the first mat-vec (``toeplitz_image``).
 
     A ``BandedSymmetric`` solve refines ``start_vector``, or without one
     the f1 start of its main diagonal (``_f1_start``), on the certified warm
@@ -470,7 +530,8 @@ def extremal_eigenpair(
     ``start_vector`` LOPCG starts from the f1 start of the diagonal: the
     ground state of D'D + diag, the matrix with its kernel replaced by
     (1, 0, 0, ...), tridiag(-1, 2 + d_k, -1), the f1 matrix
-    Z(2 - 2 cos t) + diag when the diagonal is a penalty term.  LOPCG stops
+    Z(2 - 2 cos t) + diag when the diagonal is a penalty term (folded if
+    ``even``).  LOPCG stops
     only once the preconditioned residual is <= 1e-9, so any start is
     refined.
 
@@ -491,6 +552,9 @@ def extremal_eigenpair(
         raise ValueError("a BandedSymmetric solve takes no mean_target")
     n = matrix.dimension
     maxiter = max(200, int(50.0 * np.sqrt(n)))
+    toeplitz_image = None
+    if isinstance(start_vector, EigenPair):
+        start_vector, toeplitz_image = start_vector.vector, start_vector.toeplitz_image
     if start_vector is not None:
         start_vector = np.asarray(start_vector, dtype=float)
     if isinstance(matrix, ToeplitzPlusDiagonal):
@@ -498,11 +562,11 @@ def extremal_eigenpair(
         if prec is None:
             raise EigsolveError("the preconditioner is not positive definite")
         if start_vector is None:
-            start_vector = _f1_start(matrix.diagonal)
-        return _lopcg_smallest(matrix, prec, start_vector, maxiter, mean_target)
+            start_vector = _f1_start(matrix.diagonal, matrix.even)
+        return _lopcg_smallest(matrix, prec, start_vector, maxiter, mean_target, toeplitz_image)
 
     if start_vector is None:
-        start_vector = _f1_start(matrix.diagonals[0])
+        start_vector = _f1_start(matrix.diagonals[0], matrix.even)
     vec = _warm_banded_smallest(matrix, start_vector, maxiter)
     if vec is None:
         vec = _bisected_smallest(matrix, start_vector, maxiter)

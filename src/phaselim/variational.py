@@ -41,10 +41,16 @@ at most _TAIL_RTOL * q_1, q_1 = 1 - <cos Theta> being of the order of every
 metric; otherwise the cutoff doubles (``_truncated_solve``, the only
 doubling loop).
 
+A symmetric spectrum's matrix commutes with j -> -j, so it is solved on
+its even sector, of cutoff + 1 rows (``_sector_matrix``), each pair
+certified to lie below the odd sector (``_certify_even``); only the
+point's state is unfolded to the full line.
+
 A sweep seeds its first target from the asymptote of the target's regime
 (``_first_seed``): perturbation theory about the vacuum at small means,
 mean ~ C_f / p^2, and the paper's p -> 2 k_C^2 / L^3 (nonneg) or
-4 k'_C^2 / L^3 (symmetric) at large ones.  Each later target is seeded from
+4 k'_C^2 / L^3 (symmetric; 4 k'_C^2 (2 mean)^-3 above mean 3) at large
+ones.  Each later target is seeded from
 the last point along the local slope d log mean / d log p that the root
 finder measured there, bent by the curvature of the two asymptotes' shape
 (``_penalty_shape``).  Across the trials at one cutoff only diag(p W)
@@ -61,7 +67,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asympt, canonical
-from .eigensolve import BandedSymmetric, EigenPair, ToeplitzPlusDiagonal, extremal_eigenpair
+from .eigensolve import BandedSymmetric, EigenPair, EigsolveError, ToeplitzPlusDiagonal
+from .eigensolve import _factor_below, extremal_eigenpair
 from .states import ProbeState, Spectrum
 
 __all__ = [
@@ -84,8 +91,11 @@ _MEAN_RTOL = 1e-6
 _BETA_RTOL = 1e-8
 _MAX_LOG_STEP = math.log(8.0)  # largest root-finder step in log(penalty)
 _MAX_TRIALS = 80  # root-finder eigensolves per cutoff
+_MAX_STUCK_FALL = 1e8  # penalty fall with a bit-identical mean: below reach
 _SMALL_MEAN = 0.3  # a first target below this is seeded from mean ~ C_f / p^2
+_SYMMETRIC_KNEE = 3.0  # symmetric means above this follow p ~ (2 mean)^-3
 _BETA_PER_PENALTY = {"f1": 0.5, "f2": 1.0, "theta_sq": -1.0, "f3": -1.0}
+_EVEN_MARGIN = 1e-12  # rounding allowance of _certify_even, relative to ||A||
 
 
 @dataclass(frozen=True)
@@ -191,15 +201,16 @@ def _penalty(cost: CostFunction, beta: float) -> float:
 
 
 @functools.lru_cache(maxsize=2)
-def _theta_sq_toeplitz(dimension: int) -> ToeplitzPlusDiagonal:
-    """Z(theta_sq) = D' Z(g) D with a zero diagonal, built and
-    FFT-transformed once.
+def _theta_sq_toeplitz(dimension: int, even: bool = False) -> ToeplitzPlusDiagonal:
+    """Z(theta_sq) = D' Z(g) D with a zero diagonal, or with ``even`` its
+    even sector of that dimension, built and FFT-transformed once.
 
     The trials of one root finder differ only in diag(p W), so each trial
     matrix is ``with_diagonal`` of this one; its arrays are read-only.
     """
+    size = 2 * dimension if even else dimension + 1
     matrix = ToeplitzPlusDiagonal(
-        kernel=canonical.theta_sq_kernel(dimension + 1), diagonal=np.zeros(dimension)
+        kernel=canonical.theta_sq_kernel(size), diagonal=np.zeros(dimension), even=even
     )
     for array in (matrix.diagonal, matrix._fft_kernel):
         array.flags.writeable = False
@@ -238,36 +249,111 @@ def check_dimension(spectrum: Spectrum) -> None:
         )
 
 
+def _fold(spectrum: Spectrum, psi: np.ndarray) -> np.ndarray:
+    """A state's coordinates in the solved sector: psi (nonneg), or Q' psi,
+    phi_0 = psi_0 and phi_j = (psi_j + psi_-j) / sqrt 2 (symmetric)."""
+    if spectrum.kind == "nonneg":
+        return psi
+    cutoff = spectrum.cutoff
+    phi = (psi[cutoff:] + psi[cutoff::-1]) * math.sqrt(0.5)
+    phi[0] = psi[cutoff]
+    return phi
+
+
+def _unfold(spectrum: Spectrum, phi: np.ndarray) -> np.ndarray:
+    """The state Q phi, Q = [e_0, (e_j + e_-j) / sqrt 2]: an isometry, and
+    the inverse of ``_fold`` on even states."""
+    if spectrum.kind == "nonneg":
+        return phi
+    half = phi[1:] * math.sqrt(0.5)
+    return np.concatenate((half[::-1], phi[:1], half))
+
+
+def _sector_matrix(
+    cost: CostFunction, spectrum: Spectrum, penalty: float
+) -> BandedSymmetric | ToeplitzPlusDiagonal:
+    """The matrix solved: ``build_matrix``'s A for a nonneg spectrum, and
+    for a symmetric one, whose A commutes with j -> -j, its even sector
+    Q' A Q (``_unfold``; ``_certify_even`` shows the optimum even).
+
+    Q' A Q has weights j = 0 .. cutoff and entries z_|a-b| + z_(a+b) for
+    a, b >= 1 and sqrt 2 z_b in row 0: for a band, A's rows j >= 0 with
+    the row-0 couplings times sqrt 2 and z_2 added at (1, 1); for theta_sq
+    the ``even`` Toeplitz part, whose DST mat-vec is half the full one.
+    """
+    if spectrum.kind == "nonneg":
+        return build_matrix(cost, spectrum, penalty)
+    cutoff = spectrum.cutoff
+    if cost.cosine_coeffs is None:
+        even = _theta_sq_toeplitz(cutoff + 1, even=True)
+        return even.with_diagonal(penalty * np.arange(cutoff + 1, dtype=float))
+    full = build_matrix(cost, spectrum, penalty).diagonals
+    bands = [band[cutoff:].copy() for band in full if band.size > cutoff]
+    for band in bands[1:]:
+        band[0] *= math.sqrt(2.0)
+    for m in range(2, len(full)):  # z_m at (a, m - a), 1 <= a <= m - a <= cutoff
+        for a in range(max(1, m - cutoff), m // 2 + 1):
+            bands[m - 2 * a][a] += full[m][0]
+    return BandedSymmetric(bands, even=True)
+
+
+def _certify_even(spectrum: Spectrum, penalty: float, value: float, norm: float) -> None:
+    """Raise EigsolveError unless the even sector's pair, of Rayleigh
+    quotient ``value``, lies below the odd sector, so that it is the optimum.
+
+    The f1 matrix's odd sector, basis (e_j - e_-j) / sqrt 2, is
+    tridiag(-1, 2 + p j, -1), j = 1 .. cutoff, and f1 <= f2 <= theta^2 <= f3
+    pointwise puts every cost's odd sector above it, so its L D L' factor
+    (``_factor_below``) at the Rayleigh quotient rho plus _EVEN_MARGIN ||A||
+    certifies lambda_odd > rho >= lambda_even.
+    """
+    j = np.arange(1, spectrum.cutoff + 1, dtype=float)
+    odd = BandedSymmetric([2.0 + penalty * j, np.full(j.size - 1, -1.0)])
+    if _factor_below(odd, value + _EVEN_MARGIN * norm) is None:
+        raise EigsolveError(
+            f"the even optimum at penalty {penalty:.6g} (eigenvalue {value:.6g}) "
+            f"is not certified below the odd sector of cutoff {spectrum.cutoff}"
+        )
+
+
 def _solve_eigen(
     cost: CostFunction,
     spectrum: Spectrum,
     penalty: float,
-    start_vector: np.ndarray | None,
+    start_vector: np.ndarray | EigenPair | None,
     target: float | None = None,
 ) -> EigenPair:
-    """Smallest eigenpair of Z(f) + penalty * diag(weight).
+    """Smallest eigenpair of Z(f) + penalty * diag(weight) on the solved
+    sector (``_sector_matrix``), whose coordinates ``start_vector`` (a
+    vector, or the previous trial's pair) and the result share; a symmetric
+    pair is certified even (``_certify_even``).
 
     A Toeplitz (theta_sq) matrix is preconditioned by the f3 matrix at the
     same penalty: 0.6919 f3 <= theta^2 <= f3 on [-pi, pi] makes the two
     spectrally equivalent with condition number <= 1.445.  A cold start, of
     a Toeplitz or a banded solve, is ``extremal_eigenpair``'s own: the
     ground state, to a few digits, of the f1 matrix at the same penalty,
-    tridiag(-1, 2 + p W, -1), which for theta_sq is D'D + diag(p W).  With
-    a mean ``target`` a Toeplitz solve may stop early, once its mean lies
-    certainly on one side of the target and off it by more than _MEAN_RTOL
-    (a pair with ``converged`` False); a banded solve is direct and ignores
-    it.
+    tridiag(-1, 2 + p W, -1) or its fold, which for theta_sq is
+    D'D + diag(p W).  With a mean ``target`` a Toeplitz solve may stop
+    early, once its mean lies certainly on one side of the target and off
+    it by more than _MEAN_RTOL (a pair with ``converged`` False); a banded
+    solve is direct and ignores it.
     """
-    matrix = build_matrix(cost, spectrum, penalty)
+    matrix = _sector_matrix(cost, spectrum, penalty)
     if isinstance(matrix, BandedSymmetric):
-        return extremal_eigenpair(matrix, start_vector=start_vector)
-    f3 = build_matrix(cost_function("f3"), spectrum, penalty)
-    mean_target = None
-    if target is not None:
-        mean_target = (spectrum.weights(), target, _MEAN_RTOL * target)
-    return extremal_eigenpair(
-        matrix, start_vector=start_vector, preconditioner=f3, mean_target=mean_target
-    )
+        pair = extremal_eigenpair(matrix, start_vector=start_vector)
+    else:
+        f3 = _sector_matrix(cost_function("f3"), spectrum, penalty)
+        mean_target = None
+        if target is not None:
+            weights = np.arange(spectrum.cutoff + 1, dtype=float)
+            mean_target = (weights, target, _MEAN_RTOL * target)
+        pair = extremal_eigenpair(
+            matrix, start_vector=start_vector, preconditioner=f3, mean_target=mean_target
+        )
+    if spectrum.kind == "symmetric":
+        _certify_even(spectrum, penalty, pair.value, matrix.norm_bound())
+    return pair
 
 
 def _truncated_solve(
@@ -280,7 +366,9 @@ def _truncated_solve(
 ) -> tuple[OptimalPoint, float]:
     """The one truncation loop: solve, test the tail, double the cutoff.
 
-    Each cutoff is one eigensolve at ``penalty`` (``_solve_eigen``), or
+    ``start`` is folded into the solved sector (``_fold``) and each solved
+    vector unfolded into a state.  Each cutoff is one eigensolve at
+    ``penalty`` (``_solve_eigen``), or
     without one, with a mean ``target``, a root-find of the penalty that
     lands on it (``_root_find_mean``, seeded at ``penalty`` with Newton
     slope ``slope``).  The truncation is accepted when the top 1% of
@@ -296,11 +384,13 @@ def _truncated_solve(
     """
     for _ in range(_MAX_CUTOFF_DOUBLINGS):
         check_dimension(spectrum)
+        if start is not None:
+            start = _fold(spectrum, start)
         if target is None:
             pair = _solve_eigen(cost, spectrum, penalty, start)
         else:
             penalty, pair, slope = _root_find_mean(cost, spectrum, target, penalty, slope, start)
-        state = ProbeState(spectrum=spectrum, amplitudes=pair.vector)
+        state = ProbeState(spectrum=spectrum, amplitudes=_unfold(spectrum, pair.vector))
         edge = spectrum.weights() >= 0.99 * spectrum.cutoff
         tail = float((state.amplitudes[edge] ** 2).sum())
         metrics = canonical.state_metrics(state)
@@ -361,12 +451,23 @@ def _penalty_shape(kind: str, mean: float) -> tuple[float, float]:
     """log p, up to a constant, and d log p / d log mean on the shape of the
     two asymptotes: p ~ mean^(-1/2) at small means and p ~ L^-3 at large
     ones, joined at L = 6/5, where both slopes are -1/2.  Below a mean of
-    about 1e-16, L - 1 rounds to 0 and is taken from the mean itself."""
+    about 1e-16, L - 1 rounds to 0 and is taken from the mean itself.
+
+    A symmetric penalty follows (2 mean)^-3 above _SYMMETRIC_KNEE instead
+    (the f1 and theta_sq optima are within 3.5 % of 4 k'_C^2 (2 mean)^-3
+    there, and up to 1.5 times off L^-3), with the shape below shifted to
+    stay continuous.
+    """
+    if kind == "symmetric" and mean > _SYMMETRIC_KNEE:
+        return -3.0 * math.log(2.0 * mean), -3.0
+    shift = 0.0
+    if kind == "symmetric":
+        shift = 3.0 * math.log(_scale(kind, _SYMMETRIC_KNEE) / (2.0 * _SYMMETRIC_KNEE))
     scale = _scale(kind, mean)
     if scale < 1.2:
         excess = scale - 1.0 or (mean if kind == "nonneg" else 2.0 * mean)
-        return 0.5 * math.log(0.2 / excess) - 3.0 * math.log(1.2), -0.5
-    return -3.0 * math.log(scale), -3.0 * (scale - 1.0) / scale
+        return 0.5 * math.log(0.2 / excess) - 3.0 * math.log(1.2) + shift, -0.5
+    return -3.0 * math.log(scale) + shift, -3.0 * (scale - 1.0) / scale
 
 
 def _first_seed(
@@ -381,7 +482,8 @@ def _first_seed(
     spectrum, from ``canonical.theta_sq_entries`` summed to the cutoff;
     twice that on a symmetric one).  Above it, the paper's
     p -> 2 k_C^2 / L^3 (nonneg) or 4 k'_C^2 / L^3 (symmetric), L = <N+1> or
-    <2|J|+1>.  The slope is that of ``_penalty_shape``.  A seed that
+    <2|J|+1>, the symmetric one in the shape of ``_penalty_shape``
+    (4 k'_C^2 (2 mean)^-3 above its knee), whose slope it takes.  A seed that
     overflows (a target below about 1e-308) raises RuntimeError before any
     matrix is built.
     """
@@ -402,7 +504,7 @@ def _first_seed(
         if kind == "nonneg":
             seed = 2.0 * constants.k_C**2 / _scale(kind, target) ** 3
         else:
-            seed = 4.0 * constants.k_C_prime**2 / _scale(kind, target) ** 3
+            seed = 4.0 * constants.k_C_prime**2 * math.exp(_penalty_shape(kind, target)[0])
     return seed, 1.0 / _penalty_shape(kind, target)[1]
 
 
@@ -430,12 +532,15 @@ def _root_find_mean(
     value.  A bracket narrower than _BETA_RTOL in log penalty raises
     RuntimeError too: the mean jumps across the target there, which is
     below the resolution of the solve.  So does a mean still below the
-    target after _MAX_TRIALS trials: a theta_sq target under the mat-vec
-    floor, where a warm trial meets its tolerances at the start vector and
-    the mean stays where the first trial put it, is below the solve's reach.
+    target after _MAX_TRIALS trials, or one that stays bit-identical (a
+    theta_sq trial under the mat-vec floor meets its tolerances at its
+    start vector) while the penalty falls by _MAX_STUCK_FALL, over which a
+    resolved mean ~ C_f / p^2 would rise 1e16-fold: the target is below the
+    solve's reach.  A shorter such fall ends at the floor's edge, where the
+    mean jumps (the resolution test).
 
     One eigensolve per trial, the first from ``start``, each later one from
-    the previous vector.  A Toeplitz (theta_sq) trial stops once its mean
+    the previous pair.  A Toeplitz (theta_sq) trial stops once its mean
     lies certainly on one side of the target (``_solve_eigen``), except the
     trial after a capped step down, which the saturation test reads; only a
     pair within _MEAN_RTOL of the target is returned, and it is solved to
@@ -443,16 +548,17 @@ def _root_find_mean(
     pair's truncation is tested (``_truncated_solve``); the trial iterates
     at other penalties are not.
     """
-    weights = spectrum.weights()
+    weights = np.arange(spectrum.cutoff + 1, dtype=float)  # the sector's (_fold)
     above = below = None  # latest t and mean with the mean above / below the target
     previous: tuple[float, float, float, bool] | None = None  # t, f, mean, converged
+    stuck = None  # t at the start of the latest run of bit-identical means
     capped_down = False  # the step to this trial was a capped step down
     t = math.log(seed_penalty)
     for _ in range(_MAX_TRIALS):
         pair = _solve_eigen(
             cost, spectrum, math.exp(t), start, None if capped_down else target
         )
-        start = pair.vector
+        start = pair
         mean = float(weights @ pair.vector**2)
         f = math.log(mean / target)
         if previous is not None and t != previous[0]:
@@ -470,6 +576,15 @@ def _root_find_mean(
             raise RuntimeError(
                 f"mean target {target} is beyond reach at cutoff {spectrum.cutoff}: "
                 f"the mean saturates at {mean}"
+            )
+        if previous is None or mean != previous[2]:
+            stuck = None
+        elif stuck is None:
+            stuck = previous[0]
+        if f < 0.0 and stuck is not None and stuck - t > math.log(_MAX_STUCK_FALL):
+            raise RuntimeError(
+                f"mean target {target} is below reach: the mean stays at "
+                f"{mean:.3g} as the penalty falls to {math.exp(t):.3g}"
             )
         if f > 0.0:
             above = (t, mean)

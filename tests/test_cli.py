@@ -7,6 +7,7 @@ metric names and the solver columns they select.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -450,9 +451,21 @@ class TestSeriesOutput:
         assert round(float(metadata["coefficient_2"]), 4) == pytest.approx(0.6266)
         assert round(float(metadata["coefficient_6"]), 4) == pytest.approx(-0.6292)
 
-    def test_target_at_the_regime_edge_prints_nothing_on_stderr(self, tmp_path, capsys):
-        # target 10 lands a little below 10, inside mean_rtol; the series is
-        # evaluated at the landed L, with no regime warning
+    def test_target_at_the_regime_edge_prints_nothing_on_stderr(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # target 10 may land a little below 10, inside mean_rtol (this sweep
+        # lands 5e-12 above, so its landed mean is set 1e-9 relative below); the
+        # series is evaluated at the landed L, with no regime warning
+        sweep = variational.sweep_curve
+
+        def landed_below(*args):
+            return [
+                dataclasses.replace(point, mean_constraint=10.0 - 1e-8)
+                for point in sweep(*args)
+            ]
+
+        monkeypatch.setattr(variational, "sweep_curve", landed_below)
         out = tmp_path / "edge.csv"
         argv = ["series", "--spectrum", "symmetric", "--targets", "10", "--output", str(out)]
         assert cli.main(argv) == 0

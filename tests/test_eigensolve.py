@@ -239,6 +239,23 @@ class TestColdBanded:
         assert np.linalg.norm(start) == pytest.approx(1.0, abs=1e-14)
         assert start == pytest.approx(signed_like(vector, start), abs=1e-6)
 
+    @pytest.mark.parametrize("n", [3, 40, 200])
+    @pytest.mark.parametrize("penalty", [0.0, 1e-3, 1.0])
+    def test_even_f1_start_is_the_folded_f1_ground_state(self, n, penalty):
+        # the f1 matrix of order 2 n - 1 folded: first coupling -sqrt 2; a
+        # z_2 bump at j = 1 (a folded pentadiagonal's Hankel term) is ignored
+        # once j = 1 is not the diagonal's end, n >= 3
+        d = penalty * np.arange(n, dtype=float)
+        bumped = d + 2.5
+        bumped[1] += 1.0 / 12.0
+        start = eigensolve._f1_start(bumped, even=True)
+        off = np.full(n - 1, -1.0)
+        off[0] = -math.sqrt(2.0)
+        folded = BandedSymmetric([2.0 + d, off])
+        vector = dense_eigh(folded)[1][:, 0]
+        assert np.linalg.norm(start) == pytest.approx(1.0, abs=1e-14)
+        assert start == pytest.approx(signed_like(vector, start), abs=1e-6)
+
     def test_no_full_precision_tridiagonal_eigensolver(self):
         assert not hasattr(eigensolve, "eigh_tridiagonal")
 
@@ -293,6 +310,7 @@ class TestPreconditionedToeplitz:
     def test_f3_preconditioned_theta_sq_vs_dense(self, kind, cutoff, penalty, start):
         # f1: the cold solve of variational._solve_eigen, which starts from
         # the Sturm vector of D'D + diag, the f1 matrix at the same penalty
+        # (folded to the even sector of a symmetric spectrum)
         spectrum = Spectrum(kind=kind, cutoff=cutoff)
         cost = cost_function("theta_sq")
         matrix = build_matrix(cost, spectrum, penalty)
@@ -303,14 +321,14 @@ class TestPreconditionedToeplitz:
         vector = None
         if start == "warm":
             rng = np.random.default_rng(cutoff)
-            vector = vectors[:, 0] + 1e-2 * rng.standard_normal(n) / math.sqrt(n)
+            noisy = vectors[:, 0] + 1e-2 * rng.standard_normal(n) / math.sqrt(n)
+            vector = variational._fold(spectrum, noisy)
 
         pair = variational._solve_eigen(cost, spectrum, penalty, vector)
         again = variational._solve_eigen(cost, spectrum, penalty, vector)
+        psi = variational._unfold(spectrum, pair.vector)
         assert pair.value == pytest.approx(values[0], rel=1e-11)
-        assert pair.vector == pytest.approx(
-            signed_like(vectors[:, 0], pair.vector), abs=1e-9
-        )
+        assert psi == pytest.approx(signed_like(vectors[:, 0], psi), abs=1e-9)
         assert pair.residual <= 1e-10 * matrix.norm_bound()
         assert again.value == pair.value
         assert np.array_equal(again.vector, pair.vector)
@@ -322,12 +340,17 @@ class TestPreconditionedToeplitz:
         # D'D + diag(p W) = tridiag(-1, 2 + p W, -1) is the f1 matrix at
         # penalty p, so a cold solve equals one started from the f1 start
         # (that matrix's ground state to a few digits), and variational's
-        # cold solve is that same call
+        # cold solve is that same call.  A symmetric spectrum is solved on
+        # its even sector, whose f1 start is the fold of the full one.
         spectrum = Spectrum(kind=kind, cutoff=cutoff)
         cost = cost_function("theta_sq")
-        matrix = build_matrix(cost, spectrum, penalty)
-        f3 = build_matrix(cost_function("f3"), spectrum, penalty)
-        start = eigensolve._f1_start(matrix.diagonal)
+        matrix = variational._sector_matrix(cost, spectrum, penalty)
+        f3 = variational._sector_matrix(cost_function("f3"), spectrum, penalty)
+        assert matrix.even == f3.even == (kind == "symmetric")
+        start = eigensolve._f1_start(matrix.diagonal, matrix.even)
+        full = eigensolve._f1_start(build_matrix(cost, spectrum, penalty).diagonal)
+        folded = variational._fold(spectrum, full)
+        assert start == pytest.approx(signed_like(folded, start), abs=1e-6)
         cold = extremal_eigenpair(matrix, preconditioner=f3)
         started = extremal_eigenpair(matrix, start_vector=start, preconditioner=f3)
         assert np.array_equal(cold.vector, started.vector)
@@ -433,6 +456,35 @@ class TestPreconditionedToeplitz:
         )
         assert landed.converged and landed.value == full.value
         assert np.array_equal(landed.vector, full.vector)
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    def test_start_from_a_pair_spares_the_first_matvec(self, kind, monkeypatch):
+        # a root-finder trial at p' starts from the pair at p: its image
+        # A(p') x = T x + p' W x needs no mat-vec
+        matvecs = []
+        apply = ToeplitzPlusDiagonal.matvec
+        monkeypatch.setattr(
+            ToeplitzPlusDiagonal,
+            "matvec",
+            lambda self, x: matvecs.append(1) or apply(self, x),
+        )
+        spectrum = Spectrum(kind=kind, cutoff=400)
+        cost = cost_function("theta_sq")
+        first = variational._solve_eigen(cost, spectrum, 3e-5, None)
+        matrix = variational._sector_matrix(cost, spectrum, 3e-5)
+        assert first.toeplitz_image == pytest.approx(
+            matrix.matvec(first.vector) - matrix.diagonal * first.vector, abs=1e-13
+        )
+        matvecs.clear()
+        resumed = variational._solve_eigen(cost, spectrum, 2e-5, first)
+        from_pair = len(matvecs)
+        matvecs.clear()
+        restarted = variational._solve_eigen(cost, spectrum, 2e-5, first.vector)
+        assert from_pair == len(matvecs) - 1
+        assert resumed.value == pytest.approx(restarted.value, rel=1e-13)
+        assert resumed.vector == pytest.approx(restarted.vector, abs=1e-10)
+        banded = variational._solve_eigen(cost_function("f1"), spectrum, 3e-5, None)
+        assert banded.toeplitz_image is None
 
     def test_stall_raises_within_100_matvecs(self, monkeypatch):
         # ||M r|| cannot reach 1e-18 (its rounding floor, about 1e-15 with
@@ -612,6 +664,12 @@ class TestValidation:
     def test_toeplitz_shape_mismatch(self):
         with pytest.raises(ValueError):
             ToeplitzPlusDiagonal(kernel=np.zeros(4), diagonal=np.zeros(4))
+
+    def test_even_kernel_is_twice_the_dimension(self):
+        with pytest.raises(ValueError, match="twice as long"):
+            ToeplitzPlusDiagonal(kernel=np.ones(5), diagonal=np.zeros(4), even=True)
+        matrix = ToeplitzPlusDiagonal(kernel=np.ones(8), diagonal=np.zeros(4), even=True)
+        assert matrix.with_diagonal(np.ones(4)).even
 
     def test_with_diagonal_shape_mismatch(self):
         matrix = ToeplitzPlusDiagonal(kernel=np.zeros(4), diagonal=np.zeros(3))

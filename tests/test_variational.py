@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaselim import asympt, canonical, variational
-from phaselim.eigensolve import BandedSymmetric, ToeplitzPlusDiagonal
+from phaselim.eigensolve import BandedSymmetric, EigsolveError, ToeplitzPlusDiagonal
 from phaselim.states import ProbeState, Spectrum
 from phaselim.variational import (
     OptimalPoint,
@@ -207,6 +207,96 @@ class TestBuildMatrix:
     def test_negative_penalty_rejected(self, name):
         with pytest.raises(ValueError, match="penalty must be >= 0"):
             build_matrix(cost_function(name), Spectrum(kind="nonneg", cutoff=4), -0.1)
+
+
+def fold_matrix(cutoff: int) -> np.ndarray:
+    """Q, the (2 cutoff + 1) x (cutoff + 1) isometry onto the even states:
+    columns e_0 and (e_j + e_-j) / sqrt 2, rows j = -cutoff .. cutoff."""
+    q = np.zeros((2 * cutoff + 1, cutoff + 1))
+    q[cutoff, 0] = 1.0
+    for j in range(1, cutoff + 1):
+        q[cutoff + j, j] = q[cutoff - j, j] = math.sqrt(0.5)
+    return q
+
+
+class TestEvenSector:
+    """Symmetric spectra are solved on the even sector Q' A Q, of dimension
+    cutoff + 1, and unfolded only into the point's state."""
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 50])
+    def test_fold_and_unfold_are_inverse_isometries(self, cutoff):
+        spectrum = Spectrum(kind="symmetric", cutoff=cutoff)
+        rng = np.random.default_rng(cutoff)
+        phi = rng.standard_normal(cutoff + 1)
+        psi = variational._unfold(spectrum, phi)
+        assert psi == pytest.approx(fold_matrix(cutoff) @ phi, rel=1e-15, abs=0.0)
+        assert psi == pytest.approx(psi[::-1], rel=0.0, abs=0.0)  # even
+        assert np.linalg.norm(psi) == pytest.approx(np.linalg.norm(phi), rel=1e-15)
+        assert variational._fold(spectrum, psi) == pytest.approx(phi, rel=1e-15)
+        # on any state the fold is Q', the even part's coordinates
+        chi = rng.standard_normal(2 * cutoff + 1)
+        folded = variational._fold(spectrum, chi)
+        assert folded == pytest.approx(fold_matrix(cutoff).T @ chi, rel=1e-14)
+        nonneg = Spectrum(kind="nonneg", cutoff=cutoff)
+        assert variational._fold(nonneg, phi) is phi
+        assert variational._unfold(nonneg, phi) is phi
+
+    # 2 cutoff + 2 = 2 * 211 has a large prime factor, so the DST length is padded
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 50, 210])
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "theta_sq"])
+    def test_sector_matrix_is_the_dense_fold(self, name, cutoff):
+        cost = cost_function(name)
+        spectrum = Spectrum(kind="symmetric", cutoff=cutoff)
+        penalty = 0.37
+        sector = variational._sector_matrix(cost, spectrum, penalty)
+        assert sector.even and sector.dimension == cutoff + 1
+        q = fold_matrix(cutoff)
+        expected = q.T @ densify(build_matrix(cost, spectrum, penalty)) @ q
+        applied = np.column_stack([sector.matvec(e) for e in np.eye(cutoff + 1)])
+        assert applied == pytest.approx(expected, rel=1e-14, abs=1e-13)
+        if name == "theta_sq":
+            assert sector._fft_size >= 2 * cutoff + 2
+            assert isinstance(sector, ToeplitzPlusDiagonal)
+        else:
+            assert isinstance(sector, BandedSymmetric)
+            assert densify(sector) == pytest.approx(expected, rel=1e-14, abs=1e-15)
+
+    def test_every_symmetric_pair_is_certified(self, monkeypatch):
+        certify = variational._certify_even
+        solves, certified = [], []
+        solve = variational._solve_eigen
+        monkeypatch.setattr(
+            variational, "_solve_eigen", lambda *a: solves.append(a[1].kind) or solve(*a)
+        )
+        monkeypatch.setattr(
+            variational, "_certify_even", lambda *a: certified.append(1) or certify(*a)
+        )
+        for name in ("f1", "theta_sq"):
+            sweep_curve(cost_function(name), "symmetric", [0.1, 3.0])
+            sweep_curve(cost_function(name), "nonneg", [0.1])
+        assert len(certified) == solves.count("symmetric") > 0
+
+    def test_certificate_fails_above_the_odd_f1_floor(self):
+        # 8 + f1 >= f1, but its even pair (8 + lambda_even(f1)) lies above
+        # the odd sector of f1, tridiag(-1, 2 + p j, -1), which is all the
+        # certificate compares with: it cannot show the pair is the optimum
+        shifted = variational.CostFunction("shifted_f1", np.array([10.0, -2.0]))
+        spectrum = Spectrum(kind="symmetric", cutoff=50)
+        with pytest.raises(EigsolveError, match="not certified below the odd sector"):
+            variational._solve_eigen(shifted, spectrum, 0.1, None)
+        # f1 itself lies below its odd sector and is certified
+        pair = variational._solve_eigen(cost_function("f1"), spectrum, 0.1, None)
+        assert pair.value < 2.1
+
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "theta_sq"])
+    def test_certificate_holds_across_means(self, name):
+        cost = cost_function(name)
+        top = 1e3 if name in ("f3", "theta_sq") else 1e4
+        for mean in np.geomspace(0.01, top, 7 if top == 1e3 else 8):
+            spectrum = Spectrum(kind="symmetric", cutoff=default_cutoff("symmetric", mean))
+            penalty, _ = variational._first_seed(cost, spectrum, float(mean))
+            for scale in (0.5, 1.0, 2.0):
+                variational._solve_eigen(cost, spectrum, scale * penalty, None)
 
 
 class TestSolvePoint:
@@ -579,13 +669,25 @@ class TestSweepCurve:
         assert point.delta_H == math.inf
 
     @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
-    @pytest.mark.parametrize("target", ["1e-80", "1e-300"])
-    def test_theta_sq_mean_below_the_matvec_floor_is_below_reach(self, target, kind):
+    @pytest.mark.parametrize("target", ["1e-56", "1e-65", "1e-80", "1e-300"])
+    def test_theta_sq_mean_below_the_matvec_floor_is_below_reach(
+        self, target, kind, monkeypatch
+    ):
         # each warm trial meets its tolerances at its start vector, so the
-        # mean stays where the cold trial put it, below the target
+        # mean stays bit-identical where the cold trial put it, below the
+        # target, and the search ends once the penalty has fallen 1e8-fold
+        # (27 trials), far above the floor's edge near p = 2.5e10 where
+        # 1e-56 and 1e-65 used to jump and run out of trials
+        solve = variational._solve_eigen
+        calls = []
+        monkeypatch.setattr(
+            variational, "_solve_eigen", lambda *a: calls.append(a[2]) or solve(*a)
+        )
         message = f"mean target {target} is below reach: the mean stays at .* as the penalty falls"
         with pytest.raises(RuntimeError, match=message):
             sweep_curve(cost_function("theta_sq"), kind, [float(target)])
+        assert len(calls) <= 30
+        assert min(calls) > 1e12
 
     @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
     @pytest.mark.parametrize("name", ["f1", "theta_sq"])
@@ -709,7 +811,7 @@ class TestMeanResolvedTrials:
         early = [(args, pair) for args, pair in trials if not pair.converged]
         assert len(early) >= 3
         for (_, spectrum, penalty, _, target), pair in early:
-            weights = spectrum.weights()
+            weights = np.arange(spectrum.cutoff + 1.0)  # of the solved sector
             mean = float(weights @ pair.vector**2)
             full = variational._solve_eigen(cost, spectrum, penalty, pair.vector)
             exact = float(weights @ full.vector**2)
