@@ -190,11 +190,9 @@ def _verify_povm(config: argparse.Namespace) -> list[tuple[str, float]]:
 
 def _random_state(rng: np.random.Generator, max_dimension: int) -> states.ProbeState:
     kind = "nonneg" if rng.random() < 0.5 else "symmetric"
-    if kind == "nonneg":
-        cutoff = int(rng.integers(1, max_dimension))
-    else:
-        cutoff = int(rng.integers(1, max(2, max_dimension // 2)))
-    spectrum = states.Spectrum(kind=kind, cutoff=cutoff)
+    spectrum = states.Spectrum(kind=kind, cutoff=1)
+    cutoff = int(rng.integers(1, max(2, max_dimension // spectrum.sides)))
+    spectrum = spectrum.with_cutoff(cutoff)
     psi = rng.standard_normal(spectrum.dimension)
     if rng.random() < 0.3:  # sparse support exercises the width-based bounds
         keep = rng.random(spectrum.dimension) < 0.5

@@ -280,12 +280,9 @@ def _embedding(system: DegenerateSystem) -> tuple[Spectrum, np.ndarray]:
     values = system.distinct_values()
     if min(values) >= 0:
         spectrum = Spectrum(kind="nonneg", cutoff=max(max(values), 1))
-        offset = 0
     else:
-        cutoff = max(max(abs(v) for v in values), 1)
-        spectrum = Spectrum(kind="symmetric", cutoff=cutoff)
-        offset = cutoff
-    return spectrum, np.asarray(system.eigenvalues) + offset
+        spectrum = Spectrum(kind="symmetric", cutoff=max(max(abs(v) for v in values), 1))
+    return spectrum, np.asarray(system.eigenvalues) - int(spectrum.values()[0])
 
 
 def lemma2_reduction(

@@ -15,7 +15,7 @@ import numpy as np
 
 __all__ = ["Spectrum", "ProbeState"]
 
-_KINDS = ("nonneg", "symmetric")
+_SIDES = {"nonneg": 1, "symmetric": 2}  # sides of 0 each kind keeps
 
 
 @dataclass(frozen=True)
@@ -26,21 +26,25 @@ class Spectrum:
     cutoff: int
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.kind not in _SIDES:
+            raise ValueError(f"kind must be one of {tuple(_SIDES)}, got {self.kind!r}")
         if int(self.cutoff) < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
         object.__setattr__(self, "cutoff", int(self.cutoff))
 
     @property
+    def sides(self) -> int:
+        """Sides of 0 kept, 1 (nonneg) or 2 (symmetric): the one home of the
+        kind's factor 2 and of the first value -(sides - 1) cutoff."""
+        return _SIDES[self.kind]
+
+    @property
     def dimension(self) -> int:
-        return self.cutoff + 1 if self.kind == "nonneg" else 2 * self.cutoff + 1
+        return self.sides * self.cutoff + 1
 
     def values(self) -> np.ndarray:
         """Generator eigenvalues in array order."""
-        if self.kind == "nonneg":
-            return np.arange(self.cutoff + 1, dtype=float)
-        return np.arange(-self.cutoff, self.cutoff + 1, dtype=float)
+        return np.arange((1 - self.sides) * self.cutoff, self.cutoff + 1, dtype=float)
 
     def weights(self) -> np.ndarray:
         """Constraint weights: n for nonneg, |j| for symmetric."""
@@ -84,9 +88,7 @@ class ProbeState:
             raise ValueError(
                 f"cutoff {cutoff} is below the state's {self.spectrum.cutoff}"
             )
-        offset = 0
-        if spectrum.kind == "symmetric":
-            offset = spectrum.cutoff - self.spectrum.cutoff
+        offset = (spectrum.sides - 1) * (spectrum.cutoff - self.spectrum.cutoff)
         amplitudes = np.zeros(spectrum.dimension)
         amplitudes[offset : offset + self.dimension] = self.amplitudes
         return ProbeState(spectrum=spectrum, amplitudes=amplitudes)

@@ -185,7 +185,7 @@ class OptimalPoint:
     @property
     def scale_factor(self) -> float:
         """<N+1> for nonneg spectra, <2|J|+1> for symmetric ones."""
-        return _scale(self.state.spectrum.kind, self.mean_constraint)
+        return _scale(self.state.spectrum.sides, self.mean_constraint)
 
 
 def _penalty(cost: CostFunction, beta: float) -> float:
@@ -277,23 +277,22 @@ def _sector_matrix(
     Q' A Q (``_unfold``; ``_certify_even`` shows the optimum even).
 
     Q' A Q has weights j = 0 .. cutoff and entries z_|a-b| + z_(a+b) for
-    a, b >= 1 and sqrt 2 z_b in row 0: for a band, A's rows j >= 0 with
-    the row-0 couplings times sqrt 2 and z_2 added at (1, 1); for theta_sq
-    the ``even`` Toeplitz part, whose DST mat-vec is half the full one.
+    a, b >= 1 and sqrt 2 z_b in row 0: for a band, the half line's A with
+    the row-0 couplings times sqrt 2 and the Hankel terms z_(a+b) added; for
+    theta_sq the ``even`` Toeplitz part, whose DST mat-vec is half the full one.
     """
     if spectrum.kind == "nonneg":
         return build_matrix(cost, spectrum, penalty)
-    cutoff = spectrum.cutoff
-    if cost.cosine_coeffs is None:
-        even = _theta_sq_toeplitz(cutoff + 1, even=True)
-        return even.with_diagonal(penalty * np.arange(cutoff + 1, dtype=float))
-    full = build_matrix(cost, spectrum, penalty).diagonals
-    bands = [band[cutoff:].copy() for band in full if band.size > cutoff]
+    half = Spectrum("nonneg", spectrum.cutoff)
+    if cost.cosine_coeffs is None:  # build_matrix(half) would crowd the 2-entry kernel cache
+        even = _theta_sq_toeplitz(half.dimension, even=True)
+        return even.with_diagonal(penalty * half.weights())
+    bands = build_matrix(cost, half, penalty).diagonals
     for band in bands[1:]:
         band[0] *= math.sqrt(2.0)
-    for m in range(2, len(full)):  # z_m at (a, m - a), 1 <= a <= m - a <= cutoff
-        for a in range(max(1, m - cutoff), m // 2 + 1):
-            bands[m - 2 * a][a] += full[m][0]
+    for m, coeff in enumerate(cost.cosine_coeffs[2:], start=2):
+        for a in range(max(1, m - half.cutoff), m // 2 + 1):  # z_m at (a, m - a)
+            bands[m - 2 * a][a] += 0.5 * coeff
     return BandedSymmetric(bands, even=True)
 
 
@@ -436,18 +435,20 @@ def solve_point(
     return _truncated_solve(cost, spectrum, _penalty(cost, beta), start_vector)[0]
 
 
-def _scale(kind: str, mean: float) -> float:
-    """The paper's scale variable L: <N+1> (nonneg) or <2|J|+1> (symmetric)."""
-    return mean + 1.0 if kind == "nonneg" else 2.0 * mean + 1.0
+def _scale(sides: int, mean: float) -> float:
+    """The paper's scale variable L = sides * mean + 1: <N+1> or <2|J|+1>."""
+    return sides * mean + 1.0
 
 
 def default_cutoff(kind: str, target: float) -> int:
     """Truncation rule for a requested mean: max(_MIN_CUTOFF, ceil(_CUTOFF_PER_L L)),
-    L = target + 1 (nonneg) or 2 target + 1 (symmetric)."""
-    return max(_MIN_CUTOFF, math.ceil(_CUTOFF_PER_L * _scale(kind, target)))
+    L = target + 1 (nonneg) or 2 target + 1 (symmetric); an unknown kind raises
+    ``Spectrum``'s ValueError."""
+    scale = _scale(Spectrum(kind=kind, cutoff=1).sides, target)
+    return max(_MIN_CUTOFF, math.ceil(_CUTOFF_PER_L * scale))
 
 
-def _penalty_shape(kind: str, mean: float) -> tuple[float, float]:
+def _penalty_shape(spectrum: Spectrum, mean: float) -> tuple[float, float]:
     """log p, up to a constant, and d log p / d log mean on the shape of the
     two asymptotes: p ~ mean^(-1/2) at small means and p ~ L^-3 at large
     ones, joined at L = 6/5, where both slopes are -1/2.  Below a mean of
@@ -458,14 +459,14 @@ def _penalty_shape(kind: str, mean: float) -> tuple[float, float]:
     there, and up to 1.5 times off L^-3), with the shape below shifted to
     stay continuous.
     """
-    if kind == "symmetric" and mean > _SYMMETRIC_KNEE:
+    if spectrum.kind == "symmetric" and mean > _SYMMETRIC_KNEE:
         return -3.0 * math.log(2.0 * mean), -3.0
     shift = 0.0
-    if kind == "symmetric":
-        shift = 3.0 * math.log(_scale(kind, _SYMMETRIC_KNEE) / (2.0 * _SYMMETRIC_KNEE))
-    scale = _scale(kind, mean)
+    if spectrum.kind == "symmetric":
+        shift = 3.0 * math.log(_scale(spectrum.sides, _SYMMETRIC_KNEE) / (2.0 * _SYMMETRIC_KNEE))
+    scale = _scale(spectrum.sides, mean)
     if scale < 1.2:
-        excess = scale - 1.0 or (mean if kind == "nonneg" else 2.0 * mean)
+        excess = scale - 1.0 or spectrum.sides * mean
         return 0.5 * math.log(0.2 / excess) - 3.0 * math.log(1.2) + shift, -0.5
     return -3.0 * math.log(scale) + shift, -3.0 * (scale - 1.0) / scale
 
@@ -487,25 +488,24 @@ def _first_seed(
     overflows (a target below about 1e-308) raises RuntimeError before any
     matrix is built.
     """
-    kind = spectrum.kind
     if target < _SMALL_MEAN:
         if cost.cosine_coeffs is None:
             z = canonical.theta_sq_entries(np.arange(1, spectrum.cutoff + 1))
         else:
             z = 0.5 * cost.cosine_coeffs[1 : spectrum.cutoff + 1]
         c_f = float((z**2 / np.arange(1, z.size + 1)).sum())
-        seed = math.sqrt((c_f if kind == "nonneg" else 2.0 * c_f) / target)
+        seed = math.sqrt(spectrum.sides * c_f / target)
         if math.isinf(seed):
             raise RuntimeError(
                 f"mean target {target} is below reach: its first penalty overflows"
             )
     else:
         constants = asympt.constants()
-        if kind == "nonneg":
-            seed = 2.0 * constants.k_C**2 / _scale(kind, target) ** 3
+        if spectrum.kind == "nonneg":
+            seed = 2.0 * constants.k_C**2 / _scale(spectrum.sides, target) ** 3
         else:
-            seed = 4.0 * constants.k_C_prime**2 * math.exp(_penalty_shape(kind, target)[0])
-    return seed, 1.0 / _penalty_shape(kind, target)[1]
+            seed = 4.0 * constants.k_C_prime**2 * math.exp(_penalty_shape(spectrum, target)[0])
+    return seed, 1.0 / _penalty_shape(spectrum, target)[1]
 
 
 def _root_find_mean(
@@ -529,7 +529,8 @@ def _root_find_mean(
     cutoff's reach raises RuntimeError as soon as a capped step down in
     penalty raises a fully solved mean still below it by less than
     _MEAN_RTOL relative: the mean has saturated near its hard-box (p -> 0)
-    value.  A bracket narrower than _BETA_RTOL in log penalty raises
+    value.  A bracket narrower than _BETA_RTOL in log penalty, or a trial
+    solved in full that repeats the above side's mean bit for bit, raises
     RuntimeError too: the mean jumps across the target there, which is
     below the resolution of the solve.  So does a mean still below the
     target after _MAX_TRIALS trials, or one that stays bit-identical (a
@@ -586,12 +587,13 @@ def _root_find_mean(
                 f"mean target {target} is below reach: the mean stays at "
                 f"{mean:.3g} as the penalty falls to {math.exp(t):.3g}"
             )
+        repeated = above is not None and pair.converged and mean == above[1]
         if f > 0.0:
             above = (t, mean)
         else:
             below = (t, mean)
         bracketed = above is not None and below is not None
-        if bracketed and abs(below[0] - above[0]) <= _BETA_RTOL:
+        if bracketed and (repeated or abs(below[0] - above[0]) <= _BETA_RTOL):
             raise RuntimeError(
                 f"mean target {target} is below the resolution of the solve: "
                 f"the mean jumps from {below[1]:.3g} to {above[1]:.3g} "
@@ -660,8 +662,8 @@ def sweep_curve(
             spectrum = spectrum.with_cutoff(max(spectrum.cutoff, points[-1].cutoff))
             # the measured slope, bent by the curvature of the asymptotes' shape
             mean = points[-1].mean_constraint
-            shape_last, inverse_last = _penalty_shape(kind, mean)
-            shape_next, inverse_next = _penalty_shape(kind, target)
+            shape_last, inverse_last = _penalty_shape(spectrum, mean)
+            shape_next, inverse_next = _penalty_shape(spectrum, target)
             rise = math.log(target / mean)
             seed = points[-1].penalty * math.exp(
                 rise / slope + shape_next - shape_last - rise * inverse_last

@@ -337,3 +337,6 @@ class TestAsymptoticBounds:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             asympt.asymptotic_bounds_on_delta(100.0, "negative")
+        for kind, target in (("Nonneg", 1000.0), ("bogus", 5.0)):
+            with pytest.raises(ValueError, match=r"kind must be one of \('nonneg', 'symmetric'\)"):
+                variational.default_cutoff(kind, target)

@@ -537,6 +537,17 @@ class TestProbeStateWithCutoff:
         wider = state.with_cutoff(2 if kind == "symmetric" else 3)
         assert wider.amplitudes.tolist() == padded
         assert wider.mean_weight() == pytest.approx(state.mean_weight(), abs=1e-15)
+        for spectrum in (state.spectrum, wider.spectrum):
+            assert spectrum.dimension == spectrum.values().size
+        # each amplitude keeps its generator value; the new levels are empty
+        kept = dict(zip(wider.spectrum.values(), wider.amplitudes))
+        for value, amplitude in zip(state.spectrum.values(), state.amplitudes):
+            assert kept.pop(value) == amplitude
+        assert set(kept.values()) == {0.0}
+        sides = {"nonneg": 1, "symmetric": 2}[kind]
+        assert wider.spectrum.sides == sides
+        point = solve_point(cost_function("f1"), wider.spectrum, 0.0)
+        assert point.scale_factor == sides * point.mean_constraint + 1.0
 
     def test_smaller_cutoff_rejected(self):
         state = ProbeState(Spectrum(kind="nonneg", cutoff=3), np.full(4, 0.5))
@@ -653,7 +664,8 @@ class TestSweepCurve:
     def test_means_where_scale_minus_one_rounds_to_zero(self, name, kind):
         # L - 1 is 0 in floating point below a mean of about 1e-16
         targets = [1e-18, 1e-17]
-        assert variational._scale(kind, targets[0]) - 1.0 == 0.0
+        sides = Spectrum(kind=kind, cutoff=1).sides
+        assert variational._scale(sides, targets[0]) - 1.0 == 0.0
         points = sweep_curve(cost_function(name), kind, targets)
         for point, target in zip(points, targets):
             assert abs(point.mean_constraint - target) <= variational._MEAN_RTOL * target
@@ -822,14 +834,22 @@ class TestMeanResolvedTrials:
             assert abs(mean - exact) <= 1e-2 * abs(mean - target)
 
     @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
-    def test_target_below_the_rounding_floor_is_named(self, kind):
-        # the mean sits at 2.41e-31 down to p ~ 3e10, then jumps to 3.18e-20
+    def test_target_below_the_rounding_floor_is_named(self, kind, monkeypatch):
+        # the mean sits at 2.41e-31 down to p ~ 3e10, then jumps to 3.18e-20;
+        # the search ends at the next trial, whose mean repeats 3.18e-20 bit
+        # for bit (19 solves on either spectrum)
+        solve = variational._solve_eigen
+        calls = []
+        monkeypatch.setattr(
+            variational, "_solve_eigen", lambda *a: calls.append(1) or solve(*a)
+        )
         message = (
             r"mean target 1e-30 is below the resolution of the solve: "
             r"the mean jumps from 2\.41e-31 to 3\.18e-20 at penalty"
         )
         with pytest.raises(RuntimeError, match=message):
             sweep_curve(cost_function("theta_sq"), kind, [1e-30])
+        assert len(calls) <= 20
 
 
 class TestDelta3OnF1State:
