@@ -201,14 +201,6 @@ class BoundReport:
     margins: dict[str, float]
     details: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def violations(self) -> list[str]:
-        return [name for name, margin in self.margins.items() if margin < MARGIN_TOL]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def _windows(states: Iterable[ProbeState]) -> Iterator[list[ProbeState]]:
     """Consecutive states with at most _BATCH_CELLS grid cells together (a

@@ -189,7 +189,7 @@ def _verify_povm(config: argparse.Namespace) -> list[tuple[str, float]]:
 
 
 def _random_state(rng: np.random.Generator, max_dimension: int) -> states.ProbeState:
-    kind = "nonneg" if rng.random() < 0.5 else "symmetric"
+    kind = "nonneg" if rng.random() < 0.5 or max_dimension < 3 else "symmetric"  # J >= 1: 3 rows
     spectrum = states.Spectrum(kind=kind, cutoff=1)
     cutoff = int(rng.integers(1, max(2, max_dimension // spectrum.sides)))
     spectrum = spectrum.with_cutoff(cutoff)

@@ -288,17 +288,17 @@ def _factor_below(banded: BandedSymmetric, sigma: float):
     return None if info else lambda b: lapack.dpbtrs(factor, b, lower=1)[0]
 
 
-def _f1_start(diagonal: np.ndarray, even: bool = False) -> np.ndarray:
+def _f1_start(diagonal: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """The ground state, to a few digits, of the f1 matrix tridiag(-1, 2 + d,
     -1), d = ``diagonal`` - min(``diagonal``): the cold start of every solve.
-    With ``even`` it is the fold of that of order N = 2 n - 1 (first
-    coupling -sqrt 2), and d_j = p j with p read from the diagonal's ends:
-    a folded band's Hankel term z_2 at j = 1 would be a barrier.
+    Given an even sector's ``weights`` W it is the fold of that of order
+    N = 2 n - 1 (first coupling -sqrt 2), and d = p W with p read from the
+    diagonal's ends: a folded band's Hankel term z_2 at j = 1 would be a barrier.
 
     d is the penalty term p W of every matrix ``variational`` solves, as W
     vanishes at n = 0 and at j = 0.  lambda_min lies between
     4 sin^2(pi / (2 N + 2)), that of tridiag(-1, 2, -1) (N = n if not
-    ``even``), and the Rayleigh quotient (2 + sum d) / N of the vector of
+    even), and the Rayleigh quotient (2 + sum d) / N of the vector of
     ones of order N, so a shift is bisected
     geometrically on the L D L' test to within 1 % of lambda_min, and three
     steps of inverse iteration from the ones vector follow, with no mat-vec.
@@ -307,8 +307,8 @@ def _f1_start(diagonal: np.ndarray, even: bool = False) -> np.ndarray:
     d = diagonal - diagonal.min()
     off, x = np.full(n - 1, -1.0), np.ones(n)
     order, total = n, float(d.sum())
-    if even:
-        d = (diagonal[-1] - diagonal[0]) / max(n - 1, 1) * np.arange(n)
+    if weights is not None:
+        d = (diagonal[-1] - diagonal[0]) / weights[-1] * weights
         off[:1], x[1:] = -_SQRT_TWO, _SQRT_TWO
         order, total = 2 * n - 1, 2.0 * float(d.sum())
     f1 = BandedSymmetric([2.0 + d, off])
@@ -422,7 +422,8 @@ def _lopcg_smallest(
     apply_prec,
     x: np.ndarray,
     maxiter: int,
-    mean_target: tuple[np.ndarray, float, float] | None = None,
+    weights: np.ndarray | None = None,
+    mean_target: tuple[float, float] | None = None,
     toeplitz_image: np.ndarray | None = None,
 ) -> EigenPair:
     """Smallest eigenpair by single-vector LOPCG.
@@ -440,8 +441,8 @@ def _lopcg_smallest(
     not halved in _STALL_STEPS steps raises instead of running on to
     ``maxiter``.
 
-    With ``mean_target`` = (W, target, tolerance), a trial of a mean
-    root-find stops earlier, once the unit iterate's mean m = x'Wx misses
+    With ``mean_target`` = (target, tolerance), a trial of a root-find on
+    the mean m = x'Wx (W the ``weights``) stops once the unit iterate misses
     the target by more than ``tolerance`` and by over 100 times its error
     bound _MEAN_ERROR_FACTOR ||(W - m) x|| ||M r||, so the side of the target
     it lies on is certain.  That pair has ``converged`` False and skips
@@ -467,7 +468,7 @@ def _lopcg_smallest(
         if distances[-1] <= 1.0:
             return _finish(matrix, x)
         if mean_target is not None:
-            weights, target, tolerance = mean_target
+            target, tolerance = mean_target
             x_norm = np.linalg.norm(x)
             unit = x / x_norm
             mean = float(weights @ unit**2)
@@ -511,12 +512,15 @@ def extremal_eigenpair(
     *,
     start_vector: np.ndarray | EigenPair | None = None,
     preconditioner: BandedSymmetric | None = None,
-    mean_target: tuple[np.ndarray, float, float] | None = None,
+    weights: np.ndarray | None = None,
+    mean_target: tuple[float, float] | None = None,
 ) -> EigenPair:
     """Smallest eigenpair of a real symmetric matrix.
 
     ``start_vector`` may be an earlier pair; one of a Toeplitz solve with
     the same Toeplitz part spares the first mat-vec (``toeplitz_image``).
+    ``weights`` is the W of the diagonal's penalty term p W, which the f1
+    start of an ``even`` matrix and a ``mean_target`` require.
 
     A ``BandedSymmetric`` solve refines ``start_vector``, or without one
     the f1 start of its main diagonal (``_f1_start``), on the certified warm
@@ -531,11 +535,10 @@ def extremal_eigenpair(
     ground state of D'D + diag, the matrix with its kernel replaced by
     (1, 0, 0, ...), tridiag(-1, 2 + d_k, -1), the f1 matrix
     Z(2 - 2 cos t) + diag when the diagonal is a penalty term (folded if
-    ``even``).  LOPCG stops
-    only once the preconditioned residual is <= 1e-9, so any start is
-    refined.
+    ``even``).  LOPCG stops only once the preconditioned residual is
+    <= 1e-9, so any start is refined.
 
-    ``mean_target`` = (W, target, tolerance), for a Toeplitz solve only,
+    ``mean_target`` = (target, tolerance), for a Toeplitz solve only,
     marks a trial of a root-find on the mean x'Wx: LOPCG may return it
     early, with ``converged`` False, once its mean lies certainly on one
     side of the target and outside ``tolerance`` of it
@@ -550,23 +553,25 @@ def extremal_eigenpair(
         raise ValueError("a ToeplitzPlusDiagonal solve requires a preconditioner")
     if isinstance(matrix, BandedSymmetric) and mean_target is not None:
         raise ValueError("a BandedSymmetric solve takes no mean_target")
-    n = matrix.dimension
-    maxiter = max(200, int(50.0 * np.sqrt(n)))
+    if weights is None and (mean_target is not None or start_vector is None and matrix.even):
+        raise ValueError("a mean_target or an even matrix's cold start requires weights")
+    maxiter = max(200, int(50.0 * np.sqrt(matrix.dimension)))
+    toeplitz = isinstance(matrix, ToeplitzPlusDiagonal)
     toeplitz_image = None
     if isinstance(start_vector, EigenPair):
         start_vector, toeplitz_image = start_vector.vector, start_vector.toeplitz_image
-    if start_vector is not None:
-        start_vector = np.asarray(start_vector, dtype=float)
-    if isinstance(matrix, ToeplitzPlusDiagonal):
+    if start_vector is None:
+        diagonal = matrix.diagonal if toeplitz else matrix.diagonals[0]
+        start_vector = _f1_start(diagonal, weights if matrix.even else None)
+    start_vector = np.asarray(start_vector, dtype=float)
+    if toeplitz:
         prec = _factor_below(preconditioner, 0.0)
         if prec is None:
             raise EigsolveError("the preconditioner is not positive definite")
-        if start_vector is None:
-            start_vector = _f1_start(matrix.diagonal, matrix.even)
-        return _lopcg_smallest(matrix, prec, start_vector, maxiter, mean_target, toeplitz_image)
+        return _lopcg_smallest(
+            matrix, prec, start_vector, maxiter, weights, mean_target, toeplitz_image
+        )
 
-    if start_vector is None:
-        start_vector = _f1_start(matrix.diagonals[0], matrix.even)
     vec = _warm_banded_smallest(matrix, start_vector, maxiter)
     if vec is None:
         vec = _bisected_smallest(matrix, start_vector, maxiter)

@@ -2,9 +2,10 @@
 
 A ``Spectrum`` is the retained eigenvalue set of the integer shift
 generator: ``nonneg`` keeps {0..cutoff}, ``symmetric`` keeps
-{-cutoff..cutoff}.  A ``ProbeState`` is a real, normalized amplitude
-vector over a spectrum (real amplitudes suffice for every optimum
-considered here).
+{-cutoff..cutoff}.  ``Spectrum.weights()`` is the one home of the
+constraint weight W: every solve, certificate, seed and mean reads it.
+A ``ProbeState`` is a real, normalized amplitude vector over a spectrum
+(real amplitudes suffice for every optimum considered here).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class Spectrum:
         return np.arange((1 - self.sides) * self.cutoff, self.cutoff + 1, dtype=float)
 
     def weights(self) -> np.ndarray:
-        """Constraint weights: n for nonneg, |j| for symmetric."""
+        """Constraint weights W: n for nonneg, |j| for symmetric (module docstring)."""
         return np.abs(self.values())
 
     def with_cutoff(self, cutoff: int) -> "Spectrum":

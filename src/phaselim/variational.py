@@ -3,9 +3,9 @@
 For a figure-of-merit integrand f(theta) = a_0 + sum_m a_m cos(m theta) and
 a probe state psi over the generator spectrum, <f> is the quadratic form of
 the Fourier (Toeplitz) matrix Z(f) with entries z_|m-n|, z_0 = a_0,
-z_m = a_m / 2.  Minimizing <f> at a fixed mean weight <W> (<N> or <|J|>) is
-a Lagrangian eigenproblem, the same for every cost: the optimal state is
-the smallest eigenvector of
+z_m = a_m / 2.  Minimizing <f> at a fixed mean weight <W>, W read only
+from ``Spectrum.weights()``, is a Lagrangian eigenproblem, the same for
+every cost: the optimal state is the smallest eigenvector of
 
     Z(f) + p * diag(W),    penalty p >= 0,
 
@@ -50,12 +50,13 @@ A sweep seeds its first target from the asymptote of the target's regime
 (``_first_seed``): perturbation theory about the vacuum at small means,
 mean ~ C_f / p^2, and the paper's p -> 2 k_C^2 / L^3 (nonneg) or
 4 k'_C^2 / L^3 (symmetric; 4 k'_C^2 (2 mean)^-3 above mean 3) at large
-ones.  Each later target is seeded from
-the last point along the local slope d log mean / d log p that the root
-finder measured there, bent by the curvature of the two asymptotes' shape
-(``_penalty_shape``).  Across the trials at one cutoff only diag(p W)
-changes, so the theta_sq Toeplitz part and its FFT kernel are built once
-per dimension (``_theta_sq_toeplitz``).
+ones.  Each later target is seeded from the last point along the local
+slope d log mean / d log p that the root finder measured there, bent by
+the curvature of the two asymptotes' shape (``_penalty_shape``).  These
+large-mean laws, like ``canonical``'s margin ``heis_k_a``, hold for
+W = |j| only, and a new W must revisit them.  Across the trials at one
+cutoff only diag(p W) changes, so the theta_sq Toeplitz part and its FFT
+kernel are built once per dimension (``_theta_sq_toeplitz``).
 """
 
 from __future__ import annotations
@@ -296,22 +297,21 @@ def _sector_matrix(
     return BandedSymmetric(bands, even=True)
 
 
-def _certify_even(spectrum: Spectrum, penalty: float, value: float, norm: float) -> None:
+def _certify_even(weights: np.ndarray, penalty: float, value: float, norm: float) -> None:
     """Raise EigsolveError unless the even sector's pair, of Rayleigh
     quotient ``value``, lies below the odd sector, so that it is the optimum.
 
     The f1 matrix's odd sector, basis (e_j - e_-j) / sqrt 2, is
-    tridiag(-1, 2 + p j, -1), j = 1 .. cutoff, and f1 <= f2 <= theta^2 <= f3
-    pointwise puts every cost's odd sector above it, so its L D L' factor
-    (``_factor_below``) at the Rayleigh quotient rho plus _EVEN_MARGIN ||A||
-    certifies lambda_odd > rho >= lambda_even.
+    tridiag(-1, 2 + p W_j, -1), j = 1 .. cutoff, W the sector's ``weights``;
+    f1 <= f2 <= theta^2 <= f3 pointwise puts every cost's odd sector above
+    it, so its L D L' factor (``_factor_below``) at the Rayleigh quotient
+    rho plus _EVEN_MARGIN ||A|| certifies lambda_odd > rho >= lambda_even.
     """
-    j = np.arange(1, spectrum.cutoff + 1, dtype=float)
-    odd = BandedSymmetric([2.0 + penalty * j, np.full(j.size - 1, -1.0)])
+    odd = BandedSymmetric([2.0 + penalty * weights[1:], np.full(weights.size - 2, -1.0)])
     if _factor_below(odd, value + _EVEN_MARGIN * norm) is None:
         raise EigsolveError(
             f"the even optimum at penalty {penalty:.6g} (eigenvalue {value:.6g}) "
-            f"is not certified below the odd sector of cutoff {spectrum.cutoff}"
+            f"is not certified below the odd sector of cutoff {weights.size - 1}"
         )
 
 
@@ -321,11 +321,13 @@ def _solve_eigen(
     penalty: float,
     start_vector: np.ndarray | EigenPair | None,
     target: float | None = None,
+    weights: np.ndarray | None = None,
 ) -> EigenPair:
     """Smallest eigenpair of Z(f) + penalty * diag(weight) on the solved
     sector (``_sector_matrix``), whose coordinates ``start_vector`` (a
     vector, or the previous trial's pair) and the result share; a symmetric
-    pair is certified even (``_certify_even``).
+    pair is certified even (``_certify_even``).  ``weights`` is the sector's
+    W, the half line's ``Spectrum.weights()``, built here unless passed.
 
     A Toeplitz (theta_sq) matrix is preconditioned by the f3 matrix at the
     same penalty: 0.6919 f3 <= theta^2 <= f3 on [-pi, pi] makes the two
@@ -338,20 +340,19 @@ def _solve_eigen(
     it by more than _MEAN_RTOL (a pair with ``converged`` False); a banded
     solve is direct and ignores it.
     """
+    if weights is None:
+        weights = Spectrum("nonneg", spectrum.cutoff).weights()
     matrix = _sector_matrix(cost, spectrum, penalty)
     if isinstance(matrix, BandedSymmetric):
-        pair = extremal_eigenpair(matrix, start_vector=start_vector)
+        pair = extremal_eigenpair(matrix, start_vector=start_vector, weights=weights)
     else:
         f3 = _sector_matrix(cost_function("f3"), spectrum, penalty)
-        mean_target = None
-        if target is not None:
-            weights = np.arange(spectrum.cutoff + 1, dtype=float)
-            mean_target = (weights, target, _MEAN_RTOL * target)
+        aim = None if target is None else (target, _MEAN_RTOL * target)
         pair = extremal_eigenpair(
-            matrix, start_vector=start_vector, preconditioner=f3, mean_target=mean_target
+            matrix, start_vector=start_vector, preconditioner=f3, weights=weights, mean_target=aim
         )
     if spectrum.kind == "symmetric":
-        _certify_even(spectrum, penalty, pair.value, matrix.norm_bound())
+        _certify_even(weights, penalty, pair.value, matrix.norm_bound())
     return pair
 
 
@@ -390,7 +391,7 @@ def _truncated_solve(
         else:
             penalty, pair, slope = _root_find_mean(cost, spectrum, target, penalty, slope, start)
         state = ProbeState(spectrum=spectrum, amplitudes=_unfold(spectrum, pair.vector))
-        edge = spectrum.weights() >= 0.99 * spectrum.cutoff
+        edge = np.abs(spectrum.values()) >= 0.99 * spectrum.cutoff
         tail = float((state.amplitudes[edge] ** 2).sum())
         metrics = canonical.state_metrics(state)
         q1 = metrics["delta1"] ** 2 / 2.0
@@ -493,7 +494,8 @@ def _first_seed(
             z = canonical.theta_sq_entries(np.arange(1, spectrum.cutoff + 1))
         else:
             z = 0.5 * cost.cosine_coeffs[1 : spectrum.cutoff + 1]
-        c_f = float((z**2 / np.arange(1, z.size + 1)).sum())
+        weights = Spectrum("nonneg", spectrum.cutoff).weights()[1 : z.size + 1]
+        c_f = float((z**2 / weights).sum())
         seed = math.sqrt(spectrum.sides * c_f / target)
         if math.isinf(seed):
             raise RuntimeError(
@@ -549,7 +551,7 @@ def _root_find_mean(
     pair's truncation is tested (``_truncated_solve``); the trial iterates
     at other penalties are not.
     """
-    weights = np.arange(spectrum.cutoff + 1, dtype=float)  # the sector's (_fold)
+    weights = Spectrum("nonneg", spectrum.cutoff).weights()  # the sector's, for every trial
     above = below = None  # latest t and mean with the mean above / below the target
     previous: tuple[float, float, float, bool] | None = None  # t, f, mean, converged
     stuck = None  # t at the start of the latest run of bit-identical means
@@ -557,7 +559,7 @@ def _root_find_mean(
     t = math.log(seed_penalty)
     for _ in range(_MAX_TRIALS):
         pair = _solve_eigen(
-            cost, spectrum, math.exp(t), start, None if capped_down else target
+            cost, spectrum, math.exp(t), start, None if capped_down else target, weights
         )
         start = pair
         mean = float(weights @ pair.vector**2)

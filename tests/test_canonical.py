@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from phaselim import canonical, variational
 from phaselim.canonical import (
     COSINE_COSTS,
-    BoundReport,
+    MARGIN_TOL,
     _densities,
     _laplace_closed_forms,
     _laplace_direct,
@@ -340,12 +340,12 @@ class TestEntropy:
 class TestVerifyBounds:
     def test_single_eigenstate_equality(self):
         report = bound_reports([make_state("nonneg", [0.0, 0.0, 1.0])])[0]
-        assert report.ok
+        assert min(report.margins.values()) >= MARGIN_TOL
         assert report.margins["entropic_ur"] == pytest.approx(0.0, abs=1e-12)
 
     def test_two_level_tan_equality(self):
         report = bound_reports([make_state("nonneg", [1.0, 1.0])])[0]
-        assert report.ok
+        assert min(report.margins.values()) >= MARGIN_TOL
         assert report.margins["tan_bound"] == pytest.approx(0.0, abs=1e-12)
 
     def test_random_states_all_margins(self):
@@ -356,7 +356,7 @@ class TestVerifyBounds:
             if kind == "symmetric":
                 dim = 2 * dim + 1
             report = bound_reports([make_state(kind, rng.standard_normal(dim))])[0]
-            assert report.ok, report.margins
+            assert min(report.margins.values()) >= MARGIN_TOL, report.margins
 
     def test_heis_margin_positive_nonneg(self):
         state = make_state("nonneg", [2.0, 1.0, 0.5])
@@ -510,7 +510,7 @@ class TestBoundReports:
 class TestMaxEntropyChecks:
     def test_all_margins_nonnegative(self):
         report = max_entropy_bound_checks()
-        assert report.ok, report.margins
+        assert min(report.margins.values()) >= MARGIN_TOL, report.margins
 
     def test_thermal_closed_form_pinned_point(self):
         entropy = _thermal_entropy(1.0)
@@ -550,8 +550,3 @@ class TestTypeInvariants:
         with mock.patch.object(canonical, "_densities", scaled):
             with pytest.raises(ValueError, match="does not integrate to 1"):
                 bound_reports([make_state("nonneg", [1.0, 1.0])])
-
-    def test_bound_report_flags_violations(self):
-        report = BoundReport(margins={"good": 1.0, "bad": -1.0})
-        assert report.violations == ["bad"]
-        assert not report.ok

@@ -520,6 +520,15 @@ class TestVerifyOutput:
         assert "PASS state_heis_k_a_median " in out
         assert "state_heis_k_a " not in out
 
+    @pytest.mark.parametrize("max_dimension", [2, 3, 20])
+    def test_bounds_states_fit_the_max_dimension(self, max_dimension):
+        # a symmetric spectrum has at least 3 rows, so M = 2 draws nonneg states
+        rng = np.random.default_rng(0)
+        drawn = [cli._random_state(rng, max_dimension) for _ in range(200)]
+        assert max(state.dimension for state in drawn) <= max_dimension
+        kinds = {state.spectrum.kind for state in drawn}
+        assert kinds == ({"nonneg"} if max_dimension < 3 else {"nonneg", "symmetric"})
+
     def test_small_povm_suite_passes(self, capsys):
         code = cli.main(
             ["verify", "povm", "--instances", "4", "--seed", "20240901"]

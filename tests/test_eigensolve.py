@@ -248,7 +248,7 @@ class TestColdBanded:
         d = penalty * np.arange(n, dtype=float)
         bumped = d + 2.5
         bumped[1] += 1.0 / 12.0
-        start = eigensolve._f1_start(bumped, even=True)
+        start = eigensolve._f1_start(bumped, np.arange(n, dtype=float))
         off = np.full(n - 1, -1.0)
         off[0] = -math.sqrt(2.0)
         folded = BandedSymmetric([2.0 + d, off])
@@ -347,11 +347,12 @@ class TestPreconditionedToeplitz:
         matrix = variational._sector_matrix(cost, spectrum, penalty)
         f3 = variational._sector_matrix(cost_function("f3"), spectrum, penalty)
         assert matrix.even == f3.even == (kind == "symmetric")
-        start = eigensolve._f1_start(matrix.diagonal, matrix.even)
+        weights = Spectrum("nonneg", cutoff).weights() if matrix.even else None
+        start = eigensolve._f1_start(matrix.diagonal, weights)
         full = eigensolve._f1_start(build_matrix(cost, spectrum, penalty).diagonal)
         folded = variational._fold(spectrum, full)
         assert start == pytest.approx(signed_like(folded, start), abs=1e-6)
-        cold = extremal_eigenpair(matrix, preconditioner=f3)
+        cold = extremal_eigenpair(matrix, preconditioner=f3, weights=weights)
         started = extremal_eigenpair(matrix, start_vector=start, preconditioner=f3)
         assert np.array_equal(cold.vector, started.vector)
         assert cold.value == started.value
@@ -441,7 +442,7 @@ class TestPreconditionedToeplitz:
         mean = float(weights @ full.vector**2)
         # far off target: an early pair with its iterate's value and residual
         early = extremal_eigenpair(
-            matrix, preconditioner=f3, mean_target=(weights, 2.0 * mean, 1e-6 * mean)
+            matrix, preconditioner=f3, weights=weights, mean_target=(2.0 * mean, 1e-6 * mean)
         )
         assert not early.converged
         image = matrix.matvec(early.vector)
@@ -452,7 +453,7 @@ class TestPreconditionedToeplitz:
         assert weights @ early.vector**2 < 2.0 * mean
         # on target: solved in full, the same pair as without a target
         landed = extremal_eigenpair(
-            matrix, preconditioner=f3, mean_target=(weights, mean, 1e-6 * mean)
+            matrix, preconditioner=f3, weights=weights, mean_target=(mean, 1e-6 * mean)
         )
         assert landed.converged and landed.value == full.value
         assert np.array_equal(landed.vector, full.vector)
@@ -679,7 +680,18 @@ class TestValidation:
     def test_banded_takes_no_mean_target(self):
         matrix = BandedSymmetric([np.ones(3), np.full(2, 0.5)])
         with pytest.raises(ValueError, match="no mean_target"):
-            extremal_eigenpair(matrix, mean_target=(np.arange(3.0), 1.0, 1e-6))
+            extremal_eigenpair(matrix, weights=np.arange(3.0), mean_target=(1.0, 1e-6))
+
+    def test_mean_target_and_even_cold_start_require_weights(self):
+        toeplitz = ToeplitzPlusDiagonal(kernel=np.array([1.0, 0.0, 0.0]), diagonal=np.ones(2))
+        prec = BandedSymmetric([np.full(2, 3.0), np.full(1, -1.0)])
+        with pytest.raises(ValueError, match="requires weights"):
+            extremal_eigenpair(toeplitz, preconditioner=prec, mean_target=(1.0, 1e-6))
+        even = BandedSymmetric([np.full(3, 2.0), np.full(2, -1.0)], even=True)
+        with pytest.raises(ValueError, match="requires weights"):
+            extremal_eigenpair(even)
+        # a started even solve reads no weights
+        assert extremal_eigenpair(even, start_vector=np.ones(3)).converged
 
     def test_toeplitz_requires_preconditioner(self):
         matrix = ToeplitzPlusDiagonal(

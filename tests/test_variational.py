@@ -623,6 +623,39 @@ class TestTruncation:
             solve_point(cost_function("f1"), Spectrum(kind="nonneg", cutoff=4), 0.1)
 
 
+class TestWeightIsData:
+    """The constraint weight W is read only from ``Spectrum.weights()``: with
+    W = j^2 set there alone, every solve, certificate and mean follows."""
+
+    METRIC = {"f1": "delta_1", "f2": "delta_2", "f3": "delta_3", "theta_sq": "delta"}
+
+    @pytest.fixture(autouse=True)
+    def squared_weights(self, monkeypatch):
+        monkeypatch.setattr(Spectrum, "weights", lambda self: self.values() ** 2)
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "theta_sq"])
+    def test_solve_point_is_the_dense_optimum(self, name, kind):
+        # p W at the edge is 32, so the optimum's tail is ~exp(-113): no doubling
+        cost, spectrum, penalty = cost_function(name), Spectrum(kind=kind, cutoff=40), 0.02
+        point = solve_point(cost, spectrum, variational._BETA_PER_PENALTY[name] * penalty)
+        assert point.cutoff == 40
+        value, vector = reference_eigenpair(build_matrix(cost, spectrum, penalty))
+        psi = point.state.amplitudes
+        assert min(np.linalg.norm(psi - vector), np.linalg.norm(psi + vector)) <= 1e-10
+        assert point.mean_constraint == pytest.approx(spectrum.weights() @ vector**2, rel=1e-10)
+        metric = getattr(point, self.METRIC[name]) ** 2
+        assert metric + penalty * point.mean_constraint == pytest.approx(value, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    def test_sweep_lands_on_the_mean_weight(self, kind):
+        targets = [5.0, 50.0]
+        points = sweep_curve(cost_function("f1"), kind, targets)
+        for point, target in zip(points, targets):
+            mean = point.state.spectrum.weights() @ point.state.amplitudes**2
+            assert mean == pytest.approx(target, rel=variational._MEAN_RTOL)
+
+
 class TestSweepCurve:
     @pytest.mark.parametrize("name", ["f1", "f2", "theta_sq", "f3"])
     def test_mean_accuracy(self, name):
@@ -822,7 +855,7 @@ class TestMeanResolvedTrials:
         sweep_curve(cost, kind, self.TARGETS)
         early = [(args, pair) for args, pair in trials if not pair.converged]
         assert len(early) >= 3
-        for (_, spectrum, penalty, _, target), pair in early:
+        for (_, spectrum, penalty, _, target, _), pair in early:
             weights = np.arange(spectrum.cutoff + 1.0)  # of the solved sector
             mean = float(weights @ pair.vector**2)
             full = variational._solve_eigen(cost, spectrum, penalty, pair.vector)
