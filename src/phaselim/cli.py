@@ -394,9 +394,8 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
                 f"series targets must be >= {asympt._SERIES_REGIME:g} (series regime)"
             )
         if targets:
-            cutoff = variational.default_cutoff(args.spectrum, max(targets))
             try:
-                variational.check_dimension(states.Spectrum(kind=args.spectrum, cutoff=cutoff))
+                variational.default_cutoff(args.spectrum, max(targets))
             except ValueError as exc:
                 raise ValueError(f"target mean {max(targets)}: {exc}") from None
     if args.output != "-":

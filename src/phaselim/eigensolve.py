@@ -12,14 +12,13 @@ Z(f) + p diag(W), so that pair is the only one solved for.
 * ``ToeplitzPlusDiagonal`` -- symmetric Toeplitz part in difference form
   D' Z(g) D, applied via FFT circulant embedding (its even sector by DSTs
   of half the length), plus an arbitrary diagonal, solved by locally
-  optimal preconditioned conjugate gradients
-  (LOPCG, Knyazev 2001) with the banded factor of a spectrally equivalent
-  surrogate supplied by the caller.  A step costs
-  one FFT mat-vec, one banded solve and O(d) vector work, so the dense
-  quadratic-cost problems reach dimension 1e6.  A trial of a root-find on
-  the mean x'Wx may stop as soon as its mean lies certainly on one side of
-  the target (inexact Newton, Dembo, Eisenstat & Steihaug 1982); the pair
-  a root-find returns is solved to the same tolerances as any other.
+  optimal preconditioned conjugate gradients (LOPCG, Knyazev 2001) with
+  the banded factor of a spectrally equivalent surrogate supplied by the
+  caller.  A step costs one FFT mat-vec, one banded solve and O(d) vector
+  work, so the dense quadratic-cost problems reach dimension 1e6.  A trial
+  of a root-find on the mean x'Wx may stop as soon as its mean lies
+  certainly on one side of the target (inexact Newton, Dembo, Eisenstat &
+  Steihaug 1982); the pair a root-find returns is solved in full.
 
 A cold solve of either structure starts from the ground state of the f1
 matrix tridiag(-1, 2 + d_k, -1), d_k the penalty term of its diagonal, to
@@ -47,11 +46,12 @@ __all__ = [
 _RESIDUAL_FACTOR = 1e-10  # residual invariant: ||Av - av|| <= factor * ||A||
 _VECTOR_TOL = 1e-9  # LOPCG stop on the preconditioned residual ||M r||
 _STALL_STEPS = 10  # steps without halving the distance to the stop: stalled
+_RITZ_NEWTON_STEPS = 10  # Newton steps on the Schur secular equation (quadratic)
 # A LOPCG iterate x with eigenvector error e has mean x'Wx off by at most
 # 2 ||(W - m) x|| ||e|| to first order, and ||e|| <= 1.445 ||M r|| / (1 - l1/l2)
 # with 1.445 the f3 preconditioner's equivalence constant and l1/l2 <= 0.572,
 # the ratio of the first two Airy zeros that the large-mean nonneg spectrum
-# approaches: 2 * 1.445 / 0.428 = 6.8.  A trial stops at 1/100 of |m - target|.
+# approaches: 2 * 1.445 / 0.428 = 6.8.
 _MEAN_ERROR_FACTOR = 7.0
 # Warm banded path (see _warm_banded_smallest)
 _RQI_TOL = 1e-4  # Rayleigh-quotient iteration stops at ||r|| <= tol * |rho|
@@ -417,6 +417,33 @@ def _bisected_smallest(
     return vec
 
 
+def _ritz_coefficients(projected: np.ndarray) -> np.ndarray:
+    """The smallest Ritz vector of LOPCG's symmetric 2x2 or 3x3 projection
+    P = [[a, b'], [b, T]], a = x'Ax.  Where T - 2a I is definite and a > 0,
+    it is c = (1, -(T - lambda I)^-1 b) normalized, lambda the root of the
+    convex secular equation lambda = a - b'(T - lambda I)^-1 b that Newton's
+    method descends to from a: each entry keeps its relative accuracy
+    however graded P is, while eigh's error is relative to ||P||, so that at
+    p >~ 1e32 it returns c = (1, 0, 0) and LOPCG never moves (Demmel &
+    Veselic, SIAM J. Matrix Anal. Appl. 13 (1992) 1204).  Elsewhere, eigh."""
+    padded = np.diag([0.0, 0.0, projected[1, 1]])  # a 2x2 P as T = t_11 I, b_2 = 0
+    padded[: len(projected), : len(projected)] = projected
+    (a, b1, b2), (_, t11, t12), (_, _, t22) = padded.tolist()
+    if not (a > 0.0 and t11 > 2.0 * a and (t11 - 2.0 * a) * (t22 - 2.0 * a) > t12 * t12):
+        return np.linalg.eigh(projected)[1][:, 0]
+    value = a
+    for _ in range(_RITZ_NEWTON_STEPS):
+        d11, d22 = t11 - value, t22 - value
+        det = d11 * d22 - t12 * t12
+        y1, y2 = (d22 * b1 - t12 * b2) / det, (d11 * b2 - t12 * b1) / det
+        step = (value - a + b1 * y1 + b2 * y2) / (1.0 + y1 * y1 + y2 * y2)
+        if not value - step < value:
+            break
+        value -= step
+    c = np.array([1.0, -y1, -y2])
+    return c / np.linalg.norm(c)
+
+
 def _lopcg_smallest(
     matrix: ToeplitzPlusDiagonal,
     apply_prec,
@@ -433,20 +460,21 @@ def _lopcg_smallest(
     update direction.  M r and p are orthonormalized by Gram-Schmidt applied
     twice (their images by the same combinations), so the 3x3 projection is
     a table of dot products; p is kept orthogonal to the old x, and one that
-    is zero or dependent on the other two (norm < 1e-8 left) is dropped.
-    It stops at ||r|| <= 1e-12 ||A|| and ||M r|| <= _VECTOR_TOL: as M ~ A^-1,
-    ||M r|| tracks the eigenvector error; ||r|| alone leaves it loose.  That
-    pair passes ``_finish``.  Both measures have a rounding floor (||M r||
-    one near eps ||A|| / lambda_min); a solve whose distance to the stop has
-    not halved in _STALL_STEPS steps raises instead of running on to
-    ``maxiter``.
+    is zero or dependent on the other two (norm < 1e-8 left) is dropped;
+    ``_ritz_coefficients`` gives the Ritz vector.  It stops at ||r|| <=
+    1e-12 ||A|| and ||M r|| <= _VECTOR_TOL: as M ~ A^-1, ||M r|| tracks the
+    eigenvector error; ||r|| alone leaves it loose.  That pair passes
+    ``_finish``.  Both measures have a rounding floor (||M r|| one near
+    eps ||A|| / lambda_min); a solve whose distance to the stop has not
+    halved in _STALL_STEPS steps raises instead of running on to maxiter.
 
     With ``mean_target`` = (target, tolerance), a trial of a root-find on
-    the mean m = x'Wx (W the ``weights``) stops once the unit iterate misses
-    the target by more than ``tolerance`` and by over 100 times its error
-    bound _MEAN_ERROR_FACTOR ||(W - m) x|| ||M r||, so the side of the target
-    it lies on is certain.  That pair has ``converged`` False and skips
-    ``_finish``.  Given the start's ``toeplitz_image``, no mat-vec begins it.
+    the mean m = x'Wx (W the ``weights``) also needs e <= ``tolerance`` to
+    stop, e = _MEAN_ERROR_FACTOR ||(W - m) x|| ||M r|| its mean error bound.
+    It stops early once the unit iterate misses the target by more than
+    ``tolerance`` and by over 100 e, so the side of the target it lies on
+    is certain.  That pair has ``converged`` False and skips ``_finish``.
+    Given the start's ``toeplitz_image``, no mat-vec begins it.
     """
     tol = 1e-2 * _RESIDUAL_FACTOR * matrix.norm_bound()
     x_norm = np.linalg.norm(x)
@@ -464,19 +492,21 @@ def _lopcg_smallest(
         w_norm = np.linalg.norm(w)
         if not np.isfinite(w_norm):  # a NaN in the matrix or the start
             raise EigsolveError(f"preconditioned residual {w_norm} in LOPCG")
-        distances.append(max(np.linalg.norm(r) / tol, w_norm / _VECTOR_TOL))
-        if distances[-1] <= 1.0:
-            return _finish(matrix, x)
+        distance = max(np.linalg.norm(r) / tol, w_norm / _VECTOR_TOL)
         if mean_target is not None:
             target, tolerance = mean_target
             x_norm = np.linalg.norm(x)
             unit = x / x_norm
             mean = float(weights @ unit**2)
             miss = abs(mean - target)
-            spread = np.linalg.norm((weights - mean) * unit)
-            if miss > tolerance and 100.0 * _MEAN_ERROR_FACTOR * spread * w_norm <= miss:
-                residual = float(np.linalg.norm(r))
-                return _canonical_pair(matrix, value, unit, ax / x_norm, residual, False)
+            error = _MEAN_ERROR_FACTOR * np.linalg.norm((weights - mean) * unit) * w_norm
+            distance = max(distance, error / tolerance)
+        distances.append(distance)
+        if distance <= 1.0:
+            return _finish(matrix, x)
+        if mean_target is not None and miss > tolerance and 100.0 * error <= miss:
+            residual = float(np.linalg.norm(r))
+            return _canonical_pair(matrix, value, unit, ax / x_norm, residual, False)
         if _stalled(distances):
             raise EigsolveError(
                 f"LOPCG stalled at residual {np.linalg.norm(r):.3e} and "
@@ -496,8 +526,7 @@ def _lopcg_smallest(
                 basis.append(v / v_norm)
                 images.append(av / v_norm)
         projected = np.array([[q @ aq for aq in images] for q in basis])
-        _, coeffs = np.linalg.eigh(0.5 * (projected + projected.T))
-        c = coeffs[:, 0]
+        c = _ritz_coefficients(0.5 * (projected + projected.T))
         p = sum(ci * q for ci, q in zip(c[1:], basis[1:]))
         ap = sum(ci * aq for ci, aq in zip(c[1:], images[1:]))
         x, ax = c[0] * x + p, c[0] * ax + ap
@@ -531,19 +560,16 @@ def extremal_eigenpair(
     A ``ToeplitzPlusDiagonal`` solve requires ``preconditioner``, a positive
     definite banded matrix spectrally equivalent to ``matrix``: its definite
     factor (``_factor_below``) preconditions LOPCG.  Without
-    ``start_vector`` LOPCG starts from the f1 start of the diagonal: the
-    ground state of D'D + diag, the matrix with its kernel replaced by
-    (1, 0, 0, ...), tridiag(-1, 2 + d_k, -1), the f1 matrix
-    Z(2 - 2 cos t) + diag when the diagonal is a penalty term (folded if
-    ``even``).  LOPCG stops only once the preconditioned residual is
-    <= 1e-9, so any start is refined.
+    ``start_vector`` LOPCG starts from the f1 start of the diagonal, the
+    ground state of D'D + diag (the kernel replaced by (1, 0, 0, ...)); it
+    stops only at a preconditioned residual <= 1e-9, so any start is refined.
 
     ``mean_target`` = (target, tolerance), for a Toeplitz solve only,
     marks a trial of a root-find on the mean x'Wx: LOPCG may return it
     early, with ``converged`` False, once its mean lies certainly on one
     side of the target and outside ``tolerance`` of it
     (``_lopcg_smallest``).  A pair the root-find can accept, within
-    ``tolerance`` of the target, is always solved in full.
+    ``tolerance`` of the target, is solved in full, its mean included.
 
     Every other pair ends with the same check, residual <= 1e-10 ||A||.
     Deterministic for fixed inputs; raises ``EigsolveError`` on

@@ -92,7 +92,6 @@ _MEAN_RTOL = 1e-6
 _BETA_RTOL = 1e-8
 _MAX_LOG_STEP = math.log(8.0)  # largest root-finder step in log(penalty)
 _MAX_TRIALS = 80  # root-finder eigensolves per cutoff
-_MAX_STUCK_FALL = 1e8  # penalty fall with a bit-identical mean: below reach
 _SMALL_MEAN = 0.3  # a first target below this is seeded from mean ~ C_f / p^2
 _SYMMETRIC_KNEE = 3.0  # symmetric means above this follow p ~ (2 mean)^-3
 _BETA_PER_PENALTY = {"f1": 0.5, "f2": 1.0, "theta_sq": -1.0, "f3": -1.0}
@@ -332,13 +331,11 @@ def _solve_eigen(
     A Toeplitz (theta_sq) matrix is preconditioned by the f3 matrix at the
     same penalty: 0.6919 f3 <= theta^2 <= f3 on [-pi, pi] makes the two
     spectrally equivalent with condition number <= 1.445.  A cold start, of
-    a Toeplitz or a banded solve, is ``extremal_eigenpair``'s own: the
-    ground state, to a few digits, of the f1 matrix at the same penalty,
-    tridiag(-1, 2 + p W, -1) or its fold, which for theta_sq is
-    D'D + diag(p W).  With a mean ``target`` a Toeplitz solve may stop
-    early, once its mean lies certainly on one side of the target and off
-    it by more than _MEAN_RTOL (a pair with ``converged`` False); a banded
-    solve is direct and ignores it.
+    a Toeplitz or a banded solve, is ``extremal_eigenpair``'s own.  With a
+    mean ``target`` a Toeplitz solve stops early once its mean lies
+    certainly on one side of the target and off it by more than _MEAN_RTOL
+    (a pair with ``converged`` False), and is otherwise solved in full with
+    its mean resolved to _MEAN_RTOL; a banded solve ignores it.
     """
     if weights is None:
         weights = Spectrum("nonneg", spectrum.cutoff).weights()
@@ -443,10 +440,15 @@ def _scale(sides: int, mean: float) -> float:
 
 def default_cutoff(kind: str, target: float) -> int:
     """Truncation rule for a requested mean: max(_MIN_CUTOFF, ceil(_CUTOFF_PER_L L)),
-    L = target + 1 (nonneg) or 2 target + 1 (symmetric); an unknown kind raises
-    ``Spectrum``'s ValueError."""
-    scale = _scale(Spectrum(kind=kind, cutoff=1).sides, target)
-    return max(_MIN_CUTOFF, math.ceil(_CUTOFF_PER_L * scale))
+    L = target + 1 (nonneg) or 2 target + 1 (symmetric).  An unknown kind
+    raises ``Spectrum``'s ValueError, a dimension over _MAX_DIMENSION rows
+    ValueError, checked before ceil, which fails on the infinite 8 L of 1e308."""
+    sides = Spectrum(kind=kind, cutoff=1).sides
+    cutoff = _CUTOFF_PER_L * _scale(sides, target)
+    rows = sides * cutoff + 1
+    if rows > _MAX_DIMENSION:
+        raise ValueError(f"dimension {rows:.10g} exceeds the limit of {_MAX_DIMENSION} rows")
+    return max(_MIN_CUTOFF, math.ceil(cutoff))
 
 
 def _penalty_shape(spectrum: Spectrum, mean: float) -> tuple[float, float]:
@@ -531,30 +533,22 @@ def _root_find_mean(
     cutoff's reach raises RuntimeError as soon as a capped step down in
     penalty raises a fully solved mean still below it by less than
     _MEAN_RTOL relative: the mean has saturated near its hard-box (p -> 0)
-    value.  A bracket narrower than _BETA_RTOL in log penalty, or a trial
-    solved in full that repeats the above side's mean bit for bit, raises
-    RuntimeError too: the mean jumps across the target there, which is
-    below the resolution of the solve.  So does a mean still below the
-    target after _MAX_TRIALS trials, or one that stays bit-identical (a
-    theta_sq trial under the mat-vec floor meets its tolerances at its
-    start vector) while the penalty falls by _MAX_STUCK_FALL, over which a
-    resolved mean ~ C_f / p^2 would rise 1e16-fold: the target is below the
-    solve's reach.  A shorter such fall ends at the floor's edge, where the
-    mean jumps (the resolution test).
+    value.  A bracket narrower than _BETA_RTOL in log penalty raises
+    RuntimeError too, naming both its means in full: the mean jumps across
+    the target there, which is below the resolution of the solve.  So does
+    a search still off the target after _MAX_TRIALS trials.
 
     One eigensolve per trial, the first from ``start``, each later one from
-    the previous pair.  A Toeplitz (theta_sq) trial stops once its mean
-    lies certainly on one side of the target (``_solve_eigen``), except the
-    trial after a capped step down, which the saturation test reads; only a
-    pair within _MEAN_RTOL of the target is returned, and it is solved to
-    the full tolerances of ``extremal_eigenpair``.  Only the returned
-    pair's truncation is tested (``_truncated_solve``); the trial iterates
-    at other penalties are not.
+    the previous pair.  A theta_sq trial but the one after a capped step
+    down (the saturation test's) is given the target: it stops early on a
+    certain side of it, or is solved in full with its mean resolved
+    (``_solve_eigen``), so every theta_sq target with a finite first
+    penalty lands.  Only the returned pair, within _MEAN_RTOL of the
+    target, has its truncation tested (``_truncated_solve``).
     """
     weights = Spectrum("nonneg", spectrum.cutoff).weights()  # the sector's, for every trial
     above = below = None  # latest t and mean with the mean above / below the target
     previous: tuple[float, float, float, bool] | None = None  # t, f, mean, converged
-    stuck = None  # t at the start of the latest run of bit-identical means
     capped_down = False  # the step to this trial was a capped step down
     t = math.log(seed_penalty)
     for _ in range(_MAX_TRIALS):
@@ -580,25 +574,15 @@ def _root_find_mean(
                 f"mean target {target} is beyond reach at cutoff {spectrum.cutoff}: "
                 f"the mean saturates at {mean}"
             )
-        if previous is None or mean != previous[2]:
-            stuck = None
-        elif stuck is None:
-            stuck = previous[0]
-        if f < 0.0 and stuck is not None and stuck - t > math.log(_MAX_STUCK_FALL):
-            raise RuntimeError(
-                f"mean target {target} is below reach: the mean stays at "
-                f"{mean:.3g} as the penalty falls to {math.exp(t):.3g}"
-            )
-        repeated = above is not None and pair.converged and mean == above[1]
         if f > 0.0:
             above = (t, mean)
         else:
             below = (t, mean)
         bracketed = above is not None and below is not None
-        if bracketed and (repeated or abs(below[0] - above[0]) <= _BETA_RTOL):
+        if bracketed and abs(below[0] - above[0]) <= _BETA_RTOL:
             raise RuntimeError(
                 f"mean target {target} is below the resolution of the solve: "
-                f"the mean jumps from {below[1]:.3g} to {above[1]:.3g} "
+                f"the mean jumps from {below[1]!r} to {above[1]!r} "
                 f"at penalty {math.exp(t):.3g}"
             )
         previous = (t, f, mean, pair.converged)
@@ -607,12 +591,7 @@ def _root_find_mean(
         capped_down = step == -_MAX_LOG_STEP
         t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
     else:
-        if above is None:
-            raise RuntimeError(
-                f"mean target {target} is below reach: the mean stays at "
-                f"{mean:.3g} as the penalty falls to {math.exp(previous[0]):.3g}"
-            )
-        if below is None:
+        if above is None or below is None:
             raise RuntimeError(f"failed to bracket mean target {target}")
         raise RuntimeError(f"mean {mean} missed target {target} beyond tolerance")
     return math.exp(t), pair, slope
@@ -636,14 +615,11 @@ def sweep_curve(
     penalty as the root finder measured it there, with log p and 1/s bent
     by the change of the asymptotes' shape between the two means
     (``_penalty_shape``: exact if the curve is that shape times a constant);
-    the bent s is the root finder's first Newton slope.  For a tridiagonal
-    (f1) matrix the first eigensolve of each later target starts from the
-    last point's vector, zero-padded to the new cutoff; a wider band (f2,
-    f3) and a Toeplitz (theta_sq) matrix start from ``extremal_eigenpair``'s
-    cold start, the ground state of the f1 matrix at the same penalty (for
-    theta_sq 3 % fewer mat-vecs than the padded vector, same time).  Later
-    trials of one target, and
-    cutoff doublings, start from the previous vector.  A target whose
+    the bent s is the root finder's first Newton slope.  The first solve of
+    each later f1 target starts from the last point's vector, zero-padded,
+    any other from ``extremal_eigenpair``'s cold start (for theta_sq 3 %
+    fewer mat-vecs than the padded vector, same time); later trials and
+    cutoff doublings start from the previous vector.  A target whose
     starting matrix would exceed ``_MAX_DIMENSION`` rows raises ValueError
     before any solve.
     """
@@ -653,8 +629,6 @@ def sweep_curve(
     if sorted(targets) != targets:
         raise ValueError("targets must be sorted ascending")
     spectra = [Spectrum(kind=kind, cutoff=default_cutoff(kind, t)) for t in targets]
-    for spectrum in spectra:
-        check_dimension(spectrum)
 
     points: list[OptimalPoint] = []
     slope = 0.0  # d log mean / d log penalty at the last point

@@ -190,6 +190,17 @@ class TestExitCodes:
         assert "configuration error: target mean 1000000000.0: dimension" in err
         assert "exceeds the limit of 10000000 rows" in err
 
+    @pytest.mark.parametrize("spectrum", ["nonneg", "symmetric"])
+    @pytest.mark.parametrize("command", ["curve", "series"])
+    @pytest.mark.parametrize("target", ["1e308", "2e307"])
+    def test_target_of_infinite_cutoff_exits_2(self, capsys, command, spectrum, target):
+        # 8 L overflows to inf at 1e308, and ceil of it would raise
+        assert cli.main([command, "--spectrum", spectrum, "--targets", target]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: target mean {float(target)}: dimension" in err
+        assert "exceeds the limit of 10000000 rows" in err
+        assert "Traceback" not in err and len(err) < 120
+
     @pytest.mark.parametrize("knob", ["factor", "floor"])
     def test_removed_cutoff_flags_exit_2_as_unknown(self, capsys, knob):
         flag = f"--cutoff-{knob}"
@@ -271,11 +282,11 @@ class TestExitCodes:
         assert "solver failure: Unable to allocate 74.5 GiB" in err
         assert "Traceback" not in err
 
-    def test_mean_below_reach_is_solver_failure(self, capsys):
-        assert cli.main(["curve", "--metric", "amse", "--targets", "1e-300"]) == 3
-        err = capsys.readouterr().err
-        assert "solver failure: mean target 1e-300 is below reach: the mean stays at" in err
-        assert "math domain" not in err
+    def test_amse_mean_of_1e_300_lands(self, capsys):
+        assert cli.main(["curve", "--metric", "amse", "--targets", "1e-300"]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+        assert float(row[0]) == pytest.approx(1e-300, rel=1e-6)
+        assert float(row[1]) == pytest.approx(math.pi / math.sqrt(3.0), rel=1e-12)  # delta
 
     def test_holevo_mean_of_1e_300_lands(self, capsys):
         assert cli.main(["curve", "--targets", "1e-300"]) == 0

@@ -458,6 +458,24 @@ class TestPreconditionedToeplitz:
         assert landed.converged and landed.value == full.value
         assert np.array_equal(landed.vector, full.vector)
 
+    @pytest.mark.parametrize("scale", [1e3, 1e40])
+    @pytest.mark.parametrize("b", [[1.0], [1.0, 0.5]])
+    def test_ritz_vector_of_a_graded_projection(self, b, scale):
+        # T = diag(s, 10 s) far above a = 2: c is (1, -(T - lambda)^-1 b)
+        # normalized, lambda = a - b'(T - lambda)^-1 b (a fixed point here);
+        # eigh loses the trailing entries, ~1e-40, once s dwarfs 1 / eps
+        b = np.array(b)
+        diagonal = scale * 10.0 ** np.arange(b.size)
+        projected = np.diag([2.0, *diagonal])
+        projected[0, 1:] = projected[1:, 0] = b
+        value = 2.0
+        for _ in range(5):
+            value = 2.0 - b @ (b / (diagonal - value))
+        expected = np.array([1.0, *(-b / (diagonal - value))])
+        c = eigensolve._ritz_coefficients(projected)
+        expected /= np.linalg.norm(expected)
+        np.testing.assert_allclose(c[: b.size + 1], expected, rtol=1e-14)
+
     @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
     def test_start_from_a_pair_spares_the_first_matvec(self, kind, monkeypatch):
         # a root-finder trial at p' starts from the pair at p: its image

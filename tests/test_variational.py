@@ -7,11 +7,13 @@ sums, and closed forms for the two-level optimum.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from phaselim import asympt, canonical, variational
 from phaselim.eigensolve import BandedSymmetric, EigsolveError, ToeplitzPlusDiagonal
@@ -713,26 +715,41 @@ class TestSweepCurve:
         assert point.delta == pytest.approx(math.pi / math.sqrt(3.0), rel=1e-12)
         assert point.delta_H == math.inf
 
+    @pytest.mark.parametrize(
+        "target, kind",
+        [(t, k) for t in (1e-300, 1e-56, 1e-30, 1e-10) for k in ("nonneg", "symmetric")]
+        + [(3.16e-12, "nonneg")],
+    )
+    def test_theta_sq_tiny_mean_lands(self, target, kind):
+        # a trial solved in full has its mean resolved to the landing window,
+        # and the Ritz step keeps its relative accuracy at p ~ 1e150 (1e-300)
+        (point,) = sweep_curve(cost_function("theta_sq"), kind, [target])
+        assert abs(point.mean_constraint - target) <= variational._MEAN_RTOL * target
+
     @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
-    @pytest.mark.parametrize("target", ["1e-56", "1e-65", "1e-80", "1e-300"])
-    def test_theta_sq_mean_below_the_matvec_floor_is_below_reach(
-        self, target, kind, monkeypatch
-    ):
-        # each warm trial meets its tolerances at its start vector, so the
-        # mean stays bit-identical where the cold trial put it, below the
-        # target, and the search ends once the penalty has fallen 1e8-fold
-        # (27 trials), far above the floor's edge near p = 2.5e10 where
-        # 1e-56 and 1e-65 used to jump and run out of trials
-        solve = variational._solve_eigen
-        calls = []
-        monkeypatch.setattr(
-            variational, "_solve_eigen", lambda *a: calls.append(a[2]) or solve(*a)
-        )
-        message = f"mean target {target} is below reach: the mean stays at .* as the penalty falls"
-        with pytest.raises(RuntimeError, match=message):
-            sweep_curve(cost_function("theta_sq"), kind, [float(target)])
-        assert len(calls) <= 30
-        assert min(calls) > 1e12
+    @pytest.mark.parametrize("target", [1e-60, 1e-300])
+    def test_theta_sq_tiny_mean_state_is_first_order_in_1_over_p(self, target, kind):
+        # about the vacuum psi_n = -z_n / (p W_n), z_n = 2 (-1)^n / n^2, up to
+        # relative O(1 / p): p ~ 1e30 and 1e150 here (measured 4e-13 off)
+        (point,) = sweep_curve(cost_function("theta_sq"), kind, [target])
+        psi, levels = point.state.amplitudes, point.state.spectrum.weights()
+        excited = levels > 0
+        n = levels[excited]
+        expected = -2.0 * (-1.0) ** n / n**2 / (point.penalty * n)
+        assert psi[~excited].tolist() == [1.0]
+        np.testing.assert_allclose(psi[excited], expected, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    def test_unresolvable_target_names_both_means_in_full(self, kind, monkeypatch):
+        # no f1 mean lies within 1e-16 of 10, so the bracket closes to
+        # _BETA_RTOL; its two means differ past the 3rd digit
+        monkeypatch.setattr(variational, "_MEAN_RTOL", 1e-16)
+        with pytest.raises(RuntimeError, match="below the resolution") as error:
+            sweep_curve(cost_function("f1"), kind, [10.0])
+        below, above = re.search(r"jumps from (\S+) to (\S+) at", str(error.value)).groups()
+        assert float(below) < 10.0 < float(above)
+        assert float(above) - float(below) <= 1e-6 * 10.0
+        assert repr(float(below)) == below and repr(float(above)) == above
 
     @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
     @pytest.mark.parametrize("name", ["f1", "theta_sq"])
@@ -866,23 +883,28 @@ class TestMeanResolvedTrials:
             # the stop's margin: the mean error is under 1 % of the miss
             assert abs(mean - exact) <= 1e-2 * abs(mean - target)
 
+
+class TestSmallMeanExpansion:
+    """About the vacuum psi_n ~ -z_n / (p W_n), so mean = sides C_f / p^2 and
+    <f> = z_0 - 2 sqrt(sides C_f mean) + c_1 mean + ..., C_f = sum z_n^2 / W_n."""
+
+    # cost: (metric field, z_0, C_f)
+    EXPANSION = {
+        "f1": ("delta_1", 2.0, 1.0),
+        "f2": ("delta_2", 2.5, 16.0 / 9.0 + 1.0 / 288.0),
+        "theta_sq": ("delta", math.pi**2 / 3.0, 4.0 * float(special.zeta(5.0))),
+    }
+
     @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
-    def test_target_below_the_rounding_floor_is_named(self, kind, monkeypatch):
-        # the mean sits at 2.41e-31 down to p ~ 3e10, then jumps to 3.18e-20;
-        # the search ends at the next trial, whose mean repeats 3.18e-20 bit
-        # for bit (19 solves on either spectrum)
-        solve = variational._solve_eigen
-        calls = []
-        monkeypatch.setattr(
-            variational, "_solve_eigen", lambda *a: calls.append(1) or solve(*a)
-        )
-        message = (
-            r"mean target 1e-30 is below the resolution of the solve: "
-            r"the mean jumps from 2\.41e-31 to 3\.18e-20 at penalty"
-        )
-        with pytest.raises(RuntimeError, match=message):
-            sweep_curve(cost_function("theta_sq"), kind, [1e-30])
-        assert len(calls) <= 20
+    @pytest.mark.parametrize("name", ["f1", "f2", "theta_sq"])
+    def test_two_leading_terms(self, name, kind):
+        # c_1 measured at most 1.11 (symmetric theta_sq), so |c_1| m <= 2 m
+        field, z_0, c_f = self.EXPANSION[name]
+        sides = Spectrum(kind=kind, cutoff=1).sides
+        for point in sweep_curve(cost_function(name), kind, [1e-10, 1e-8]):
+            mean = point.mean_constraint
+            metric = getattr(point, field) ** 2
+            assert abs(metric - z_0 + 2.0 * math.sqrt(sides * c_f * mean)) <= 2.0 * mean
 
 
 class TestDelta3OnF1State:
