@@ -31,7 +31,14 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import ifft, irfft, next_fast_len, rfft
+
+# A recurring FFT length takes scipy.fft, whose 16-plan cache serves the
+# Toeplitz mat-vec (one length for every step of a solve); a one-shot
+# length takes numpy.fft, which caches none: state_metrics meets a new
+# length for nearly every state.  _densities' few power-of-two lengths
+# keep scipy's in-place ifft.
+from numpy.fft import irfft, rfft
+from scipy.fft import ifft, next_fast_len
 
 from .states import ProbeState, Spectrum
 
@@ -136,9 +143,11 @@ def state_metrics(state: ProbeState) -> dict[str, float]:
     when <cos Theta> <= 0), and the root metrics ``delta1``, ``delta2``,
     ``delta3`` of the cosine surrogates f1, f2, f3.  <Theta^2> =
     u' Z(g) u / ||psi||^2 (``theta_sq_kernel``) is summed over the
-    autocorrelation of u = D psi, from two FFTs: every term is of the size
-    of the result, so nothing cancels.  The other metrics come from the
-    deficits q_m = 1 - <cos m Theta>:
+    autocorrelation of u = D psi, from two FFTs.  They take numpy.fft: their
+    length next_fast_len(2d + 1) changes with d, so scipy.fft's plan cache
+    would only hold memory.  Every term is of the size of the result, so
+    nothing cancels.  The other metrics come from the deficits
+    q_m = 1 - <cos m Theta>:
 
         holevo    = q1 (2 - q1) / (1 - q1)^2
         delta_k^2 = <f_k> = -sum_{m>=1} a_m q_m   (a_m from COSINE_COSTS)

@@ -21,7 +21,6 @@ import errno
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -35,10 +34,13 @@ _EXIT_CONFIG = 2
 _EXIT_SOLVER = 3
 
 _GRID_CHUNK = 1 << 15  # verify inequalities: grid points evaluated at once
+_MAX_TARGETS = 1_000_000  # curve/series: the largest --range COUNT
+_MZI_NODES = 40  # verify mzi: Gauss-Legendre nodes of the AMSE quadrature
 
 
 def parse_range(spec: str) -> list[float]:
-    """Parse ``min:max:COUNTlog`` or ``min:max:COUNTlin`` into a grid."""
+    """Parse ``min:max:COUNTlog`` or ``min:max:COUNTlin`` into a grid; a
+    COUNT above ``_MAX_TARGETS`` is rejected before the grid is built."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"range spec must be min:max:countlog|lin, got {spec!r}")
@@ -52,6 +54,8 @@ def parse_range(spec: str) -> list[float]:
         raise ValueError(f"count must end in 'log' or 'lin', got {count_text!r}")
     if count < 1 or lo > hi or (scale == "log" and lo <= 0.0):
         raise ValueError(f"invalid range spec {spec!r}")
+    if count > _MAX_TARGETS:
+        raise ValueError(f"range spec {spec!r} asks for {count} targets, above {_MAX_TARGETS}")
     if count == 1:
         return [lo]
     if scale == "log":
@@ -214,9 +218,15 @@ def _verify_bounds(config: argparse.Namespace) -> list[tuple[str, float]]:
     return rows
 
 
-def _verify_mzi(config: argparse.Namespace) -> list[tuple[str, float]]:
-    from scipy.integrate import quad  # the only user; keeps it out of import time
+def _mzi_amse_quadrature(model: estimators.MziModel) -> float:
+    """The phase average of the exact MSE by Gauss-Legendre on [0, pi]: its
+    integrand is entire, so 40 nodes match pi^2/3 - 2v to rounding."""
+    x, w = np.polynomial.legendre.leggauss(_MZI_NODES)
+    return 0.5 * float(w @ model.exact_mse(0.5 * math.pi * (x + 1.0)))
 
+
+def _verify_mzi(config: argparse.Namespace) -> list[tuple[str, float]]:
+    """The MZI bounds on a phi grid; the closed-form AMSE against quadrature."""
     model = estimators.MziModel(visibility=config.visibility)
     phi = np.linspace(1e-4, math.pi - 1e-4, 2001)
     curves = estimators.mzi_curves(model, phi)
@@ -227,16 +237,7 @@ def _verify_mzi(config: argparse.Namespace) -> list[tuple[str, float]]:
     # relative: both grow as 1/(v sin phi) at the ends of the grid
     propagation = table["error_propagation"]
     prop_gap = float(np.max(np.abs(table["crb_uncorrected"] - propagation) / propagation))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # quad reports roundoff near machine eps
-        quadrature, _ = quad(
-            lambda t: float(model.exact_mse(np.asarray([t]))[0]),
-            0.0,
-            math.pi,
-            epsabs=1e-14,
-            epsrel=1e-14,
-        )
-    amse_gap = abs(curves["scalars"]["amse"] - quadrature / math.pi)
+    amse_gap = abs(curves["scalars"]["amse"] - _mzi_amse_quadrature(model))
     misleading = table["crb_uncorrected"] - table["exact_rmse"]
     floor_margin = curves["scalars"]["amse"] - (canonical.K_A / 1.5) ** 2
     return [

@@ -144,28 +144,36 @@ def _largest_root_in_order(f, seed: float, z: float, label: str) -> float:
     and negative on the first oscillation below it, so the bracket is built
     by walking outward from the seed; total widening is capped at
     max(1, 5 z^{1/3}) per side, safely within the O(z^{1/3}) spacing to the
-    next root below.
+    next root below.  The bracket is then bisected until its ends are
+    adjacent doubles (about 50 evaluations of f), and the end with the
+    smaller |f| is returned, so the root and one neighbouring double
+    straddle the sign change.  No fixed x tolerance serves every z: at
+    z = 1e6 a width of 1e-13 + 1e-15 x (brentq's) leaves |J_x(z)| at 8e-10
+    of |J_{x+1/2}(z)|, and 1e-13 alone is below the spacing of doubles.
     """
-    from scipy.optimize import brentq  # the only user; keeps it out of import time
-
     step = 0.25 * max(1.0, z ** (1.0 / 3.0))
     limit = max(1.0, 5.0 * z ** (1.0 / 3.0))
 
     hi = seed + step
-    while f(hi) <= 0.0:
+    while (f_hi := f(hi)) <= 0.0:
         hi += step
         if hi - seed > limit:
             raise BracketError(
                 f"{label}: no positive value found above seed {seed} at z={z}"
             )
     lo = seed
-    while f(lo) >= 0.0:
+    while (f_lo := f(lo)) >= 0.0:
         lo -= step
         if seed - lo > limit:
             raise BracketError(
                 f"{label}: no sign change found below seed {seed} at z={z}"
             )
-    root = brentq(f, lo, hi, xtol=1e-13, rtol=1e-15)
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        if (f_mid := f(mid)) > 0.0:
+            hi, f_hi = mid, f_mid
+        else:
+            lo, f_lo = mid, f_mid
+    root = lo if abs(f_lo) < abs(f_hi) else hi
 
     # Confirm no further root above: f stays positive up to the next-root gap.
     probe = root + step * np.arange(1.0, 5.0)

@@ -271,10 +271,15 @@ class TestMetrics:
         quad = float((theta_grid(size) ** 2) @ density(state, size) * (2.0 * math.pi / size))
         assert metrics["amse"] == pytest.approx(quad, abs=1e-10)
 
-    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
-    def test_amse_is_the_dense_quadratic_form(self, kind):
+    # state_metrics' transform lengths next_fast_len(2d + 1), 84, 110 and 605
+    # for d = 41, 54 and 300, have the factors 7 and 11
+    @pytest.mark.parametrize(
+        "kind, dimension",
+        [("nonneg", 41), ("symmetric", 41), ("nonneg", 54), ("nonneg", 300)],
+    )
+    def test_amse_is_the_dense_quadratic_form(self, kind, dimension):
         rng = np.random.default_rng(28)
-        state = make_state(kind, rng.standard_normal(41))
+        state = make_state(kind, rng.standard_normal(dimension))
         psi = state.amplitudes
         expected = psi @ theta_sq_dense(psi.size) @ psi
         assert state_metrics(state)["amse"] == pytest.approx(expected, rel=1e-13)

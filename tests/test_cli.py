@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from phaselim import asympt, cli, variational
+from phaselim import asympt, cli, estimators, variational
 
 
 def read_report(path):
@@ -71,6 +71,8 @@ class TestParseRange:
             "100:1:3lin",  # descending bounds
             "0:10:3log",  # log scale needs positive lower bound
             "x:10:3lin",  # non-numeric bound
+            "1:2:1000000000000log",  # count above the cap, checked before the grid
+            "1:2:1000001lin",
         ],
     )
     def test_rejects_malformed_specs(self, spec):
@@ -189,6 +191,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error: target mean 1000000000.0: dimension" in err
         assert "exceeds the limit of 10000000 rows" in err
+
+    @pytest.mark.parametrize("command", ["curve", "series"])
+    def test_range_count_above_the_cap_exits_2(self, capsys, monkeypatch, command):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the grid was built before its count was checked")
+
+        monkeypatch.setattr(np, "logspace", unexpected)
+        assert cli.main([command, "--range", "1:2:1000000000000log"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: range spec '1:2:1000000000000log'" in err
+        assert "above 1000000" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("spectrum", ["nonneg", "symmetric"])
     @pytest.mark.parametrize("command", ["curve", "series"])
@@ -558,6 +572,15 @@ class TestVerifyOutput:
         assert float(metadata["visibility"]) == pytest.approx(0.9)
         assert all(row[3] == "True" for row in rows)
 
+    @pytest.mark.parametrize("visibility", [0.1, 0.5, 0.99, 1.0])
+    def test_mzi_quadrature_rule_is_converged(self, visibility):
+        model = estimators.MziModel(visibility=visibility)
+        value = cli._mzi_amse_quadrature(model)
+        assert abs(value - (math.pi**2 / 3.0 - 2.0 * visibility)) <= 1e-14
+        x, w = np.polynomial.legendre.leggauss(2 * cli._MZI_NODES)
+        doubled = 0.5 * float(w @ model.exact_mse(0.5 * math.pi * (x + 1.0)))
+        assert abs(value - doubled) <= 1e-14
+
     @pytest.mark.parametrize("visibility", ["0.1", "1e-3"])
     def test_mzi_identities_hold_at_low_visibility(self, capsys, visibility):
         # the bias-corrected bound is formed from the slope itself, and the
@@ -636,8 +659,8 @@ class TestEntryPoint:
         assert result.stdout.strip()
 
     def test_import_leaves_scipy_integrate_unloaded(self):
-        """Only `verify mzi` needs quadrature, so importing the CLI must not
-        pay for scipy.integrate."""
+        """`verify mzi` integrates with a Gauss-Legendre rule, so importing
+        the CLI must not pay for scipy.integrate."""
         probe = "import sys, phaselim.cli; print('scipy.integrate' in sys.modules)"
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True
@@ -646,8 +669,8 @@ class TestEntryPoint:
         assert result.stdout.strip() == "False"
 
     def test_constants_leave_scipy_optimize_and_sparse_unloaded(self):
-        """brentq is imported where the Bessel-zero bracket needs it, and no
-        eigensolve path uses scipy.sparse, so the asymptotic constants every
+        """No eigensolve path uses scipy.sparse and the Bessel zeros are
+        bisected without scipy.optimize, so the asymptotic constants every
         command reads pay for neither."""
         probe = (
             "import sys, phaselim.cli; phaselim.asympt.constants(); "
@@ -658,3 +681,24 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_commands_and_closed_forms_leave_scipy_optimize_integrate_sparse_unloaded(self):
+        """The Bessel-zero bisection, the Gauss-Legendre rule of `verify
+        mzi` and the LAPACK and FFT solvers need none of these modules."""
+        probe = (
+            "import contextlib, io, sys\n"
+            "from phaselim import asympt, cli\n"
+            "runs = [['verify', 'mzi'], ['verify', 'probe'],\n"
+            "        ['series', '--targets', '100'], ['curve', '--targets', '1']]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(argv) for argv in runs]\n"
+            "asympt.bessel_state_nonneg(20.0)\n"
+            "asympt.bessel_state_symmetric(20.0)\n"
+            "loaded = {'scipy.optimize', 'scipy.integrate', 'scipy.sparse'} & set(sys.modules)\n"
+            "print(codes, sorted(loaded))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[0, 0, 0, 0] []"

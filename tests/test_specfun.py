@@ -56,6 +56,11 @@ DORDER_HALF = [
 J0_FIRST_ARG_ZERO = 2.40482555769577277  # mpmath besseljzero(0, 1)
 
 
+def straddles_the_sign_change(f, x: float) -> bool:
+    """f changes sign (or vanishes) between x and a neighbouring double."""
+    return any(f(x) * f(np.nextafter(x, side)) <= 0.0 for side in (-np.inf, np.inf))
+
+
 def airy_ai(t):
     return special.airy(t)[0]
 
@@ -147,7 +152,7 @@ class TestOrderZeros:
     def test_oracle_table(self):
         for z, expected in ORDER_ZEROS:
             found = bessel_zero_in_order(z)
-            assert found == pytest.approx(expected, rel=1e-10, abs=1e-12)
+            assert found == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_j0_inversion(self):
         assert bessel_zero_in_order(J0_FIRST_ARG_ZERO) == pytest.approx(
@@ -161,6 +166,11 @@ class TestOrderZeros:
             assert abs(bessel_j(x, z)) <= 1e-10 * max(slope_scale, 1e-12)
             for above in (0.1, 1.0, 5.0):
                 assert bessel_j(x + above, z) > 0.0
+
+    @pytest.mark.parametrize("z", [2.5, 3.0, 5.0, 47.0, 1e4, 1e6, 5e6])
+    def test_root_is_resolved_to_adjacent_doubles(self, z):
+        x = bessel_zero_in_order(z)
+        assert straddles_the_sign_change(lambda t: special.jv(t, z), x)
 
     def test_seed_agreement_large_z(self):
         # the expansion used to seed the bracket is asymptotically exact
@@ -176,7 +186,7 @@ class TestOrderDerivZeros:
     def test_oracle_table(self):
         for z, expected in ORDER_DERIV_ZEROS:
             found = bessel_zero_in_order_deriv(z)
-            assert found == pytest.approx(expected, rel=1e-10, abs=1e-12)
+            assert found == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_first_max_of_j1(self):
         # z at the first maximum of J_1 (where J_1'(z) = 0) maps back to x = 1
@@ -187,6 +197,12 @@ class TestOrderDerivZeros:
         for z in (1.2, 20.0, 1000.0, 1e5):
             x = bessel_zero_in_order_deriv(z)
             assert abs(bessel_j(x - 1.0, z) - bessel_j(x + 1.0, z)) <= 1e-9
+
+    @pytest.mark.parametrize("z", [1.2, 2.0, 20.0, 1000.0, 1e5])
+    def test_root_is_resolved_to_adjacent_doubles(self, z):
+        x = bessel_zero_in_order_deriv(z)
+        j_prime = lambda t: special.jv(t - 1.0, z) - special.jv(t + 1.0, z)  # noqa: E731
+        assert straddles_the_sign_change(j_prime, x)
 
     def test_seed_agreement(self):
         z = 1000.0
