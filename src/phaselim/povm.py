@@ -50,7 +50,7 @@ _COMPLETENESS_TOL = 1e-12
 _PSD_TOL = 1e-12
 _COVARIANCE_TOL = 1e-10
 _PHI_SAMPLES = 16  # continuity_check: true phases on a uniform grid
-_MAX_DIMENSION = 6  # random_degenerate_system: total dimension
+_SYSTEM_DIMENSION = 6  # random_degenerate_system: total dimension
 _EPS_GRID = (1e-3, 1e-2, 1e-1)  # verify_random_instance: continuity shifts
 
 
@@ -490,7 +490,7 @@ def verify_random_instance(seed: int) -> dict[str, float]:
 
 
 def random_degenerate_system(rng: np.random.Generator) -> DegenerateSystem:
-    """Random degenerate integer spectrum of total dimension _MAX_DIMENSION.
+    """Random degenerate integer spectrum of total dimension _SYSTEM_DIMENSION.
 
     The values start at -1, 0 or 1 and step up by 1 or 2, so an instance
     embeds into a symmetric spectrum when it starts at -1 and into a
@@ -498,7 +498,7 @@ def random_degenerate_system(rng: np.random.Generator) -> DegenerateSystem:
     """
     values: list[int] = []
     degeneracies: list[int] = []
-    remaining = _MAX_DIMENSION
+    remaining = _SYSTEM_DIMENSION
     next_value = int(rng.integers(-1, 2))
     while remaining > 0:
         count = int(rng.integers(1, min(3, remaining) + 1))

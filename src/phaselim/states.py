@@ -29,9 +29,13 @@ class Spectrum:
     def __post_init__(self) -> None:
         if self.kind not in _SIDES:
             raise ValueError(f"kind must be one of {tuple(_SIDES)}, got {self.kind!r}")
-        if int(self.cutoff) < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-        object.__setattr__(self, "cutoff", int(self.cutoff))
+        try:
+            cutoff = int(self.cutoff)
+        except (TypeError, ValueError, OverflowError):  # None, NaN, inf
+            cutoff = 0
+        if cutoff != self.cutoff or cutoff < 1:
+            raise ValueError(f"cutoff must be an integer >= 1, got {self.cutoff!r}")
+        object.__setattr__(self, "cutoff", cutoff)
 
     @property
     def sides(self) -> int:

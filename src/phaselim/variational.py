@@ -76,7 +76,6 @@ __all__ = [
     "CostFunction",
     "OptimalPoint",
     "build_matrix",
-    "check_dimension",
     "cost_function",
     "solve_point",
     "sweep_curve",
@@ -189,14 +188,15 @@ class OptimalPoint:
 
 
 def _penalty(cost: CostFunction, beta: float) -> float:
-    """Penalty p >= 0 of the public multiplier beta = c * p (module docstring)."""
+    """Penalty p >= 0 of the public multiplier beta = c * p (module docstring);
+    a beta of the wrong sign, infinite or NaN raises ValueError."""
     if cost.name not in _BETA_PER_PENALTY:
         raise ValueError(f"no beta convention for cost {cost.name!r}")
     factor = _BETA_PER_PENALTY[cost.name]
     penalty = beta / factor
-    if penalty < 0.0:
+    if not 0.0 <= penalty < math.inf:
         bound = ">=" if factor > 0.0 else "<="
-        raise ValueError(f"{cost.name} requires beta {bound} 0, got {beta}")
+        raise ValueError(f"{cost.name} requires a finite beta {bound} 0, got {beta}")
     return penalty
 
 
@@ -223,13 +223,14 @@ def build_matrix(
     """Matrix Z(f) + penalty * diag(weight) of the constrained problem.
 
     Z(f) is the Fourier matrix of the cost, so psi' A psi = <f> + p <W> for
-    every cost; a penalty p < 0 raises ValueError.  f1, f2 and f3 are banded,
-    with z_0 = a_0 and z_m = a_m / 2; theta_sq matrices are returned in
-    Toeplitz-plus-diagonal form, whose read-only Toeplitz part D' Z(g) D is
-    shared by the matrices of one dimension.
+    every cost; a penalty that is not finite and >= 0 (p < 0, inf or NaN)
+    raises ValueError.  f1, f2 and f3 are banded, with z_0 = a_0 and
+    z_m = a_m / 2; theta_sq matrices are returned in Toeplitz-plus-diagonal
+    form, whose read-only Toeplitz part D' Z(g) D is shared by the matrices
+    of one dimension.
     """
-    if penalty < 0.0:
-        raise ValueError(f"the penalty must be >= 0, got {penalty}")
+    if not 0.0 <= penalty < math.inf:
+        raise ValueError(f"the penalty must be >= 0 and finite, got {penalty}")
     diagonal = penalty * spectrum.weights()
     a = cost.cosine_coeffs
     if a is None:
@@ -239,14 +240,11 @@ def build_matrix(
     return BandedSymmetric([a[0] + diagonal, *bands])
 
 
-def check_dimension(spectrum: Spectrum) -> None:
-    """Raise ValueError for a spectrum over _MAX_DIMENSION rows, before any
-    solve allocates its O(dimension) vectors."""
-    if spectrum.dimension > _MAX_DIMENSION:
-        raise ValueError(
-            f"dimension {spectrum.dimension} (cutoff {spectrum.cutoff}) exceeds "
-            f"the limit of {_MAX_DIMENSION} rows"
-        )
+def _check_rows(rows: float) -> None:
+    """Raise ValueError for a matrix of over _MAX_DIMENSION rows (or an
+    infinite or NaN count), before any solve allocates its O(rows) vectors."""
+    if not rows <= _MAX_DIMENSION:
+        raise ValueError(f"dimension {rows:.10g} exceeds the limit of {_MAX_DIMENSION} rows")
 
 
 def _fold(spectrum: Spectrum, psi: np.ndarray) -> np.ndarray:
@@ -373,14 +371,16 @@ def _truncated_solve(
     (module docstring); otherwise the cutoff is doubled and the solve
     resumes at the settled penalty and slope from the zero-padded vector.
     At p = 0 the cutoff itself is the constraint (hard-box optimum), so no
-    test applies.  A spectrum over ``_MAX_DIMENSION`` rows raises
-    ValueError before it is allocated; a tail still too heavy after
+    test applies.  This loop alone judges a cutoff: the root finder only
+    lands the mean at the cutoff it is given.  Each pass checks its
+    dimension (``_check_rows``), so a spectrum over ``_MAX_DIMENSION`` rows
+    raises ValueError before it is allocated; a tail still too heavy after
     ``_MAX_CUTOFF_DOUBLINGS`` doublings raises RuntimeError.  Returns the
     point and the root finder's last slope d log mean / d log penalty
     (``slope`` unchanged without a target).
     """
     for _ in range(_MAX_CUTOFF_DOUBLINGS):
-        check_dimension(spectrum)
+        _check_rows(spectrum.dimension)
         if start is not None:
             start = _fold(spectrum, start)
         if target is None:
@@ -440,14 +440,16 @@ def _scale(sides: int, mean: float) -> float:
 
 def default_cutoff(kind: str, target: float) -> int:
     """Truncation rule for a requested mean: max(_MIN_CUTOFF, ceil(_CUTOFF_PER_L L)),
-    L = target + 1 (nonneg) or 2 target + 1 (symmetric).  An unknown kind
-    raises ``Spectrum``'s ValueError, a dimension over _MAX_DIMENSION rows
-    ValueError, checked before ceil, which fails on the infinite 8 L of 1e308."""
+    L = target + 1 (nonneg) or 2 target + 1 (symmetric).  There the hard-box
+    (p -> 0) optimum's mean is at least 4 times the target (c / 2 = 4 L
+    nonneg, about 0.297 c >= 4.75 target symmetric), so the mean rises
+    past the target as the penalty falls.  An unknown kind raises
+    ``Spectrum``'s ValueError, a dimension over _MAX_DIMENSION rows
+    ValueError (``_check_rows``), checked before ceil, which fails on the
+    infinite 8 L of 1e308."""
     sides = Spectrum(kind=kind, cutoff=1).sides
     cutoff = _CUTOFF_PER_L * _scale(sides, target)
-    rows = sides * cutoff + 1
-    if rows > _MAX_DIMENSION:
-        raise ValueError(f"dimension {rows:.10g} exceeds the limit of {_MAX_DIMENSION} rows")
+    _check_rows(sides * cutoff + 1)
     return max(_MIN_CUTOFF, math.ceil(cutoff))
 
 
@@ -529,32 +531,27 @@ def _root_find_mean(
     secant through the two latest iterates (kept only while negative); the
     returned slope is the last such secant, or ``slope`` if the first trial
     lands.  Steps are capped at log 8, and a step leaving the bracket, once
-    both signs are seen, is replaced by bisection.  A target beyond this
-    cutoff's reach raises RuntimeError as soon as a capped step down in
-    penalty raises a fully solved mean still below it by less than
-    _MEAN_RTOL relative: the mean has saturated near its hard-box (p -> 0)
-    value.  A bracket narrower than _BETA_RTOL in log penalty raises
-    RuntimeError too, naming both its means in full: the mean jumps across
-    the target there, which is below the resolution of the solve.  So does
-    a search still off the target after _MAX_TRIALS trials.
+    both signs are seen, is replaced by bisection.  The root finder gives no
+    verdict on the cutoff: ``default_cutoff`` puts the hard-box mean above
+    every target, and ``_truncated_solve`` alone tests the tail.  A bracket
+    narrower than _BETA_RTOL in log penalty raises RuntimeError, naming
+    both its means in full: the mean jumps across the target there, which
+    is below the resolution of the solve.  So does a search still off the
+    target after _MAX_TRIALS trials, unbracketed or not.
 
     One eigensolve per trial, the first from ``start``, each later one from
-    the previous pair.  A theta_sq trial but the one after a capped step
-    down (the saturation test's) is given the target: it stops early on a
-    certain side of it, or is solved in full with its mean resolved
-    (``_solve_eigen``), so every theta_sq target with a finite first
-    penalty lands.  Only the returned pair, within _MEAN_RTOL of the
+    the previous pair.  Every trial is given the target: a theta_sq trial
+    stops early on a certain side of it, or is solved in full with its mean
+    resolved (``_solve_eigen``), so every theta_sq target with a finite
+    first penalty lands.  Only the returned pair, within _MEAN_RTOL of the
     target, has its truncation tested (``_truncated_solve``).
     """
     weights = Spectrum("nonneg", spectrum.cutoff).weights()  # the sector's, for every trial
     above = below = None  # latest t and mean with the mean above / below the target
-    previous: tuple[float, float, float, bool] | None = None  # t, f, mean, converged
-    capped_down = False  # the step to this trial was a capped step down
+    previous: tuple[float, float] | None = None  # t and f of the last trial
     t = math.log(seed_penalty)
     for _ in range(_MAX_TRIALS):
-        pair = _solve_eigen(
-            cost, spectrum, math.exp(t), start, None if capped_down else target, weights
-        )
+        pair = _solve_eigen(cost, spectrum, math.exp(t), start, target, weights)
         start = pair
         mean = float(weights @ pair.vector**2)
         f = math.log(mean / target)
@@ -564,16 +561,6 @@ def _root_find_mean(
                 slope = secant
         if abs(mean - target) <= _MEAN_RTOL * target:
             break
-        if (
-            capped_down
-            and above is None
-            and previous[3]  # the previous mean was solved in full too
-            and mean - previous[2] < _MEAN_RTOL * mean
-        ):
-            raise RuntimeError(
-                f"mean target {target} is beyond reach at cutoff {spectrum.cutoff}: "
-                f"the mean saturates at {mean}"
-            )
         if f > 0.0:
             above = (t, mean)
         else:
@@ -585,10 +572,9 @@ def _root_find_mean(
                 f"the mean jumps from {below[1]!r} to {above[1]!r} "
                 f"at penalty {math.exp(t):.3g}"
             )
-        previous = (t, f, mean, pair.converged)
+        previous = (t, f)
         step = min(max(-f / slope, -_MAX_LOG_STEP), _MAX_LOG_STEP)
         lo, hi = sorted((above[0], below[0])) if bracketed else (-math.inf, math.inf)
-        capped_down = step == -_MAX_LOG_STEP
         t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
     else:
         if above is None or below is None:
@@ -607,7 +593,7 @@ def sweep_curve(
     ``kind`` is the spectrum kind, 'nonneg' or 'symmetric'.  Each target
     starts at ``default_cutoff``, or at the last point's cutoff if that is
     larger, and its root-found point passes the same truncation test as
-    ``solve_point`` (``_truncated_solve``).
+    ``solve_point`` (``_truncated_solve``, the one judge of a cutoff).
     Targets must be positive and sorted ascending; each mean lands within
     relative 1e-6 of its target.  The first target is seeded from the
     asymptote of its regime (``_first_seed``).  Each later one is seeded
@@ -619,20 +605,22 @@ def sweep_curve(
     each later f1 target starts from the last point's vector, zero-padded,
     any other from ``extremal_eigenpair``'s cold start (for theta_sq 3 %
     fewer mat-vecs than the padded vector, same time); later trials and
-    cutoff doublings start from the previous vector.  A target whose
-    starting matrix would exceed ``_MAX_DIMENSION`` rows raises ValueError
-    before any solve.
+    cutoff doublings start from the previous vector.  If the largest
+    target's starting matrix would exceed ``_MAX_DIMENSION`` rows, ValueError
+    is raised before any solve.
     """
     targets = [float(t) for t in targets]
     if any(t <= 0.0 for t in targets):
         raise ValueError("targets must be positive")
     if sorted(targets) != targets:
         raise ValueError("targets must be sorted ascending")
-    spectra = [Spectrum(kind=kind, cutoff=default_cutoff(kind, t)) for t in targets]
+    if targets:
+        default_cutoff(kind, targets[-1])  # the largest, checked before any solve
 
     points: list[OptimalPoint] = []
     slope = 0.0  # d log mean / d log penalty at the last point
-    for target, spectrum in zip(targets, spectra):
+    for target in targets:
+        spectrum = Spectrum(kind=kind, cutoff=default_cutoff(kind, target))
         start = None
         if points:
             spectrum = spectrum.with_cutoff(max(spectrum.cutoff, points[-1].cutoff))

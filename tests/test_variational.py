@@ -210,6 +210,13 @@ class TestBuildMatrix:
         with pytest.raises(ValueError, match="penalty must be >= 0"):
             build_matrix(cost_function(name), Spectrum(kind="nonneg", cutoff=4), -0.1)
 
+    @pytest.mark.parametrize("penalty", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "theta_sq"])
+    def test_penalty_that_is_not_finite_rejected(self, name, penalty):
+        # NaN passes a bare p < 0 test, and inf * 0 on the diagonal is NaN
+        with pytest.raises(ValueError, match="penalty must be >= 0"):
+            build_matrix(cost_function(name), Spectrum(kind="nonneg", cutoff=4), penalty)
+
 
 def fold_matrix(cutoff: int) -> np.ndarray:
     """Q, the (2 cutoff + 1) x (cutoff + 1) isometry onto the even states:
@@ -360,6 +367,16 @@ class TestSolvePoint:
             solve_point(cost_function("f1"), nonneg, -0.1)
         with pytest.raises(ValueError):
             solve_point(cost_function("theta_sq"), nonneg, 0.1)
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    @pytest.mark.parametrize(
+        "name, beta",
+        [("f1", math.nan), ("f1", math.inf), ("theta_sq", math.nan), ("theta_sq", -math.inf)],
+    )
+    def test_beta_that_is_not_finite_rejected(self, name, beta, kind):
+        # a symmetric theta_sq solve builds its even sector without build_matrix
+        with pytest.raises(ValueError, match="requires a finite beta"):
+            solve_point(cost_function(name), Spectrum(kind=kind, cutoff=8), beta)
 
     def test_cutoff_doubles_until_tail_is_negligible(self):
         spectrum = Spectrum(kind="nonneg", cutoff=100)
@@ -557,6 +574,18 @@ class TestProbeStateWithCutoff:
             state.with_cutoff(2)
 
 
+class TestSpectrumCutoff:
+    @pytest.mark.parametrize("cutoff", [2.7, math.inf, math.nan, 0, -3, "3", None])
+    def test_cutoff_that_is_not_a_positive_integer_rejected(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be an integer >= 1"):
+            Spectrum(kind="nonneg", cutoff=cutoff)
+
+    @pytest.mark.parametrize("cutoff", [2, 2.0, np.int64(2), np.float64(2.0)])
+    def test_integral_cutoff_accepted(self, cutoff):
+        spectrum = Spectrum(kind="symmetric", cutoff=cutoff)
+        assert spectrum.cutoff == 2 and type(spectrum.cutoff) is int
+
+
 class TestDefaultCutoff:
     def test_floor_applies_to_small_targets(self):
         assert default_cutoff("nonneg", 5.0) == 100
@@ -603,21 +632,30 @@ class TestTruncation:
             before, after = getattr(reference, metric), getattr(point, metric)
             assert after == pytest.approx(before, rel=1e-10, abs=0.0), metric
 
-    @pytest.mark.parametrize("name, hard_box", [("f1", "30.03"), ("theta_sq", "29.99")])
-    def test_target_beyond_the_cutoff_raises_fast(self, name, hard_box, monkeypatch):
-        # at cutoff 100 the symmetric mean saturates at its hard-box value
-        # as the penalty falls, so a mean of 40 is out of reach; theta_sq
-        # trials stop early, but the saturation test reads full solves only
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "theta_sq"])
+    def test_default_cutoff_reaches_four_times_the_target(self, name, kind):
+        # the hard-box (p = 0) mean at the default cutoff is the most a
+        # root-found mean can reach there: four targets or more leave the
+        # root finder no target beyond its cutoff
+        cost = cost_function(name)
+        for target in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3):
+            spectrum = Spectrum(kind=kind, cutoff=default_cutoff(kind, target))
+            assert solve_point(cost, spectrum, 0.0).mean_constraint >= 4.0 * target
+
+    @pytest.mark.parametrize("name", ["f1", "theta_sq"])
+    def test_target_beyond_the_cutoff_fails_to_bracket(self, name, monkeypatch):
+        # at cutoff 100 the symmetric hard-box mean is about 30, so a mean of
+        # 40 is never bracketed: the search ends after its last trial
         monkeypatch.setattr(variational, "_CUTOFF_PER_L", 1.0)
         solve = variational._solve_eigen
         calls = []
         monkeypatch.setattr(
             variational, "_solve_eigen", lambda *a: calls.append(1) or solve(*a)
         )
-        saturated = rf"cutoff 100: the mean saturates at {hard_box}"
-        with pytest.raises(RuntimeError, match=saturated):
+        with pytest.raises(RuntimeError, match="failed to bracket mean target 40.0"):
             sweep_curve(cost_function(name), "symmetric", [40.0])
-        assert len(calls) <= 20
+        assert len(calls) == variational._MAX_TRIALS
 
     def test_heavy_tail_raises_after_the_last_doubling(self, monkeypatch):
         monkeypatch.setattr(variational, "_TAIL_RTOL", -1.0)
