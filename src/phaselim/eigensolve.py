@@ -3,10 +3,12 @@
 Every cost of the variational problem is posed as the smallest eigenpair of
 Z(f) + p diag(W), so that pair is the only one solved for.
 
-* ``BandedSymmetric`` -- main diagonal plus superdiagonals.  A start vector
-  is refined on a certified warm path of O(d) banded work (Rayleigh-quotient
-  iteration, a factor certifying a shift below lambda_min, inverse
-  iteration).  Every factor is LAPACK's definite kernel for the band: the
+* ``BandedSymmetric`` -- main diagonal plus superdiagonals.  A cold solve
+  is inverse iteration at the f1 floor, a shift already certified below
+  lambda_min, with no LU solve.  A start vector is refined on a certified
+  warm path of O(d) banded work (Rayleigh-quotient iteration, a factor
+  certifying a shift below lambda_min, inverse iteration), the floor its
+  fallback.  Every factor is LAPACK's definite kernel for the band: the
   tridiagonal L D L' (dpttrf) or the Cholesky factor in lower band storage
   (dpbtrf).
 * ``ToeplitzPlusDiagonal`` -- symmetric Toeplitz part in difference form
@@ -22,8 +24,10 @@ Z(f) + p diag(W), so that pair is the only one solved for.
 
 A cold solve of either structure starts from the ground state of the f1
 matrix tridiag(-1, 2 + d_k, -1), d_k the penalty term of its diagonal, to
-a few digits (``_f1_start``).  A matrix marked ``even`` is the even sector,
-basis e_0, (e_j + e_-j)/sqrt 2, of a problem symmetric under j -> -j.
+a few digits (``_f1_start``).  Every matrix ``variational`` solves lies
+above that f1 matrix, so the last shift that factored it, the floor, lies
+below the band's lambda_min too.  A matrix marked ``even`` is the even
+sector, basis e_0, (e_j + e_-j)/sqrt 2, of a problem symmetric under j -> -j.
 """
 
 from __future__ import annotations
@@ -288,18 +292,24 @@ def _factor_below(banded: BandedSymmetric, sigma: float):
     return None if info else lambda b: lapack.dpbtrs(factor, b, lower=1)[0]
 
 
-def _f1_start(diagonal: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """The ground state, to a few digits, of the f1 matrix tridiag(-1, 2 + d,
-    -1), d = ``diagonal`` - min(``diagonal``): the cold start of every solve.
+def _f1_start(
+    diagonal: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """The ground state, to a few digits, of the f1 matrix F = tridiag(-1,
+    2 + d, -1), d = ``diagonal`` - min(``diagonal``): the cold start of every
+    solve; and the floor, the largest shift F was factored at (< lambda_min(F)).
     Given an even sector's ``weights`` W it is the fold of that of order
     N = 2 n - 1 (first coupling -sqrt 2), and d = p W with p read from the
     diagonal's ends: a folded band's Hankel term z_2 at j = 1 would be a barrier.
 
     d is the penalty term p W of every matrix ``variational`` solves, as W
-    vanishes at n = 0 and at j = 0.  lambda_min lies between
-    4 sin^2(pi / (2 N + 2)), that of tridiag(-1, 2, -1) (N = n if not
-    even), and the Rayleigh quotient (2 + sum d) / N of the vector of
-    ones of order N, so a shift is bisected
+    vanishes at n = 0 and at j = 0.  Each such matrix Z(f) + p diag(W) has
+    f >= f1 on [-pi, pi] (f2 - f1 = (1 - cos t)^2 / 3), so Z(f - f1) >= 0
+    puts it above F on either sector, and the floor lies below its
+    lambda_min too: the shift of a cold banded solve.
+    lambda_min(F) lies between 4 sin^2(pi / (2 N + 2)), that of
+    tridiag(-1, 2, -1) (N = n if not even), and the Rayleigh quotient
+    (2 + sum d) / N of the vector of ones of order N, so a shift is bisected
     geometrically on the L D L' test to within 1 % of lambda_min, and three
     steps of inverse iteration from the ones vector follow, with no mat-vec.
     """
@@ -315,18 +325,22 @@ def _f1_start(diagonal: np.ndarray, weights: np.ndarray | None = None) -> np.nda
     lo, hi = 4.0 * math.sin(0.5 * math.pi / (order + 1)) ** 2, (2.0 + total) / order
     # 0.99 lo < lambda_min is the shift kept if none in (lo, hi) factors,
     # as at d = 0; the f1 matrix itself is definite should rounding fail it
-    solve = _factor_below(f1, 0.99 * lo) or _factor_below(f1, 0.0)
+    floor = 0.99 * lo
+    solve = _factor_below(f1, floor)
+    if solve is None:
+        floor, solve = 0.0, _factor_below(f1, 0.0)
     while hi > 1.01 * lo:
         sigma = math.sqrt(lo * hi)
         below = _factor_below(f1, sigma)
         if below is None:
             hi = sigma
         else:
-            lo, solve = sigma, below
+            lo = floor = sigma
+            solve = below
     for _ in range(3):
         x = solve(x)
         x /= np.linalg.norm(x)
-    return x
+    return x, floor
 
 
 def _inverse_iteration(solve, x: np.ndarray, maxiter: int) -> np.ndarray | None:
@@ -355,18 +369,17 @@ def _warm_banded_smallest(
     """Smallest eigenvector from a nearby start, or None when not certified.
 
     Rayleigh-quotient iteration (LU solves of (A - rho I) y = x, dgtsv for a
-    tridiagonal band and dgbsv for a wider one) runs until
-    ||r|| <= _RQI_TOL |rho|.  A - sigma I, sigma = rho - _SHIFT_MARGIN |rho|
-    - 2 ||r||, has a definite factor (``_factor_below``) only if
-    sigma < lambda_min, so ``_inverse_iteration`` with it reaches the
-    smallest eigenvector whatever eigenvector RQI approached.
+    tridiagonal band and dgbsv for a wider one, whose band storage is built
+    at the first step taken) runs until ||r|| <= _RQI_TOL |rho|.
+    A - sigma I, sigma = rho - _SHIFT_MARGIN |rho| - 2 ||r||, has a definite
+    factor (``_factor_below``) only if sigma < lambda_min, so
+    ``_inverse_iteration`` with it reaches the smallest eigenvector whatever
+    eigenvector RQI approached.  Only a warm solve takes this path: a cold
+    one starts below lambda_min already (``_f1_start``'s floor).
     """
     u, main = banded.bandwidth, banded.diagonals[0]
     tridiagonal = u == 1 and main.size > 1
-    if not tridiagonal:
-        general = np.zeros((3 * u + 1, main.size))  # dgbsv storage: A_ij at row 2u + i - j
-        for k in range(1, u + 1):
-            general[2 * u - k, k:] = general[2 * u + k, :-k] = banded.diagonals[k]
+    general = None
     x = x / np.linalg.norm(x)
     for _ in range(_RQI_STEPS):
         ax = banded.matvec(x)
@@ -378,6 +391,10 @@ def _warm_banded_smallest(
             off = banded.diagonals[1]
             *_, y, info = lapack.dgtsv(off, main - rho, off, x)
         else:
+            if general is None:  # dgbsv storage: A_ij at row 2u + i - j
+                general = np.zeros((3 * u + 1, main.size))
+                for k in range(1, u + 1):
+                    general[2 * u - k, k:] = general[2 * u + k, :-k] = banded.diagonals[k]
             general[2 * u] = main - rho
             *_, y, info = lapack.dgbsv(u, u, general, x)
         y_norm = np.linalg.norm(y)
@@ -393,7 +410,8 @@ def _warm_banded_smallest(
 def _bisected_smallest(
     banded: BandedSymmetric, x: np.ndarray, maxiter: int
 ) -> np.ndarray:
-    """Smallest eigenvector of any band, from a start x the warm path rejected.
+    """Smallest eigenvector of any band, from a start x that neither the
+    warm path nor the f1 floor solved, as for a band not above its f1 matrix.
 
     A - sigma I has a definite factor iff sigma < lambda_min
     (``_factor_below``), so sigma is bisected on that test from
@@ -551,10 +569,13 @@ def extremal_eigenpair(
     ``weights`` is the W of the diagonal's penalty term p W, which the f1
     start of an ``even`` matrix and a ``mean_target`` require.
 
-    A ``BandedSymmetric`` solve refines ``start_vector``, or without one
-    the f1 start of its main diagonal (``_f1_start``), on the certified warm
-    path (``_warm_banded_smallest``).  Should that fail, it runs inverse
-    iteration at a shift bisected on the factor test of ``_factor_below``
+    A ``BandedSymmetric`` solve refines ``start_vector`` on the certified
+    warm path (``_warm_banded_smallest``).  Without one, or should that
+    fail, it runs inverse iteration from the f1 start of its main diagonal
+    at the floor (``_f1_start``), factored for the band itself
+    (``_factor_below``), with no LU solve.  Should the band not factor
+    there, or not converge within the 35 factors a shift bisection takes,
+    it runs inverse iteration at a shift bisected on the same factor test
     (``_bisected_smallest``).  Any band is solved, definite or not.
 
     A ``ToeplitzPlusDiagonal`` solve requires ``preconditioner``, a positive
@@ -586,11 +607,13 @@ def extremal_eigenpair(
     toeplitz_image = None
     if isinstance(start_vector, EigenPair):
         start_vector, toeplitz_image = start_vector.vector, start_vector.toeplitz_image
-    if start_vector is None:
-        diagonal = matrix.diagonal if toeplitz else matrix.diagonals[0]
-        start_vector = _f1_start(diagonal, weights if matrix.even else None)
-    start_vector = np.asarray(start_vector, dtype=float)
+    if start_vector is not None:
+        start_vector = np.asarray(start_vector, dtype=float)
+    diagonal = matrix.diagonal if toeplitz else matrix.diagonals[0]
+    even_weights = weights if matrix.even else None
     if toeplitz:
+        if start_vector is None:
+            start_vector = _f1_start(diagonal, even_weights)[0]
         prec = _factor_below(preconditioner, 0.0)
         if prec is None:
             raise EigsolveError("the preconditioner is not positive definite")
@@ -598,7 +621,17 @@ def extremal_eigenpair(
             matrix, prec, start_vector, maxiter, weights, mean_target, toeplitz_image
         )
 
-    vec = _warm_banded_smallest(matrix, start_vector, maxiter)
+    vec = None
+    if start_vector is not None:
+        vec = _warm_banded_smallest(matrix, start_vector, maxiter)
+    if vec is None and (weights is not None or not matrix.even):
+        start_vector, floor = _f1_start(diagonal, even_weights)
+        solve = _factor_below(matrix, floor)
+        if solve is not None:
+            # no more steps than the factors of the bisection below, from a
+            # bracket of 3 ||A|| to _BISECT_TOL ||A||: 35
+            steps = math.ceil(math.log2(3.0 / _BISECT_TOL))
+            vec = _inverse_iteration(solve, start_vector, steps)
     if vec is None:
         vec = _bisected_smallest(matrix, start_vector, maxiter)
     return _finish(matrix, vec)

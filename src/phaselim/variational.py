@@ -639,7 +639,8 @@ def sweep_curve(
             # d = 809; 2-vCPU Xeon, one BLAS thread).  For a wider band (f2,
             # f3) a widely spaced target's padded start often leads
             # Rayleigh-quotient iteration to a higher pair, and the failed
-            # certificate sends the solve on to shift bisection.
+            # certificate sends the solve on, after band LU solves, to the
+            # f1 floor that a cold solve starts from.
             if cost.cosine_coeffs is not None and cost.cosine_coeffs.size == 2:
                 start = points[-1].state.with_cutoff(spectrum.cutoff).amplitudes
         else:

@@ -1,6 +1,7 @@
 """Extremal-eigenpair solver tests against closed forms and dense references."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,9 +160,11 @@ class TestDenseReference:
 
 
 class TestColdBanded:
-    """Cold banded solves: the f1 start (the ground state, to a few digits,
-    of tridiag(-1, 2 + main - min(main), -1)) refined on the warm path,
-    with shift bisection only when that fails."""
+    """Cold banded solves: inverse iteration from the f1 start (the ground
+    state, to a few digits, of F = tridiag(-1, 2 + main - min(main), -1)) at
+    its floor, the last shift that factored F, with no LU solve; shift
+    bisection only for a band the floor does not certify or that converges
+    slowly there, as a band not above its f1 matrix may."""
 
     @staticmethod
     def spy_on_bisection(monkeypatch):
@@ -174,10 +177,25 @@ class TestColdBanded:
         )
         return calls
 
+    @staticmethod
+    def spy_on_lu(monkeypatch):
+        """The LAPACK LU solves (dgtsv, dgbsv) called, by name."""
+        calls = []
+        for name in ("dgtsv", "dgbsv"):
+            routine = getattr(eigensolve.lapack, name)
+            monkeypatch.setattr(
+                eigensolve.lapack,
+                name,
+                lambda *args, name=name, routine=routine, **kwargs: calls.append(name)
+                or routine(*args, **kwargs),
+            )
+        return calls
+
     def test_bisection_fallback_matches_dense(self, monkeypatch):
-        # the n = 40 band of test_banded_vs_full_spectrum[smallest-40]: from
-        # the f1 start, RQI settles on a higher eigenpair (9.98 against
-        # 5.12), so the Cholesky certificate fails
+        # the n = 40 band of test_banded_vs_full_spectrum[smallest-40] is not
+        # above its f1 matrix: its floor 1.28, far below lambda_min = 5.12,
+        # factors, but inverse iteration there converges at ratio 0.81 and
+        # needs 75 steps, past the 35 factors of a shift bisection
         calls = self.spy_on_bisection(monkeypatch)
         rng = np.random.default_rng(140)
         n = 40
@@ -208,9 +226,10 @@ class TestColdBanded:
         assert calls == []
 
     def test_cold_f2_at_dimension_80009_within_factor_budget(self, monkeypatch):
-        # the first seed of an f2 sweep to mean 1e4: 12 L D L' factors for
-        # the f1 start and 1 pentadiagonal Cholesky factor for the warm path
+        # the first seed of an f2 sweep to mean 1e4: 11 L D L' factors for
+        # the f1 start and 1 pentadiagonal Cholesky factor at its floor
         bisections = self.spy_on_bisection(monkeypatch)
+        lu = self.spy_on_lu(monkeypatch)
         factors = []
         factor_below = eigensolve._factor_below
         monkeypatch.setattr(
@@ -227,13 +246,71 @@ class TestColdBanded:
         assert pair.residual <= 1e-10 * build_matrix(cost, spectrum, penalty).norm_bound()
         assert len(factors) <= 20
         assert bisections == []
+        assert "dgbsv" not in lu
+
+    @pytest.mark.parametrize(
+        "name, kind, mean", [("f2", "nonneg", 1e4), ("f3", "nonneg", 1e4), ("f2", "symmetric", 5e3)]
+    )
+    def test_cold_solve_at_the_floor_takes_no_lu_solve(self, monkeypatch, name, kind, mean):
+        # a sweep's first seed at cutoff 80,008 (the even sector of 80,009
+        # rows for the symmetric one): one Cholesky factor at the f1 floor
+        # and inverse iteration, in 14 vectors of memory; an RQI step's band
+        # LU took 23.5 (21.0 on the even sector)
+        bisections = self.spy_on_bisection(monkeypatch)
+        lu = self.spy_on_lu(monkeypatch)
+        cost = cost_function(name)
+        spectrum = Spectrum(kind=kind, cutoff=variational.default_cutoff(kind, mean))
+        assert spectrum.cutoff == 80_008
+        penalty, _ = variational._first_seed(cost, spectrum, mean)
+        tracemalloc.start()
+        try:
+            pair = variational._solve_eigen(cost, spectrum, penalty, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = variational._sector_matrix(cost, spectrum, penalty)
+        assert pair.residual <= 1e-10 * matrix.norm_bound()
+        assert lu == [] and bisections == []
+        assert peak <= 16 * 8 * matrix.dimension
+
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3"])
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    def test_the_f1_floor_is_below_every_cost(self, name, kind):
+        # Z(f) + p diag(W) >= F for f >= f1, so F's last factored shift
+        # factors the solved sector's matrix too
+        for cutoff in (1, 2, 40, 200):
+            spectrum = Spectrum(kind=kind, cutoff=cutoff)
+            weights = Spectrum("nonneg", cutoff).weights()
+            for penalty in (0.0, 1e-6, 1e-3, 1.0, 10.0):
+                matrix = variational._sector_matrix(cost_function(name), spectrum, penalty)
+                _, floor = eigensolve._f1_start(
+                    matrix.diagonals[0], weights if matrix.even else None
+                )
+                assert eigensolve._factor_below(matrix, floor) is not None, (cutoff, penalty)
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric"])
+    def test_series_warm_fallback_takes_the_floor(self, monkeypatch, kind):
+        # the series means 100 and 1000: the f1 warm start padded from mean
+        # 100 fails its certificate at 1000, and the floor path solves it
+        calls = self.spy_on_bisection(monkeypatch)
+        warm = []
+        warm_banded_smallest = eigensolve._warm_banded_smallest
+        monkeypatch.setattr(
+            eigensolve,
+            "_warm_banded_smallest",
+            lambda *args: warm.append(warm_banded_smallest(*args)) or warm[-1],
+        )
+        points = variational.sweep_curve(cost_function("f1"), kind, [100.0, 1000.0])
+        assert len(points) == 2
+        assert any(vector is None for vector in warm)
+        assert calls == []
 
     @pytest.mark.parametrize("n", [1, 2, 40, 200])
     @pytest.mark.parametrize("penalty", [0.0, 1e-3, 1.0, 1e3])
     def test_f1_start_is_the_f1_ground_state_to_a_few_digits(self, n, penalty):
         # the start of a diagonal d + c is that of d, here with min(d) = 0
         d = penalty * np.arange(n, dtype=float)
-        start = eigensolve._f1_start(d - 1.5)
+        start, _ = eigensolve._f1_start(d - 1.5)
         f1 = BandedSymmetric([2.0 + d, np.full(n - 1, -1.0)])
         vector = dense_eigh(f1)[1][:, 0]
         assert np.linalg.norm(start) == pytest.approx(1.0, abs=1e-14)
@@ -248,7 +325,7 @@ class TestColdBanded:
         d = penalty * np.arange(n, dtype=float)
         bumped = d + 2.5
         bumped[1] += 1.0 / 12.0
-        start = eigensolve._f1_start(bumped, np.arange(n, dtype=float))
+        start, _ = eigensolve._f1_start(bumped, np.arange(n, dtype=float))
         off = np.full(n - 1, -1.0)
         off[0] = -math.sqrt(2.0)
         folded = BandedSymmetric([2.0 + d, off])
@@ -348,8 +425,8 @@ class TestPreconditionedToeplitz:
         f3 = variational._sector_matrix(cost_function("f3"), spectrum, penalty)
         assert matrix.even == f3.even == (kind == "symmetric")
         weights = Spectrum("nonneg", cutoff).weights() if matrix.even else None
-        start = eigensolve._f1_start(matrix.diagonal, weights)
-        full = eigensolve._f1_start(build_matrix(cost, spectrum, penalty).diagonal)
+        start, _ = eigensolve._f1_start(matrix.diagonal, weights)
+        full, _ = eigensolve._f1_start(build_matrix(cost, spectrum, penalty).diagonal)
         folded = variational._fold(spectrum, full)
         assert start == pytest.approx(signed_like(folded, start), abs=1e-6)
         cold = extremal_eigenpair(matrix, preconditioner=f3, weights=weights)
