@@ -26,8 +26,10 @@ A cold solve of either structure starts from the ground state of the f1
 matrix tridiag(-1, 2 + d_k, -1), d_k the penalty term of its diagonal, to
 a few digits (``_f1_start``).  Every matrix ``variational`` solves lies
 above that f1 matrix, so the last shift that factored it, the floor, lies
-below the band's lambda_min too.  A matrix marked ``even`` is the even
-sector, basis e_0, (e_j + e_-j)/sqrt 2, of a problem symmetric under j -> -j.
+below the band's lambda_min too; a band that does not factor there, or on
+which inverse iteration does not converge there, raises.  A matrix marked
+``even`` is the even sector, basis e_0, (e_j + e_-j)/sqrt 2, of a problem
+symmetric under j -> -j.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ _RQI_TOL = 1e-4  # Rayleigh-quotient iteration stops at ||r|| <= tol * |rho|
 _RQI_STEPS = 10
 _SHIFT_MARGIN = 1e-3  # certified shift sigma = rho - margin * |rho| - 2 ||r||
 _MOVE_TOL = 1e-12  # inverse iteration stops once the unit vector moves this little
-_BISECT_TOL = 1e-10  # bisected shift: final bracket width relative to ||A||
 _SQRT_TWO = math.sqrt(2.0)
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -407,34 +408,6 @@ def _warm_banded_smallest(
     return None if solve is None else _inverse_iteration(solve, x, maxiter)
 
 
-def _bisected_smallest(
-    banded: BandedSymmetric, x: np.ndarray, maxiter: int
-) -> np.ndarray:
-    """Smallest eigenvector of any band, from a start x that neither the
-    warm path nor the f1 floor solved, as for a band not above its f1 matrix.
-
-    A - sigma I has a definite factor iff sigma < lambda_min
-    (``_factor_below``), so sigma is bisected on that test from
-    [-2 ||A||, x'Ax / x'x] to a width of _BISECT_TOL ||A||, and inverse
-    iteration runs at the largest shift that factored.
-    """
-    x = x / np.linalg.norm(x)
-    scale = max(banded.norm_bound(), 1e-300)
-    lo, hi = -2.0 * scale, float(x @ banded.matvec(x))
-    solve = _factor_below(banded, lo)  # A - lo I >= ||A|| I
-    while hi - lo > _BISECT_TOL * scale:
-        sigma = 0.5 * (lo + hi)
-        below = _factor_below(banded, sigma)
-        if below is None:
-            hi = sigma
-        else:
-            lo, solve = sigma, below
-    vec = _inverse_iteration(solve, x, maxiter)
-    if vec is None:
-        raise EigsolveError(f"inverse iteration at the bisected shift {lo:.6e} stalled")
-    return vec
-
-
 def _ritz_coefficients(projected: np.ndarray) -> np.ndarray:
     """The smallest Ritz vector of LOPCG's symmetric 2x2 or 3x3 projection
     P = [[a, b'], [b, T]], a = x'Ax.  Where T - 2a I is definite and a > 0,
@@ -566,17 +539,17 @@ def extremal_eigenpair(
 
     ``start_vector`` may be an earlier pair; one of a Toeplitz solve with
     the same Toeplitz part spares the first mat-vec (``toeplitz_image``).
-    ``weights`` is the W of the diagonal's penalty term p W, which the f1
-    start of an ``even`` matrix and a ``mean_target`` require.
+    ``weights`` is the W of the diagonal's penalty term p W, which an
+    ``even`` matrix (for its f1 start) and a ``mean_target`` require.
 
     A ``BandedSymmetric`` solve refines ``start_vector`` on the certified
     warm path (``_warm_banded_smallest``).  Without one, or should that
     fail, it runs inverse iteration from the f1 start of its main diagonal
     at the floor (``_f1_start``), factored for the band itself
-    (``_factor_below``), with no LU solve.  Should the band not factor
-    there, or not converge within the 35 factors a shift bisection takes,
-    it runs inverse iteration at a shift bisected on the same factor test
-    (``_bisected_smallest``).  Any band is solved, definite or not.
+    (``_factor_below``), with no LU solve.  So a band must lie above its f1
+    matrix, as every matrix ``variational`` solves does: one that does not
+    factor at the floor, or on which inverse iteration does not converge
+    within ``maxiter`` steps there, raises ``EigsolveError``.
 
     A ``ToeplitzPlusDiagonal`` solve requires ``preconditioner``, a positive
     definite banded matrix spectrally equivalent to ``matrix``: its definite
@@ -600,8 +573,8 @@ def extremal_eigenpair(
         raise ValueError("a ToeplitzPlusDiagonal solve requires a preconditioner")
     if isinstance(matrix, BandedSymmetric) and mean_target is not None:
         raise ValueError("a BandedSymmetric solve takes no mean_target")
-    if weights is None and (mean_target is not None or start_vector is None and matrix.even):
-        raise ValueError("a mean_target or an even matrix's cold start requires weights")
+    if weights is None and (mean_target is not None or matrix.even):
+        raise ValueError("a mean_target or an even matrix requires weights")
     maxiter = max(200, int(50.0 * np.sqrt(matrix.dimension)))
     toeplitz = isinstance(matrix, ToeplitzPlusDiagonal)
     toeplitz_image = None
@@ -624,14 +597,12 @@ def extremal_eigenpair(
     vec = None
     if start_vector is not None:
         vec = _warm_banded_smallest(matrix, start_vector, maxiter)
-    if vec is None and (weights is not None or not matrix.even):
+    if vec is None:
         start_vector, floor = _f1_start(diagonal, even_weights)
         solve = _factor_below(matrix, floor)
-        if solve is not None:
-            # no more steps than the factors of the bisection below, from a
-            # bracket of 3 ||A|| to _BISECT_TOL ||A||: 35
-            steps = math.ceil(math.log2(3.0 / _BISECT_TOL))
-            vec = _inverse_iteration(solve, start_vector, steps)
-    if vec is None:
-        vec = _bisected_smallest(matrix, start_vector, maxiter)
+        if solve is None:
+            raise EigsolveError(f"the band does not factor at its f1 floor {floor:.6e}")
+        vec = _inverse_iteration(solve, start_vector, maxiter)
+        if vec is None:
+            raise EigsolveError(f"inverse iteration at the f1 floor {floor:.6e} did not converge")
     return _finish(matrix, vec)

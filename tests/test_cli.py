@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from phaselim import asympt, cli, estimators, variational
+from phaselim import asympt, canonical, cli, estimators, variational
 
 
 def read_report(path):
@@ -295,6 +295,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "solver failure: Unable to allocate 74.5 GiB" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spectrum", ["nonneg", "symmetric"])
+    def test_band_below_its_f1_floor_is_solver_failure(self, capsys, monkeypatch, spectrum):
+        # f2 - 1 does not lie above f1, so its band fails the banded
+        # contract: exit 3, with no pair printed and no traceback
+        monkeypatch.setitem(canonical.COSINE_COSTS, "f2", (1.5, -8.0 / 3.0, 1.0 / 6.0))
+        argv = ["curve", "--metric", "f2", "--spectrum", spectrum, "--targets", "10"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert "solver failure: the band does not factor at its f1 floor" in err
+        assert "Traceback" not in err
+        assert "mean," not in out
 
     def test_amse_mean_of_1e_300_lands(self, capsys):
         assert cli.main(["curve", "--metric", "amse", "--targets", "1e-300"]) == 0

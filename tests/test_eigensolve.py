@@ -57,24 +57,24 @@ def positive_definite(matrix: BandedSymmetric) -> BandedSymmetric:
 
 
 class TestClosedForms:
-    def test_two_by_two_off_half(self):
-        matrix = BandedSymmetric([np.zeros(2), np.array([0.5])])
+    """Closed forms.  The banded family is the f1 box at p = 0, tridiag(-1,
+    2, -1) of order n: lambda_min is 4 sin^2(pi / (2 n + 2)), its
+    eigenvector sin(pi (i + 1) / (n + 1)), all positive."""
+
+    def test_two_by_two_f1_box(self):
+        matrix = BandedSymmetric([np.full(2, 2.0), np.array([-1.0])])
         pair = extremal_eigenpair(matrix)
-        assert pair.value == pytest.approx(-0.5, abs=1e-14)
-        expected = np.array([1.0, -1.0]) / math.sqrt(2)
-        assert pair.vector == pytest.approx(expected, abs=1e-12)
+        assert pair.value == pytest.approx(1.0, abs=1e-14)
+        assert pair.vector == pytest.approx(np.full(2, math.sqrt(0.5)), abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 17, 100])
     def test_tridiagonal_toeplitz_family(self, n):
-        matrix = BandedSymmetric([np.zeros(n), np.full(n - 1, 0.5)])
+        matrix = BandedSymmetric([np.full(n, 2.0), np.full(n - 1, -1.0)])
         smallest = extremal_eigenpair(matrix)
-        assert smallest.value == pytest.approx(-math.cos(math.pi / (n + 1)), abs=1e-13)
-        # known eigenvector: (-1)^i sin(pi (i+1)/(n+1)), its largest component
-        # (the first of the two central ones for even n) positive
-        i = np.arange(n)
-        bottom = (-1.0) ** i * np.sin(math.pi * (i + 1) / (n + 1))
-        bottom *= np.sign(bottom[(n - 1) // 2]) / np.linalg.norm(bottom)
-        assert smallest.vector == pytest.approx(bottom, abs=1e-11)
+        expected = 4.0 * math.sin(0.5 * math.pi / (n + 1)) ** 2
+        assert smallest.value == pytest.approx(expected, abs=1e-13)
+        bottom = np.sin(math.pi * (np.arange(n) + 1) / (n + 1))
+        assert smallest.vector == pytest.approx(bottom / np.linalg.norm(bottom), abs=1e-11)
 
     def test_dense_two_by_two_quadratic_block(self):
         # theta^2 at cutoff 1 (nonneg): Toeplitz column [pi^2/3, -2]
@@ -93,25 +93,28 @@ class TestClosedForms:
 
 
 class TestDenseReference:
-    @pytest.mark.parametrize("n", [7, 40, 200])
-    @pytest.mark.parametrize("which", ["smallest", "largest"])
-    def test_banded_vs_full_spectrum(self, n, which):
-        rng = np.random.default_rng(100 + n)
-        diags = [rng.standard_normal(n), rng.standard_normal(n - 1)]
-        if n > 7:
-            diags.append(rng.standard_normal(n - 2))
-        matrix = BandedSymmetric(diags)
-        reference = np.linalg.eigvalsh(banded_to_dense(matrix))
-        expected = reference[0] if which == "smallest" else reference[-1]
-        # Solve sign * A + shift: the largest eigenvalue of A is minus the
-        # smallest of -A.
-        sign = 1.0 if which == "smallest" else -1.0
-        shift = matrix.norm_bound() + 1.0
-        shifted = BandedSymmetric(
-            [sign * diags[0] + shift, *(sign * d for d in diags[1:])]
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        name=st.sampled_from(["f1", "f2", "f3"]),
+        n=st.integers(2, 200),
+        log_penalty=st.floats(math.log(1e-12), math.log(1e3)),
+        power=st.sampled_from([2.0, 1.0, 0.5]),
+    )
+    def test_banded_vs_full_spectrum(self, name, n, log_penalty, power):
+        # Z(f) + p diag(W) with a smooth W = k^power, k = 0 .. n - 1: the
+        # form of every band phaselim builds (W = k there), above its f1
+        # matrix, so its cold solve takes the floor
+        box = banded_problem(name, "nonneg", n - 1, 0.0)
+        weights = np.arange(n, dtype=float) ** power
+        matrix = BandedSymmetric(
+            [box.diagonals[0] + math.exp(log_penalty) * weights, *box.diagonals[1:]]
         )
-        value = sign * (extremal_eigenpair(shifted).value - shift)
-        assert value == pytest.approx(expected, rel=1e-11, abs=1e-11)
+        values, vectors = dense_eigh(matrix)
+        pair = extremal_eigenpair(matrix)
+        assert pair.value == pytest.approx(values[0], rel=1e-11)
+        assert pair.vector == pytest.approx(
+            signed_like(vectors[:, 0], pair.vector), abs=1e-9
+        )
 
     def test_toeplitz_smallest_vs_dense(self):
         n = 120
@@ -143,39 +146,13 @@ class TestDenseReference:
             signed_like(vector[:, 0], pair.vector), abs=1e-9
         )
 
-    def test_cold_indefinite_pentadiagonal_matches_dense(self):
-        n = 20
-        matrix = BandedSymmetric(
-            [np.full(n, -1.0), np.full(n - 1, 0.5), np.full(n - 2, 0.25)]
-        )
-        value, vector = scipy.linalg.eigh(
-            banded_to_dense(matrix), subset_by_index=[0, 0]
-        )
-        assert value[0] < 0.0
-        pair = extremal_eigenpair(matrix)
-        assert pair.value == pytest.approx(value[0], rel=1e-11)
-        assert pair.vector == pytest.approx(
-            signed_like(vector[:, 0], pair.vector), abs=1e-9
-        )
-
 
 class TestColdBanded:
     """Cold banded solves: inverse iteration from the f1 start (the ground
     state, to a few digits, of F = tridiag(-1, 2 + main - min(main), -1)) at
-    its floor, the last shift that factored F, with no LU solve; shift
-    bisection only for a band the floor does not certify or that converges
-    slowly there, as a band not above its f1 matrix may."""
-
-    @staticmethod
-    def spy_on_bisection(monkeypatch):
-        calls = []
-        bisect = eigensolve._bisected_smallest
-        monkeypatch.setattr(
-            eigensolve,
-            "_bisected_smallest",
-            lambda *args: calls.append(args[0].dimension) or bisect(*args),
-        )
-        return calls
+    its floor, the last shift that factored F, with no LU solve.  The
+    contract is a band above F, as every band phaselim builds is; one that
+    does not factor at the floor, or does not converge there, raises."""
 
     @staticmethod
     def spy_on_lu(monkeypatch):
@@ -191,20 +168,43 @@ class TestColdBanded:
             )
         return calls
 
-    def test_bisection_fallback_matches_dense(self, monkeypatch):
-        # the n = 40 band of test_banded_vs_full_spectrum[smallest-40] is not
-        # above its f1 matrix: its floor 1.28, far below lambda_min = 5.12,
-        # factors, but inverse iteration there converges at ratio 0.81 and
-        # needs 75 steps, past the 35 factors of a shift bisection
-        calls = self.spy_on_bisection(monkeypatch)
-        rng = np.random.default_rng(140)
-        n = 40
-        matrix = positive_definite(
-            BandedSymmetric([rng.standard_normal(n - k) for k in range(3)])
+    def test_band_that_does_not_factor_at_its_floor_raises(self):
+        # lambda_min < 0 lies below the floor of its f1 matrix
+        n = 20
+        matrix = BandedSymmetric(
+            [np.full(n, -1.0), np.full(n - 1, 0.5), np.full(n - 2, 0.25)]
         )
+        with pytest.raises(EigsolveError, match="does not factor at its f1 floor"):
+            extremal_eigenpair(matrix)
+
+    def test_band_that_stalls_at_its_floor_raises(self):
+        # 8 + f1 lies above f1, but its lambda_min lies 8 above the floor:
+        # inverse iteration there converges at a ratio near 1 and stalls
+        spectrum = Spectrum(kind="symmetric", cutoff=50)
+        shifted = variational.CostFunction("shifted_f1", np.array([10.0, -2.0]))
+        matrix = variational._sector_matrix(shifted, spectrum, 0.1)
+        weights = Spectrum("nonneg", 50).weights()
+        with pytest.raises(EigsolveError, match="at the f1 floor .* did not converge"):
+            extremal_eigenpair(matrix, weights=weights)
+
+    def test_even_band_whose_warm_path_fails_takes_the_floor(self, monkeypatch):
+        # from its second eigenvector RQI reaches the second pair, which the
+        # certificate rejects; the floor of the folded f1 matrix then solves it
+        warm = []
+        warm_banded_smallest = eigensolve._warm_banded_smallest
+        monkeypatch.setattr(
+            eigensolve,
+            "_warm_banded_smallest",
+            lambda *args: warm.append(warm_banded_smallest(*args)) or warm[-1],
+        )
+        spectrum = Spectrum(kind="symmetric", cutoff=200)
+        matrix = variational._sector_matrix(cost_function("f2"), spectrum, 1e-5)
+        assert matrix.even and matrix.bandwidth == 2
         values, vectors = dense_eigh(matrix)
-        pair = extremal_eigenpair(matrix)
-        assert calls == [n]
+        pair = extremal_eigenpair(
+            matrix, start_vector=vectors[:, 1], weights=Spectrum("nonneg", 200).weights()
+        )
+        assert warm == [None]
         assert pair.value == pytest.approx(values[0], rel=1e-11)
         assert pair.vector == pytest.approx(
             signed_like(vectors[:, 0], pair.vector), abs=1e-9
@@ -215,7 +215,6 @@ class TestColdBanded:
     def test_sweep_first_seeds_certify_from_the_sturm_start(
         self, monkeypatch, name, kind
     ):
-        calls = self.spy_on_bisection(monkeypatch)
         cost = cost_function(name)
         for mean in (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0):
             spectrum = Spectrum(kind=kind, cutoff=variational.default_cutoff(kind, mean))
@@ -223,12 +222,10 @@ class TestColdBanded:
             pair = variational._solve_eigen(cost, spectrum, penalty, None)
             matrix = build_matrix(cost, spectrum, penalty)
             assert pair.residual <= 1e-10 * matrix.norm_bound()
-        assert calls == []
 
     def test_cold_f2_at_dimension_80009_within_factor_budget(self, monkeypatch):
         # the first seed of an f2 sweep to mean 1e4: 11 L D L' factors for
         # the f1 start and 1 pentadiagonal Cholesky factor at its floor
-        bisections = self.spy_on_bisection(monkeypatch)
         lu = self.spy_on_lu(monkeypatch)
         factors = []
         factor_below = eigensolve._factor_below
@@ -245,7 +242,6 @@ class TestColdBanded:
         pair = variational._solve_eigen(cost, spectrum, penalty, None)
         assert pair.residual <= 1e-10 * build_matrix(cost, spectrum, penalty).norm_bound()
         assert len(factors) <= 20
-        assert bisections == []
         assert "dgbsv" not in lu
 
     @pytest.mark.parametrize(
@@ -256,7 +252,6 @@ class TestColdBanded:
         # rows for the symmetric one): one Cholesky factor at the f1 floor
         # and inverse iteration, in 14 vectors of memory; an RQI step's band
         # LU took 23.5 (21.0 on the even sector)
-        bisections = self.spy_on_bisection(monkeypatch)
         lu = self.spy_on_lu(monkeypatch)
         cost = cost_function(name)
         spectrum = Spectrum(kind=kind, cutoff=variational.default_cutoff(kind, mean))
@@ -270,7 +265,7 @@ class TestColdBanded:
             tracemalloc.stop()
         matrix = variational._sector_matrix(cost, spectrum, penalty)
         assert pair.residual <= 1e-10 * matrix.norm_bound()
-        assert lu == [] and bisections == []
+        assert lu == []
         assert peak <= 16 * 8 * matrix.dimension
 
     @pytest.mark.parametrize("name", ["f1", "f2", "f3"])
@@ -292,7 +287,6 @@ class TestColdBanded:
     def test_series_warm_fallback_takes_the_floor(self, monkeypatch, kind):
         # the series means 100 and 1000: the f1 warm start padded from mean
         # 100 fails its certificate at 1000, and the floor path solves it
-        calls = self.spy_on_bisection(monkeypatch)
         warm = []
         warm_banded_smallest = eigensolve._warm_banded_smallest
         monkeypatch.setattr(
@@ -303,7 +297,6 @@ class TestColdBanded:
         points = variational.sweep_curve(cost_function("f1"), kind, [100.0, 1000.0])
         assert len(points) == 2
         assert any(vector is None for vector in warm)
-        assert calls == []
 
     @pytest.mark.parametrize("n", [1, 2, 40, 200])
     @pytest.mark.parametrize("penalty", [0.0, 1e-3, 1.0, 1e3])
@@ -430,7 +423,9 @@ class TestPreconditionedToeplitz:
         folded = variational._fold(spectrum, full)
         assert start == pytest.approx(signed_like(folded, start), abs=1e-6)
         cold = extremal_eigenpair(matrix, preconditioner=f3, weights=weights)
-        started = extremal_eigenpair(matrix, start_vector=start, preconditioner=f3)
+        started = extremal_eigenpair(
+            matrix, start_vector=start, preconditioner=f3, weights=weights
+        )
         assert np.array_equal(cold.vector, started.vector)
         assert cold.value == started.value
         solved = variational._solve_eigen(cost, spectrum, penalty, None)
@@ -712,11 +707,7 @@ class TestMatvecAndBounds:
 
 class TestEigenPairInvariants:
     def test_residual_unit_norm_and_sign(self):
-        rng = np.random.default_rng(9)
-        n = 80
-        matrix = positive_definite(
-            BandedSymmetric([rng.standard_normal(n - k) for k in range(3)])
-        )
+        matrix = banded_problem("f3", "nonneg", 79, 1e-3)
         pair = extremal_eigenpair(matrix)
         assert abs(np.linalg.norm(pair.vector) - 1.0) <= 1e-14
         assert pair.residual <= 1e-10 * matrix.norm_bound()
@@ -724,23 +715,19 @@ class TestEigenPairInvariants:
         assert pair.vector[np.argmax(np.abs(pair.vector))] > 0.0
 
     def test_determinism(self):
-        rng = np.random.default_rng(10)
-        n = 90
-        matrix = positive_definite(
-            BandedSymmetric([rng.standard_normal(n - k) for k in range(3)])
-        )
+        matrix = banded_problem("f2", "nonneg", 89, 1e-3)
         a = extremal_eigenpair(matrix)
         b = extremal_eigenpair(matrix)
         assert a.value == b.value
         assert np.array_equal(a.vector, b.vector)
 
     def test_monotone_in_penalty(self):
-        # smallest eigenvalue of (A + p*diag(n)) is non-decreasing in p
+        # smallest eigenvalue of tridiag(-1, 2 + p n, -1) is non-decreasing in p
         n = 200
         weights = np.arange(n, dtype=float)
         previous = -math.inf
         for penalty in (0.0, 1e-3, 1e-2, 1e-1, 1.0):
-            matrix = BandedSymmetric([penalty * weights, np.full(n - 1, 0.5)])
+            matrix = BandedSymmetric([2.0 + penalty * weights, np.full(n - 1, -1.0)])
             value = extremal_eigenpair(matrix).value
             assert value >= previous - 1e-14
             previous = value
@@ -777,16 +764,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="no mean_target"):
             extremal_eigenpair(matrix, weights=np.arange(3.0), mean_target=(1.0, 1e-6))
 
-    def test_mean_target_and_even_cold_start_require_weights(self):
+    def test_mean_target_and_even_matrix_require_weights(self):
         toeplitz = ToeplitzPlusDiagonal(kernel=np.array([1.0, 0.0, 0.0]), diagonal=np.ones(2))
         prec = BandedSymmetric([np.full(2, 3.0), np.full(1, -1.0)])
         with pytest.raises(ValueError, match="requires weights"):
             extremal_eigenpair(toeplitz, preconditioner=prec, mean_target=(1.0, 1e-6))
         even = BandedSymmetric([np.full(3, 2.0), np.full(2, -1.0)], even=True)
-        with pytest.raises(ValueError, match="requires weights"):
-            extremal_eigenpair(even)
-        # a started even solve reads no weights
-        assert extremal_eigenpair(even, start_vector=np.ones(3)).converged
+        for start in (None, np.ones(3)):
+            with pytest.raises(ValueError, match="requires weights"):
+                extremal_eigenpair(even, start_vector=start)
 
     def test_toeplitz_requires_preconditioner(self):
         matrix = ToeplitzPlusDiagonal(

@@ -286,10 +286,10 @@ class TestEvenSector:
         assert len(certified) == solves.count("symmetric") > 0
 
     def test_certificate_fails_above_the_odd_f1_floor(self):
-        # 8 + f1 >= f1, but its even pair (8 + lambda_even(f1)) lies above
+        # 1 + f1 >= f1, but its even pair (1 + lambda_even(f1)) lies above
         # the odd sector of f1, tridiag(-1, 2 + p j, -1), which is all the
         # certificate compares with: it cannot show the pair is the optimum
-        shifted = variational.CostFunction("shifted_f1", np.array([10.0, -2.0]))
+        shifted = variational.CostFunction("shifted_f1", np.array([3.0, -2.0]))
         spectrum = Spectrum(kind="symmetric", cutoff=50)
         with pytest.raises(EigsolveError, match="not certified below the odd sector"):
             variational._solve_eigen(shifted, spectrum, 0.1, None)
