@@ -93,9 +93,9 @@ class TestClosedForms:
 
 
 class TestDenseReference:
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3"])
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(
-        name=st.sampled_from(["f1", "f2", "f3"]),
         n=st.integers(2, 200),
         log_penalty=st.floats(math.log(1e-12), math.log(1e3)),
         power=st.sampled_from([2.0, 1.0, 0.5]),
